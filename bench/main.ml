@@ -21,20 +21,21 @@ module DM = Core.Delay_model
 module Types = Core.Types
 module Ck = Ssd_circuit
 module Sta = Ssd_sta.Sta
+module RO = Ssd_sta.Run_opts
 module TS = Ssd_sta.Timing_sim
 module A = Ssd_atpg
-module Interval = Ssd_util.Interval
 module Rng = Ssd_util.Rng
 module Texttab = Ssd_util.Texttab
 module Stats = Ssd_util.Stats
 module Json = Ssd_util.Json
 module Obs = Ssd_obs.Obs
 
+open Test_support
+
 (* one shared sink for the whole harness: the identity-check passes of
    [parsta] / [faultsim] run instrumented against it (they are not the
-   timed runs, so the <=2%% bench-overhead budget is untouched) and the
-   aggregated counters are embedded in the --json output next to the
-   wall times *)
+   timed runs, so the <=2%% bench-overhead budget is untouched) and its
+   snapshot is embedded in the --json output next to the wall times *)
 let bench_obs = Obs.create ()
 
 let tech = S.Tech.default
@@ -272,8 +273,11 @@ let table2 () =
   List.iter
     (fun nl ->
       let prim = Ck.Decompose.to_primitive nl in
-      let p2p = Sta.analyze ~library:lib ~model:DM.pin_to_pin prim in
-      let prop = Sta.analyze ~library:lib ~model:DM.proposed prim in
+      let analyze model =
+        Sta.analyze_with RO.default ~library:lib ~model prim
+      in
+      let p2p = analyze DM.pin_to_pin in
+      let prop = analyze DM.proposed in
       let ratio = Sta.min_delay p2p /. Sta.min_delay prop in
       Texttab.add_row t
         [
@@ -339,7 +343,7 @@ let atpg () =
   header "Section 7 — crosstalk-delay-fault ATPG efficiency";
   let lib = Lazy.force library in
   let nl = Ck.Decompose.to_primitive (Option.get (Ck.Benchmarks.by_name "c880s")) in
-  let sta = Sta.analyze ~library:lib ~model:DM.proposed nl in
+  let sta = Sta.analyze_with RO.default ~library:lib ~model:DM.proposed nl in
   let clock = Sta.max_delay sta in
   let screened =
     A.Fault.extract_screened ~count:14 ~align_window:120e-12 ~seed:99L
@@ -364,7 +368,10 @@ let atpg () =
           { (A.Atpg.default_config ~clock_period:clock) with
             A.Atpg.use_itr; max_expansions = 1000; seed }
         in
-        let _, s = A.Atpg.run cfg ~library:lib ~model:DM.proposed nl sites in
+        let _, s =
+          A.Atpg.run_with RO.default cfg ~library:lib ~model:DM.proposed nl
+            sites
+        in
         let d, u, a, e, w = !totals in
         totals :=
           ( d + s.A.Atpg.detected,
@@ -492,11 +499,11 @@ let ablation () =
   note "the tied-k characterization recovers the missing speed-up"
 
 (* ------------------------------------------------------------------ *)
-(* Parallel / cached STA engine comparison                             *)
+(* Parallel STA engine comparison                                      *)
 (* ------------------------------------------------------------------ *)
 
 let parsta () =
-  header "Parallel & memoized STA — sequential vs cached vs level-parallel";
+  header "Parallel STA — sequential vs level-parallel";
   let lib = Lazy.force library in
   let lanes = Ssd_sta.Par.default_jobs () in
   let par_jobs = max 2 lanes in
@@ -518,68 +525,39 @@ let parsta () =
   in
   let t = Texttab.create
       ~header:
-        [ "circuit"; "levels"; "seq (ms)"; "cached (ms)"; "par (ms)";
-          "cache speedup"; "par speedup"; "identical" ]
+        [ "circuit"; "levels"; "seq (ms)"; "par (ms)"; "par speedup";
+          "identical" ]
   in
   List.iter
     (fun name ->
       let nl = Ck.Decompose.to_primitive (Option.get (Ck.Benchmarks.by_name name)) in
-      let run ?(obs = Obs.disabled) ~jobs ~cache () =
-        Sta.analyze ~jobs ~cache ~obs ~library:lib ~model:DM.proposed nl
+      let run ?(obs = Obs.disabled) ~jobs () =
+        Sta.analyze_with (RO.make ~jobs ~obs ()) ~library:lib
+          ~model:DM.proposed nl
       in
-      let beq a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
-      let wins_equal a b =
-        let ok = ref true in
-        for i = 0 to Ck.Netlist.size nl - 1 do
-          let x = Sta.timing a i and y = Sta.timing b i in
-          let w (lt : Sta.line_timing) =
-            [ lt.Sta.rise.Types.w_arr; lt.Sta.rise.Types.w_tt;
-              lt.Sta.fall.Types.w_arr; lt.Sta.fall.Types.w_tt ]
-          in
-          List.iter2
-            (fun u v ->
-              if not (beq (Interval.lo u) (Interval.lo v)
-                      && beq (Interval.hi u) (Interval.hi v))
-              then ok := false)
-            (w x) (w y)
-        done;
-        !ok
-      in
-      let base = run ~jobs:1 ~cache:false () in
-      let cached = run ~obs:bench_obs ~jobs:1 ~cache:true () in
+      let base = run ~jobs:1 () in
+      (* one instrumented production pass feeds [bench_obs]; its windows
+         must match too *)
       let identical =
-        wins_equal base cached
-        && wins_equal base (run ~jobs:par_jobs ~cache:false ())
-        && wins_equal base (run ~jobs:par_jobs ~cache:true ())
+        sta_beq base (run ~obs:bench_obs ~jobs:1 ())
+        && sta_beq base (run ~jobs:par_jobs ())
       in
-      Option.iter
-        (fun s -> note "%s %s" name (Ssd_core.Eval_cache.to_string s))
-        (Sta.cache_stats cached);
-      let t_seq = time (run ~jobs:1 ~cache:false) in
-      let t_cache = time (run ~jobs:1 ~cache:true) in
-      let t_par = time (run ~jobs:par_jobs ~cache:false) in
+      let t_seq = time (run ~jobs:1) in
+      let t_par = time (run ~jobs:par_jobs) in
       Texttab.add_row t
         [
           name;
           string_of_int (Ck.Netlist.depth nl);
           Printf.sprintf "%.1f" (t_seq *. 1e3);
-          Printf.sprintf "%.1f" (t_cache *. 1e3);
           Printf.sprintf "%.1f" (t_par *. 1e3);
-          Printf.sprintf "%.2fx" (t_seq /. t_cache);
           Printf.sprintf "%.2fx" (t_seq /. t_par);
           (if identical then "yes" else "NO");
         ])
     [ "c880s"; "c3540s"; "c7552s" ];
   Texttab.print t;
-  note "'identical' asserts bit-equal windows on every line across all four";
-  note "engine configurations (exact-key memoization + level barriers make";
-  note "the evaluation schedule irrelevant to the result).";
-  note "cache speedup < 1x is expected on the bundled analytic library: a";
-  note "corner search is ~0.1 us of polynomial evaluation, cheaper than a";
-  note "thread-safe memo hit (~0.3 us measured here) — the cache pays off";
-  note "only when per-cell kernels are expensive (table-driven or";
-  note "re-simulated characterizations), which is why Sta.analyze defaults";
-  note "to cache:false."
+  note "'identical' asserts bit-equal windows on every line across the";
+  note "sequential, instrumented and parallel passes (level barriers make";
+  note "the evaluation schedule irrelevant to the result)."
 
 (* ------------------------------------------------------------------ *)
 (* Incremental fault simulation: full vs cone vs cone+parallel         *)
@@ -589,7 +567,7 @@ let faultsim () =
   header "Fault simulation — full resimulation vs cone-restricted vs cone+parallel";
   let lib = Lazy.force library in
   let nl = Ck.Decompose.to_primitive (Option.get (Ck.Benchmarks.by_name "c880s")) in
-  let sta = Sta.analyze ~library:lib ~model:DM.proposed nl in
+  let sta = Sta.analyze_with RO.default ~library:lib ~model:DM.proposed nl in
   let clock = Sta.max_delay sta in
   (* a generous alignment window and a small delta keep many sites
      excited yet rarely detected — the realistic hard case where the
@@ -629,7 +607,7 @@ let faultsim () =
      and [bench/smoke]'s on/off identity check. *)
   let run ?(obs = Obs.disabled) ~jobs ~engine () =
     A.Fault_sim.simulate_with ~engine ~window_screen:false
-      (Ssd_sta.Run_opts.make ~jobs ~obs ())
+      (RO.make ~jobs ~obs ())
       ~library:lib ~model:DM.proposed ~clock_period:clock nl sites vectors
   in
   let time f =
@@ -709,7 +687,7 @@ let faultsim () =
 (* ------------------------------------------------------------------ *)
 
 let eco () =
-  header "ECO re-timing — incremental engine edit vs full Sta.analyze";
+  header "ECO re-timing — incremental engine edit vs full Sta.analyze_with";
   let module E = Ssd_sta.Engine in
   let lib = Lazy.force library in
   let nl = Ck.Decompose.to_primitive (Option.get (Ck.Benchmarks.by_name "c880s")) in
@@ -734,23 +712,13 @@ let eco () =
   note "circuit: %s (%d lines, depth %d); %d victim lines, +%.0f ps each"
     (Ck.Netlist.name nl) n (Ck.Netlist.depth nl) (List.length victims)
     (delta *. 1e12);
-  let opts = Ssd_sta.Run_opts.make ~obs:bench_obs () in
+  let opts = RO.make ~obs:bench_obs () in
   let eng = E.create ~opts ~library:lib ~model:DM.proposed nl in
-  let base = Sta.analyze ~library:lib ~model:DM.proposed nl in
-  let beq a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
+  let base = Sta.analyze_with RO.default ~library:lib ~model:DM.proposed nl in
   let wins_equal get_a get_b =
     let ok = ref true in
     for i = 0 to n - 1 do
-      let w (lt : Sta.line_timing) =
-        [ lt.Sta.rise.Types.w_arr; lt.Sta.rise.Types.w_tt;
-          lt.Sta.fall.Types.w_arr; lt.Sta.fall.Types.w_tt ]
-      in
-      List.iter2
-        (fun u v ->
-          if not (beq (Interval.lo u) (Interval.lo v)
-                  && beq (Interval.hi u) (Interval.hi v))
-          then ok := false)
-        (w (get_a i)) (w (get_b i))
+      if not (lt_beq (get_a i) (get_b i)) then ok := false
     done;
     !ok
   in
@@ -779,7 +747,7 @@ let eco () =
     (100. *. E.cutoff_ratio s);
   (* timing: mean per-edit cycle (apply + revert; the revert restores
      journaled windows without recomputation, so the cycle pays one cone
-     propagation) vs one full Sta.analyze.  The asserted workload is the
+     propagation) vs one full Sta.analyze_with.  The asserted workload is the
      engine's production one — single-line extra delays at extracted
      crosstalk fault sites, exactly what Fault_sim's window screen
      replays per fault; those victims sit deep in the circuit, where
@@ -805,10 +773,13 @@ let eco () =
          (A.Fault.extract ~count:768 ~delta:site_delta
             ~align_window:2500e-12 ~seed:2025L nl))
   in
-  let t_full = time (fun () -> Sta.analyze ~library:lib ~model:DM.proposed nl) in
+  let t_full =
+    time (fun () ->
+        Sta.analyze_with RO.default ~library:lib ~model:DM.proposed nl)
+  in
   (* the timed engine runs with telemetry disabled, like the timed
-     Sta.analyze baseline — the instrumented session above keeps the
-     work counters *)
+     Sta.analyze_with baseline — the instrumented session above keeps
+     the work counters *)
   let quiet = E.create ~library:lib ~model:DM.proposed nl in
   let cycle_mean vs d =
     let nv = List.length vs in
@@ -828,7 +799,7 @@ let eco () =
   E.close quiet;
   let t = Texttab.create ~header:[ "operation"; "wall (us)"; "speedup" ] in
   Texttab.add_row t
-    [ "full Sta.analyze"; Printf.sprintf "%.1f" (t_full *. 1e6); "1.00x" ];
+    [ "full Sta.analyze_with"; Printf.sprintf "%.1f" (t_full *. 1e6); "1.00x" ];
   Texttab.add_row t
     [ Printf.sprintf "edit at fault site (mean of %d)"
         (List.length site_victims);
@@ -907,7 +878,7 @@ let corners () =
          derated library, bit for bit on every node *)
       let batched = CS.analyze ~table nl in
       let run_scalar c =
-        Sta.analyze_with (Ssd_sta.Run_opts.make ())
+        Sta.analyze_with RO.default
           ~library:(Corners.library table c) ~model:DM.proposed nl
       in
       let identical = ref true in
@@ -966,7 +937,7 @@ let corners () =
   let t0 = Unix.gettimeofday () in
   let res =
     CS.monte_carlo
-      ~opts:(Ssd_sta.Run_opts.make ())
+      ~opts:RO.default
       ~samples ~seed:4242L ~library:lib nl
   in
   let t_mc = Unix.gettimeofday () -. t0 in
@@ -1003,14 +974,14 @@ let corners () =
       ]
 
 (* ------------------------------------------------------------------ *)
-(* Monte-Carlo: chunked batched-kernel sampling vs the scalar path     *)
+(* Monte-Carlo: chunked batched-kernel sampling vs scalar STA         *)
 (* ------------------------------------------------------------------ *)
 
 (* metrics exported into the --json report (speedup, boxed words/sample) *)
 let mc_metrics : (string * float) list ref = ref []
 
 let mc () =
-  header "Monte-Carlo — chunked batched-kernel sampling vs the scalar engine";
+  header "Monte-Carlo — chunked batched-kernel sampling vs scalar STA";
   let module CS = Ssd_sta.Corner_sta in
   let lib = Lazy.force library in
   let gates =
@@ -1044,43 +1015,34 @@ let mc () =
   let t0 = Unix.gettimeofday () in
   let batched =
     CS.monte_carlo
-      ~opts:(Ssd_sta.Run_opts.make ~mc_batch:batch ())
+      ~opts:(RO.make ~mc_batch:batch ())
       ~samples ~seed ~library:lib nl
   in
   let t_batched = Unix.gettimeofday () -. t0 in
   let words_per_sample =
     (Gc.minor_words () -. w0) /. float_of_int samples
   in
+  (* the scalar reference, one lane: each sample is a full STA pass over
+     its derated library, bit-compared against the batched result as it
+     goes (every per-sample PO delay and circuit max) *)
   let t1 = Unix.gettimeofday () in
-  let scalar =
-    CS.monte_carlo_scalar
-      ~opts:(Ssd_sta.Run_opts.make ~cache:true ())
-      ~samples ~seed ~library:lib nl
+  let scalar_max =
+    Array.mapi
+      (fun s spec ->
+        let sta =
+          Sta.analyze_with RO.default
+            ~library:(C.Corners.derate_library spec lib)
+            ~model:DM.proposed nl
+        in
+        if not (CS.sample_matches batched ~sample:s sta) then begin
+          Printf.eprintf "mc: sample %d differs from its scalar analysis\n" s;
+          exit 1
+        end;
+        Sta.max_delay sta)
+      batched.CS.mc_specs
   in
   let t_scalar = Unix.gettimeofday () -. t1 in
-  (* bit-identity: every per-sample PO delay and circuit max, then the
-     quantiles derived from them, must match the scalar oracle exactly *)
-  let beq a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
-  Array.iteri
-    (fun pi d ->
-      Array.iteri
-        (fun s v ->
-          if not (beq v scalar.CS.mc_delays.(pi).(s)) then begin
-            Printf.eprintf
-              "mc: PO %d sample %d: batched differs from the scalar path\n"
-              pi s;
-            exit 1
-          end)
-        d)
-    batched.CS.mc_delays;
-  Array.iteri
-    (fun s v ->
-      if not (beq v scalar.CS.mc_max.(s)) then begin
-        Printf.eprintf
-          "mc: sample %d circuit max differs from the scalar path\n" s;
-        exit 1
-      end)
-    batched.CS.mc_max;
+  (* the quantiles derived from the circuit max must match too *)
   let qs = [ 0.05; 0.5; 0.95 ] in
   List.iter2
     (fun (q, a) (_, b) ->
@@ -1089,14 +1051,14 @@ let mc () =
         exit 1
       end)
     (CS.mc_max_quantiles batched qs)
-    (CS.mc_max_quantiles scalar qs);
+    (Stats.quantiles qs (Array.to_list scalar_max));
   let speedup = t_scalar /. t_batched in
   let target = 3.0 in
   let t = Texttab.create ~header:[ "metric"; "value" ] in
   Texttab.add_row t [ "samples"; string_of_int samples ];
   Texttab.add_row t [ "batch K"; string_of_int batch ];
   Texttab.add_row t
-    [ "scalar engine path (s)"; Printf.sprintf "%.2f" t_scalar ];
+    [ "per-sample scalar STA (s)"; Printf.sprintf "%.2f" t_scalar ];
   Texttab.add_row t
     [ "batched kernel path (s)"; Printf.sprintf "%.2f" t_batched ];
   Texttab.add_row t
@@ -1111,8 +1073,9 @@ let mc () =
     (List.map (fun (_, v) -> ns v) (CS.mc_max_quantiles batched qs));
   Texttab.print mt;
   note "every per-sample PO delay, circuit max and quantile is asserted";
-  note "bit-identical between the chunked batched-kernel sweep and the";
-  note "scalar resident-engine oracle before any speedup is reported.";
+  note "bit-identical between the chunked batched-kernel sweep and a";
+  note "scalar STA of each sample's derated library before any speedup is";
+  note "reported.";
   mc_metrics :=
     [
       ("gates", float_of_int (Ck.Netlist.gate_count nl));
@@ -1257,6 +1220,7 @@ let perf () =
   let lib = Lazy.force library in
   let cell = nand2 () in
   let c880 = Ck.Decompose.to_primitive (Option.get (Ck.Benchmarks.by_name "c880s")) in
+  let sta model = Sta.analyze_with RO.default ~library:lib ~model c880 in
   let a = tr 0 0. 0.5e-9 and b = tr 1 0.1e-9 0.7e-9 in
   let vec =
     let rng = Rng.create 9L in
@@ -1277,10 +1241,10 @@ let perf () =
       @ [
           Test.make ~name:"sta/c880s-proposed"
             (Staged.stage (fun () ->
-                 ignore (Sta.analyze ~library:lib ~model:DM.proposed c880)));
+                 ignore (sta DM.proposed)));
           Test.make ~name:"sta/c880s-pin-to-pin"
             (Staged.stage (fun () ->
-                 ignore (Sta.analyze ~library:lib ~model:DM.pin_to_pin c880)));
+                 ignore (sta DM.pin_to_pin)));
           Test.make ~name:"tsim/c880s"
             (Staged.stage (fun () ->
                  ignore (TS.simulate ~library:lib ~model:DM.proposed c880 vec)));
@@ -1350,27 +1314,18 @@ let scale () =
   let t_gen = Unix.gettimeofday () -. t0 in
   let n = Ck.Netlist.size nl in
   note "%s built in %.2f s" (Ck.Netlist.stats nl) t_gen;
-  let beq a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
-  let lt_eq (x : Sta.line_timing) (y : Sta.line_timing) =
-    let w (lt : Sta.line_timing) =
-      [ lt.Sta.rise.Types.w_arr; lt.Sta.rise.Types.w_tt;
-        lt.Sta.fall.Types.w_arr; lt.Sta.fall.Types.w_tt ]
-    in
-    List.for_all2
-      (fun u v ->
-        beq (Interval.lo u) (Interval.lo v)
-        && beq (Interval.hi u) (Interval.hi v))
-      (w x) (w y)
-  in
   let identity_check name circuit =
     (* the packed path must reproduce the seed record-array oracle bit
        for bit, sequentially and under every lane count *)
-    let oracle = Sta.analyze_ref ~library:lib ~model:DM.proposed circuit in
+    let oracle = analyze_ref ~library:lib ~model:DM.proposed circuit in
     List.iter
       (fun jobs ->
-        let t = Sta.analyze ~jobs ~library:lib ~model:DM.proposed circuit in
+        let t =
+          Sta.analyze_with (RO.make ~jobs ()) ~library:lib ~model:DM.proposed
+            circuit
+        in
         for i = 0 to Ck.Netlist.size circuit - 1 do
-          if not (lt_eq oracle.(i) (Sta.timing t i)) then
+          if not (lt_beq oracle.(i) (Sta.timing t i)) then
             failwith
               (Printf.sprintf
                  "scale: %s jobs=%d: node %d differs from the seed oracle"
@@ -1387,7 +1342,8 @@ let scale () =
   let last = ref None in
   for _ = 1 to 3 do
     let t0 = Unix.gettimeofday () in
-    last := Some (Sta.analyze ~library:lib ~model:DM.proposed nl);
+    last :=
+      Some (Sta.analyze_with RO.default ~library:lib ~model:DM.proposed nl);
     best := Float.min !best (Unix.gettimeofday () -. t0)
   done;
   let sta = Option.get !last in
@@ -1459,71 +1415,36 @@ let experiments =
 (* machine-readable per-experiment timings: --json FILE writes
    { "experiments": [ {"name": ..., "wall_s": ...}, ... ], ... } so the
    perf trajectory of successive PRs can be compared mechanically
-   (conventionally BENCH_results.json).  The aggregated telemetry
-   counters, timers (with self time) and histogram shapes of the
-   instrumented identity-check passes ride along, and the file is
-   written atomically (sibling temp + rename) so a concurrent reader
-   never sees a truncated report. *)
+   (conventionally BENCH_results.json).  The [bench_obs] snapshot of the
+   instrumented identity-check passes rides along at the top level
+   ([Obs.snapshot_to_json]'s counters, gauges, timers, histograms and
+   spans), and the file is written atomically (sibling temp + rename) so
+   a concurrent reader never sees a truncated report. *)
 let report_json timings total =
-  let sn = Obs.snapshot bench_obs in
+  let group metrics =
+    Json.Obj (List.map (fun (k, v) -> (k, Json.Num v)) metrics)
+  in
+  let telemetry =
+    match Obs.snapshot_to_json (Obs.snapshot bench_obs) with
+    | Json.Obj fields -> fields
+    | _ -> []
+  in
   Json.Obj
-    [
-      ( "experiments",
-        Json.List
-          (List.map
-             (fun (name, wall) ->
-               Json.Obj
-                 [ ("name", Json.Str name); ("wall_s", Json.Num wall) ])
-             timings) );
-      ("total_wall_s", Json.Num total);
-      ( "scale",
-        Json.Obj (List.map (fun (k, v) -> (k, Json.Num v)) !scale_metrics) );
-      ( "corners",
-        Json.Obj (List.map (fun (k, v) -> (k, Json.Num v)) !corner_metrics) );
-      ( "mc",
-        Json.Obj (List.map (fun (k, v) -> (k, Json.Num v)) !mc_metrics) );
-      ( "serve",
-        Json.Obj (List.map (fun (k, v) -> (k, Json.Num v)) !serve_metrics) );
-      ( "counters",
-        Json.Obj
-          (List.map
-             (fun (n, v) -> (n, Json.Num (float_of_int v)))
-             sn.Obs.sn_counters) );
-      ( "timers",
-        Json.Obj
-          (List.map
-             (fun (n, st) ->
-               ( n,
-                 Json.Obj
-                   [
-                     ("calls", Json.Num (float_of_int st.Obs.st_calls));
-                     ("total_s", Json.Num st.Obs.st_total_s);
-                     ("self_s", Json.Num st.Obs.st_self_s);
-                   ] ))
-             sn.Obs.sn_timers) );
-      ( "histograms",
-        Json.Obj
-          (List.map
-             (fun (n, hs) ->
-               ( n,
-                 Json.Obj
-                   [
-                     ("count", Json.Num (float_of_int hs.Obs.hs_count));
-                     ("sum", Json.Num hs.Obs.hs_sum);
-                     ( "rows",
-                       Json.List
-                         (List.map
-                            (fun (lo, hi, c) ->
-                              Json.List
-                                [
-                                  Json.Num lo;
-                                  Json.Num hi;
-                                  Json.Num (float_of_int c);
-                                ])
-                            hs.Obs.hs_rows) );
-                   ] ))
-             sn.Obs.sn_histograms) );
-    ]
+    ([
+       ( "experiments",
+         Json.List
+           (List.map
+              (fun (name, wall) ->
+                Json.Obj
+                  [ ("name", Json.Str name); ("wall_s", Json.Num wall) ])
+              timings) );
+       ("total_wall_s", Json.Num total);
+       ("scale", group !scale_metrics);
+       ("corners", group !corner_metrics);
+       ("mc", group !mc_metrics);
+       ("serve", group !serve_metrics);
+     ]
+    @ telemetry)
 
 (* ---- bench-regression harness: --baseline FILE [--gate PCT] ----
 

@@ -1,59 +1,33 @@
 (* Smoke test for the bench harness's engine-comparison loops: runs the
-   same sequential / cached / parallel STA configurations parsta times,
-   and the full / cone / parallel fault-simulation configurations
-   faultsim times, on a circuit small enough for `dune runtest`, and
-   checks the bit-identical contracts.  Catches wiring regressions (pool
-   lifecycle, cache threading, cone cache) without the cost of the full
-   experiment run. *)
+   same sequential / parallel STA configurations parsta times, and the
+   full / cone / parallel fault-simulation configurations faultsim
+   times, on a circuit small enough for `dune runtest`, and checks the
+   bit-identical contracts.  Catches wiring regressions (pool lifecycle,
+   cone cache) without the cost of the full experiment run. *)
 
 module Ck = Ssd_circuit
 module Sta = Ssd_sta.Sta
+module RO = Ssd_sta.Run_opts
 module A = Ssd_atpg
 module DM = Ssd_core.Delay_model
-module Types = Ssd_core.Types
 module Charlib = Ssd_cell.Charlib
 module Interval = Ssd_util.Interval
 module Json = Ssd_util.Json
 module Obs = Ssd_obs.Obs
 
-let beq a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
-
-let wins_equal nl a b =
-  let ok = ref true in
-  for i = 0 to Ck.Netlist.size nl - 1 do
-    let x = Sta.timing a i and y = Sta.timing b i in
-    let w (lt : Sta.line_timing) =
-      [ lt.Sta.rise.Types.w_arr; lt.Sta.rise.Types.w_tt;
-        lt.Sta.fall.Types.w_arr; lt.Sta.fall.Types.w_tt ]
-    in
-    List.iter2
-      (fun u v ->
-        if not (beq (Interval.lo u) (Interval.lo v)
-                && beq (Interval.hi u) (Interval.hi v))
-        then ok := false)
-      (w x) (w y)
-  done;
-  !ok
+open Test_support
 
 let () =
   let lib = Charlib.default ~profile:Charlib.coarse () in
   let nl = Ck.Decompose.to_primitive (Ck.Benchmarks.c17 ()) in
-  let run ~jobs ~cache =
-    Sta.analyze ~jobs ~cache ~library:lib ~model:DM.proposed nl
+  let run ?(obs = Obs.disabled) jobs =
+    Sta.analyze_with (RO.make ~jobs ~obs ()) ~library:lib ~model:DM.proposed nl
   in
-  let base = run ~jobs:1 ~cache:false in
-  let configs =
-    [ ("cached", run ~jobs:1 ~cache:true);
-      ("par", run ~jobs:4 ~cache:false);
-      ("par+cached", run ~jobs:4 ~cache:true) ]
-  in
-  List.iter
-    (fun (tag, t) ->
-      if not (wins_equal nl base t) then begin
-        Printf.eprintf "bench smoke: %s differs from sequential baseline\n" tag;
-        exit 1
-      end)
-    configs;
+  let base = run 1 in
+  if not (sta_beq base (run 4)) then begin
+    Printf.eprintf "bench smoke: par differs from sequential baseline\n";
+    exit 1
+  end;
   if not (Sta.max_delay base > 0.) then begin
     Printf.eprintf "bench smoke: non-positive max delay\n";
     exit 1
@@ -66,8 +40,8 @@ let () =
   in
   let vectors = A.Fault_sim.random_vectors ~seed:3L ~count:32 nl in
   let fs ~jobs ~engine =
-    A.Fault_sim.simulate ~jobs ~engine ~library:lib ~model:DM.proposed
-      ~clock_period:(Sta.max_delay base) nl sites vectors
+    A.Fault_sim.simulate_with ~engine (RO.make ~jobs ()) ~library:lib
+      ~model:DM.proposed ~clock_period:(Sta.max_delay base) nl sites vectors
   in
   let fbase = fs ~jobs:1 ~engine:A.Fault_sim.Full in
   List.iter
@@ -91,8 +65,7 @@ let () =
   (* window screen: the STA-window pre-screen discards sites on windows
      alone; by its soundness argument it must never change the result *)
   let fscreen ~window_screen =
-    A.Fault_sim.simulate_with ~window_screen
-      (Ssd_sta.Run_opts.make ())
+    A.Fault_sim.simulate_with ~window_screen RO.default
       ~library:lib ~model:DM.proposed ~clock_period:(Sta.max_delay base) nl
       sites vectors
   in
@@ -116,16 +89,8 @@ let () =
         let reference = E.reanalyze eng in
         let ok = ref true in
         for i = 0 to Ck.Netlist.size nl - 1 do
-          let w (lt : Sta.line_timing) =
-            [ lt.Sta.rise.Types.w_arr; lt.Sta.rise.Types.w_tt;
-              lt.Sta.fall.Types.w_arr; lt.Sta.fall.Types.w_tt ]
-          in
-          List.iter2
-            (fun u v ->
-              if not (beq (Interval.lo u) (Interval.lo v)
-                      && beq (Interval.hi u) (Interval.hi v))
-              then ok := false)
-            (w (E.timing eng i)) (w (Sta.timing reference i))
+          if not (lt_beq (E.timing eng i) (Sta.timing reference i)) then
+            ok := false
         done;
         if not !ok then begin
           Printf.eprintf
@@ -157,7 +122,7 @@ let () =
                pi = some_pi;
                spec =
                  {
-                   Ssd_sta.Run_opts.pi_arrival = Interval.make 0. 0.1e-9;
+                   RO.pi_arrival = Interval.make 0. 0.1e-9;
                    pi_tt = Interval.make 0.2e-9 0.4e-9;
                  };
              });
@@ -165,7 +130,7 @@ let () =
         ];
       E.revert eng cp;
       engine_equals_reference "revert";
-      if not (wins_equal nl base (E.reanalyze eng)) then begin
+      if not (sta_beq base (E.reanalyze eng)) then begin
         Printf.eprintf "bench smoke: reverted engine is not the base\n";
         exit 1
       end);
@@ -187,10 +152,13 @@ let () =
            shape = Ck.Generator.Layered { layers = 30 };
          })
   in
-  let oracle = Sta.analyze_ref ~library:lib ~model:DM.proposed scale_nl in
+  let oracle = analyze_ref ~library:lib ~model:DM.proposed scale_nl in
   List.iter
     (fun jobs ->
-      let t = Sta.analyze ~jobs ~library:lib ~model:DM.proposed scale_nl in
+      let t =
+        Sta.analyze_with (RO.make ~jobs ()) ~library:lib ~model:DM.proposed
+          scale_nl
+      in
       let w = Sta.windows t in
       for i = 0 to Ck.Netlist.size scale_nl - 1 do
         if
@@ -228,13 +196,12 @@ let () =
   List.iter
     (fun jobs ->
       let batched =
-        CS.analyze ~opts:(Ssd_sta.Run_opts.make ~jobs ()) ~table scale_nl
+        CS.analyze ~opts:(RO.make ~jobs ()) ~table scale_nl
       in
       for c = 0 to ck - 1 do
         let scalar =
-          Sta.analyze_with
-            (Ssd_sta.Run_opts.make ())
-            ~library:(Corners.library table c) ~model:DM.proposed scale_nl
+          Sta.analyze_with RO.default ~library:(Corners.library table c)
+            ~model:DM.proposed scale_nl
         in
         if not (CS.plane_matches batched ~corner:c scalar) then begin
           Printf.eprintf
@@ -246,47 +213,42 @@ let () =
       done)
     [ 1; 4 ];
   (* monte-carlo loop, downsized: the chunked batched-kernel sampler must
-     reproduce the scalar resident-engine oracle bit for bit, sequentially
+     reproduce a scalar analysis of every sample bit for bit, sequentially
      and in parallel (samples=7 with batch=3 exercises a tail chunk) *)
   let mc_samples = 7 and mc_seed = 4242L in
-  let mc_oracle =
-    CS.monte_carlo_scalar
-      ~opts:(Ssd_sta.Run_opts.make ~cache:true ())
-      ~samples:mc_samples ~seed:mc_seed ~library:lib scale_nl
+  let mc_refs =
+    Array.map
+      (fun spec ->
+        Sta.analyze_with RO.default
+          ~library:(Corners.derate_library spec lib)
+          ~model:DM.proposed scale_nl)
+      (Array.of_list (Corners.sample_specs ~seed:mc_seed mc_samples))
   in
   List.iter
     (fun jobs ->
       let mc =
         CS.monte_carlo
-          ~opts:(Ssd_sta.Run_opts.make ~jobs ~mc_batch:3 ())
+          ~opts:(RO.make ~jobs ~mc_batch:3 ())
           ~samples:mc_samples ~seed:mc_seed ~library:lib scale_nl
       in
-      let bad = ref false in
       Array.iteri
-        (fun pi row ->
-          Array.iteri
-            (fun s d ->
-              if not (beq d mc_oracle.CS.mc_delays.(pi).(s)) then bad := true)
-            row)
-        mc.CS.mc_delays;
-      Array.iteri
-        (fun s m ->
-          if not (beq m mc_oracle.CS.mc_max.(s)) then bad := true)
-        mc.CS.mc_max;
-      if !bad then begin
-        Printf.eprintf
-          "bench smoke: monte-carlo jobs=%d differs from the scalar oracle\n"
-          jobs;
-        exit 1
-      end)
+        (fun s sta ->
+          if not (CS.sample_matches mc ~sample:s sta) then begin
+            Printf.eprintf
+              "bench smoke: monte-carlo jobs=%d sample %d differs from its \
+               scalar analysis\n"
+              jobs s;
+            exit 1
+          end)
+        mc_refs)
     [ 1; 4 ];
   (* telemetry loop: run one instrumented --stats/--trace style pass,
      write the Chrome trace, parse it back, and check the span tree
      covers every STA level exactly once (one "sta.level.<l>" complete
      event per level) — the contract `ssd sta --trace` exposes *)
   let obs = Obs.create ~trace:true () in
-  let traced = Sta.analyze ~jobs:4 ~obs ~library:lib ~model:DM.proposed nl in
-  if not (wins_equal nl base traced) then begin
+  let traced = run ~obs 4 in
+  if not (sta_beq base traced) then begin
     Printf.eprintf "bench smoke: instrumented run differs from baseline\n";
     exit 1
   end;

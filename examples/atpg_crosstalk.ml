@@ -8,6 +8,7 @@
 module Ck = Ssd_circuit
 module A = Ssd_atpg
 module Sta = Ssd_sta.Sta
+module RO = Ssd_sta.Run_opts
 module DM = Ssd_core.Delay_model
 module Charlib = Ssd_cell.Charlib
 
@@ -16,7 +17,7 @@ let () =
   let nl =
     Ck.Decompose.to_primitive (Option.get (Ck.Benchmarks.by_name "c880s"))
   in
-  let sta = Sta.analyze ~library ~model:DM.proposed nl in
+  let sta = Sta.analyze_with RO.default ~library ~model:DM.proposed nl in
   let clock = Sta.max_delay sta in
   Printf.printf "%s, clock period %.3f ns\n%!" (Ck.Netlist.stats nl)
     (clock *. 1e9);
@@ -27,7 +28,9 @@ let () =
   Printf.printf "extracted %d crosstalk fault sites\n%!" (List.length sites);
 
   let cfg = A.Atpg.default_config ~clock_period:clock in
-  let results, stats = A.Atpg.run cfg ~library ~model:DM.proposed nl sites in
+  let results, stats =
+    A.Atpg.run_with RO.default cfg ~library ~model:DM.proposed nl sites
+  in
   List.iter
     (fun r ->
       Printf.printf "%-55s " (A.Fault.describe nl r.A.Atpg.site);

@@ -6,6 +6,7 @@
 
 module Ck = Ssd_circuit
 module Sta = Ssd_sta.Sta
+module RO = Ssd_sta.Run_opts
 module DM = Ssd_core.Delay_model
 module Charlib = Ssd_cell.Charlib
 module Texttab = Ssd_util.Texttab
@@ -20,7 +21,7 @@ let () =
       let prim = Ck.Decompose.to_primitive nl in
       List.iter
         (fun model ->
-          let sta = Sta.analyze ~library ~model prim in
+          let sta = Sta.analyze_with RO.default ~library ~model prim in
           Texttab.add_row t
             [
               Ck.Netlist.name nl;
@@ -36,7 +37,7 @@ let () =
 
   (* required times and hold/setup violations on c17 *)
   let c17 = Ck.Decompose.to_primitive (Ck.Benchmarks.c17 ()) in
-  let sta = Sta.analyze ~library ~model:DM.proposed c17 in
+  let sta = Sta.analyze_with RO.default ~library ~model:DM.proposed c17 in
   let clock = 0.9 *. Sta.max_delay sta in
   let required = Sta.compute_required sta ~clock_period:clock in
   let violations = Sta.violations sta required in

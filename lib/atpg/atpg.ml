@@ -486,9 +486,6 @@ let run_with (opts : Ssd_sta.Run_opts.t) cfg ~library ~model nl sites =
   in
   (results, stats)
 
-let run ?(obs = Obs.disabled) cfg ~library ~model nl sites =
-  run_with (Ssd_sta.Run_opts.make ~obs ()) cfg ~library ~model nl sites
-
 let efficiency s =
   if s.total = 0 then 0.
   else 100. *. float_of_int (s.detected + s.undetectable) /. float_of_int s.total

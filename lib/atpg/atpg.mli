@@ -83,20 +83,8 @@ val run_with :
     the [atpg.expansions_per_fault] histogram (fixed range
     [0, max_expansions] so runs merge), and outcomes split into
     [atpg.detected] / [atpg.undetectable] / [atpg.aborted].
-    [opts.cache] and [opts.pi_spec] are unused here: the search fixes
-    the point PI spec test generation requires. *)
-
-val run :
-  ?obs:Ssd_obs.Obs.t ->
-  config ->
-  library:Ssd_cell.Charlib.t ->
-  model:Ssd_core.Delay_model.t ->
-  Ssd_circuit.Netlist.t ->
-  Fault.site list ->
-  fault_result list * stats
-(** Thin sequential wrapper over {!run_with} kept for source
-    compatibility ([obs] is bundled through {!Ssd_sta.Run_opts.make}).
-    Deprecated in favour of {!run_with}. *)
+    [opts.pi_spec] is unused here: the search fixes the point PI spec
+    test generation requires. *)
 
 val efficiency : stats -> float
 (** (detected + undetectable) / total × 100 — the paper's metric. *)

@@ -57,9 +57,7 @@ let observable nl (site : Fault.site) faultfree faulty clock =
    well as the fault-free one.  A screened-out site can therefore be
    detected by no vector at all, so skipping it never changes results. *)
 let window_feasible ~opts ~library ~model ~clock_period nl sites =
-  let screen_opts =
-    Run_opts.make ~cache:opts.Run_opts.cache ~obs:opts.Run_opts.obs ()
-  in
+  let screen_opts = Run_opts.(with_obs opts.obs default) in
   Engine.with_engine ~opts:screen_opts ~library ~model nl (fun eng ->
       let pos = Netlist.outputs nl in
       let arr_of tr i =
@@ -238,12 +236,6 @@ let simulate_with ?(engine = Cone) ?(window_screen = true)
     detected;
     undetected = !undetected;
   }
-
-let simulate ?(jobs = 1) ?(engine = Cone) ?(obs = Obs.disabled) ~library
-    ~model ~clock_period nl sites vectors =
-  simulate_with ~engine
-    (Run_opts.make ~jobs ~obs ())
-    ~library ~model ~clock_period nl sites vectors
 
 let random_vectors ~seed ~count nl =
   let rng = Rng.create seed in

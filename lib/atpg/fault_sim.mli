@@ -65,22 +65,6 @@ val simulate_with :
     screening engine add their own counters.  Telemetry never changes
     results. *)
 
-val simulate :
-  ?jobs:int ->
-  ?engine:engine ->
-  ?obs:Ssd_obs.Obs.t ->
-  library:Ssd_cell.Charlib.t ->
-  model:Ssd_core.Delay_model.t ->
-  clock_period:float ->
-  Ssd_circuit.Netlist.t ->
-  Fault.site list ->
-  (bool * bool) array list ->
-  result
-(** Thin wrapper over {!simulate_with} kept for source compatibility:
-    the optional arguments are bundled through
-    {!Ssd_sta.Run_opts.make}.  Deprecated in favour of
-    {!simulate_with}. *)
-
 val random_vectors :
   seed:int64 -> count:int -> Ssd_circuit.Netlist.t -> (bool * bool) array list
 (** Deterministic random two-pattern vectors (for coverage baselines). *)

@@ -148,8 +148,7 @@ let finish_common c obs =
   emit_obs obs ~stats:c.co_stats ~trace:c.co_trace
     ~stats_json:c.co_stats_json ~metrics:c.co_metrics
 
-let run_opts_of ?(cache = false) c obs =
-  Run_opts.make ~jobs:c.co_jobs ~cache ~obs ()
+let run_opts_of c obs = Run_opts.make ~jobs:c.co_jobs ~obs ()
 
 let load_netlist path =
   match Ck.Benchmarks.by_name path with

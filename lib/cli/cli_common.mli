@@ -55,7 +55,7 @@ val setup_common : common -> Ssd_obs.Obs.t
 val finish_common : common -> Ssd_obs.Obs.t -> unit
 (** Emit whatever telemetry outputs the options requested. *)
 
-val run_opts_of : ?cache:bool -> common -> Ssd_obs.Obs.t -> Ssd_sta.Run_opts.t
+val run_opts_of : common -> Ssd_obs.Obs.t -> Ssd_sta.Run_opts.t
 
 val load_netlist : string -> Ssd_circuit.Netlist.t
 (** Resolve a suite name or parse a [.bench] file; exits with code 2

@@ -1,5 +1,8 @@
 module Ck = Ssd_circuit
 module Corner_sta = Ssd_sta.Corner_sta
+module Corners = Ssd_cell.Corners
+module Delay_model = Ssd_core.Delay_model
+module Sta = Ssd_sta.Sta
 module Run_opts = Ssd_sta.Run_opts
 module Texttab = Ssd_util.Texttab
 
@@ -20,8 +23,8 @@ let batch_t =
 
 let check_t =
   Arg.(value & flag & info [ "check" ]
-       ~doc:"Replay the sweep through the scalar resident-engine path and \
-             verify every per-sample PO delay and circuit max is \
+       ~doc:"Re-analyze every sample with the scalar STA over its derated \
+             library and verify its PO delays and circuit max are \
              bit-identical (exit 1 on the first mismatch).")
 
 let run common fine file samples seed batch check =
@@ -42,41 +45,21 @@ let run common fine file samples seed batch check =
       ~library:lib nl
   in
   if check then begin
-    (* scalar oracle: the eval cache pays off there, every sample
-       revisits the same cells through the resident engine session *)
-    let oracle =
-      Corner_sta.monte_carlo_scalar
-        ~opts:(run_opts_of ~cache:true common obs)
-        ~samples ~seed:(Int64.of_int seed) ~library:lib nl
-    in
-    let beq a b =
-      Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
-    in
-    let fail fmt =
-      Printf.ksprintf
-        (fun m ->
-          Printf.eprintf "ssd: %s\n" m;
-          exit 1)
-        fmt
-    in
+    let ref_opts = run_opts_of common obs in
     Array.iteri
-      (fun pi d ->
-        Array.iteri
-          (fun s v ->
-            if not (beq v oracle.Corner_sta.mc_delays.(pi).(s)) then
-              fail "PO %d sample %d: batched %.17g <> scalar %.17g"
-                res.Corner_sta.mc_pos.(pi) s v
-                oracle.Corner_sta.mc_delays.(pi).(s))
-          d)
-      res.Corner_sta.mc_delays;
-    Array.iteri
-      (fun s v ->
-        if not (beq v oracle.Corner_sta.mc_max.(s)) then
-          fail "sample %d circuit max: batched %.17g <> scalar %.17g" s v
-            oracle.Corner_sta.mc_max.(s))
-      res.Corner_sta.mc_max;
-    Printf.printf
-      "check: %d sample(s) bit-identical to the scalar engine path\n" samples
+      (fun s spec ->
+        let sta =
+          Sta.analyze_with ref_opts
+            ~library:(Corners.derate_library spec lib)
+            ~model:Delay_model.proposed nl
+        in
+        if not (Corner_sta.sample_matches res ~sample:s sta) then begin
+          Printf.eprintf "ssd: sample %d differs from its scalar analysis\n" s;
+          exit 1
+        end)
+      res.Corner_sta.mc_specs;
+    Printf.printf "check: %d sample(s) bit-identical to the scalar STA\n"
+      samples
   end;
   let qs = [ 0.; 0.05; 0.5; 0.95; 1. ] in
   Printf.printf "%s: %d Monte-Carlo corner samples (seed %d)\n"

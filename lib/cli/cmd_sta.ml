@@ -12,20 +12,11 @@ let clock_t =
        & info [ "clock" ] ~docv:"NS"
            ~doc:"Clock period in ns for the required-time check.")
 
-let cache_t =
-  Arg.(value & flag & info [ "cache" ]
-       ~doc:"Memoize the per-cell corner searches across gate instances \
-             (never changes results). Implied by $(b,--stats) so the \
-             eval-cache hit ratio row is populated.")
-
-let run common fine model file clock cache =
+let run common fine model file clock =
   let obs = setup_common common in
   let lib = library_of fine in
   let nl = Ck.Decompose.to_primitive (load_netlist file) in
-  let cache = cache || common.co_stats in
-  let t =
-    Sta.analyze_with (run_opts_of ~cache common obs) ~library:lib ~model nl
-  in
+  let t = Sta.analyze_with (run_opts_of common obs) ~library:lib ~model nl in
   print_endline (Sta.summary t);
   let table = Texttab.create ~header:[ "PO"; "rise A (ns)"; "fall A (ns)" ] in
   List.iter
@@ -54,13 +45,8 @@ let run common fine model file clock cache =
       (List.length v) ns;
     List.iter (fun (_, msg) -> Printf.printf "  %s\n" msg) v);
   finish_common common obs;
-  if common.co_stats then
-    Option.iter
-      (fun s -> print_endline (Ssd_core.Eval_cache.to_string s))
-      (Sta.cache_stats t);
   0
 
 let cmd =
   Cmd.v (Cmd.info "sta" ~doc:"Static timing analysis of a netlist")
-    Term.(const run $ common_t $ fine_t $ model_t $ bench_file_t $ clock_t
-          $ cache_t)
+    Term.(const run $ common_t $ fine_t $ model_t $ bench_file_t $ clock_t)

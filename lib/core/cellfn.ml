@@ -65,10 +65,6 @@ let extremize which sel cell resp ~pos iv =
 let delay_sel e = e.Charlib.delay
 let tt_sel e = e.Charlib.out_tt
 
-let corner which curve cell resp ~pos iv =
-  let sel = match curve with `Delay -> delay_sel | `Tt -> tt_sel in
-  extremize which sel cell resp ~pos iv
-
 let tied_corner curve cell ~k iv =
   let fit1 =
     match curve with

@@ -38,18 +38,6 @@ val min_tied_tt_over : Ssd_cell.Charlib.cell -> fanout:int -> k:int
   -> Ssd_util.Interval.t -> float
 (** Same for the tied output transition time. *)
 
-val corner : [ `Min | `Max ] -> [ `Delay | `Tt ]
-  -> Ssd_cell.Charlib.cell -> response -> pos:int -> Ssd_util.Interval.t
-  -> float * float
-(** Load-free corner search over a pin curve: [(t_best, extremum)]
-    without the linear load correction (a constant shift that cannot move
-    the extremum).  Building block for {!Eval_cache}; the [*_over]
-    functions below add the load term. *)
-
-val tied_corner : [ `Delay | `Tt ] -> Ssd_cell.Charlib.cell -> k:int
-  -> Ssd_util.Interval.t -> float * float
-(** Load-free minimum of a k-inputs-tied curve over an interval. *)
-
 val min_delay_over : Ssd_cell.Charlib.cell -> fanout:int -> response
   -> pos:int -> Ssd_util.Interval.t -> float * float
 (** [(t_best, d_min)] minimizing the pin delay over a transition-time

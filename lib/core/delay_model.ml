@@ -1,10 +1,8 @@
 type windowing = {
   ctl_window :
-    ?cache:Eval_cache.t -> Ssd_cell.Charlib.cell -> fanout:int
-    -> Types.win_in list -> Types.win;
+    Ssd_cell.Charlib.cell -> fanout:int -> Types.win_in list -> Types.win;
   non_window :
-    ?cache:Eval_cache.t -> Ssd_cell.Charlib.cell -> fanout:int
-    -> Types.win_in list -> Types.win;
+    Ssd_cell.Charlib.cell -> fanout:int -> Types.win_in list -> Types.win;
 }
 
 type t = {
@@ -90,8 +88,8 @@ let remap_cells ?name f m =
       Option.map
         (fun w ->
           {
-            ctl_window = (fun ?cache cell -> w.ctl_window ?cache (f cell));
-            non_window = (fun ?cache cell -> w.non_window ?cache (f cell));
+            ctl_window = (fun cell -> w.ctl_window (f cell));
+            non_window = (fun cell -> w.non_window (f cell));
           })
         m.windowing;
   }

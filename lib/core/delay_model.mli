@@ -8,14 +8,12 @@
 
 type windowing = {
   ctl_window :
-    ?cache:Eval_cache.t -> Ssd_cell.Charlib.cell -> fanout:int
-    -> Types.win_in list -> Types.win;
+    Ssd_cell.Charlib.cell -> fanout:int -> Types.win_in list -> Types.win;
   non_window :
-    ?cache:Eval_cache.t -> Ssd_cell.Charlib.cell -> fanout:int
-    -> Types.win_in list -> Types.win;
+    Ssd_cell.Charlib.cell -> fanout:int -> Types.win_in list -> Types.win;
 }
-(** Window transfer functions; [cache] (optional everywhere) memoizes the
-    per-cell corner searches across gate instances, see {!Eval_cache}. *)
+(** Window transfer functions: a gate's output window from its input
+    windows, by worst-case corner search over the fitted curves. *)
 
 type t = {
   name : string;
@@ -52,9 +50,9 @@ val nabavi : t
 
 val remap_cells : ?name:string -> (Ssd_cell.Charlib.cell -> Ssd_cell.Charlib.cell) -> t -> t
 (** [remap_cells f m] evaluates [m] through [f]-substituted cells: every
-    entry point applies [f] to its cell argument first.  The corner and
-    Monte-Carlo paths use it to retarget a resident session onto a
-    derated twin library ([f = Corners.remap_of_library lib']) without
+    entry point applies [f] to its cell argument first.  Engine corner
+    retargets use it to point a resident session at a derated twin
+    library ([f = Corners.remap_of_library lib']) without
     rebuilding the session — the netlist keeps resolving cells against
     the nominal library.  [name] defaults to [m]'s. *)
 

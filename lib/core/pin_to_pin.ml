@@ -34,7 +34,7 @@ let pair_delay cell ~fanout ~a ~b =
 let pair_out_tt cell ~fanout ~a ~b =
   (ctl_event cell ~fanout [ a; b ]).e_tt
 
-let window_of ?cache resp cell ~fanout wins =
+let window_of resp cell ~fanout wins =
   match wins with
   | [] -> invalid_arg "Pin_to_pin: no inputs"
   | _ ->
@@ -45,35 +45,30 @@ let window_of ?cache resp cell ~fanout wins =
       fold Float.min infinity (fun w ->
           Interval.lo w.window.w_arr
           +. snd
-               (Eval_cache.min_delay_over_opt cache cell ~fanout resp
+               (Cellfn.min_delay_over cell ~fanout resp
                   ~pos:w.wpos w.window.w_tt))
     in
     let a_l =
       fold Float.max neg_infinity (fun w ->
           Interval.hi w.window.w_arr
           +. snd
-               (Eval_cache.max_delay_over_opt cache cell ~fanout resp
+               (Cellfn.max_delay_over cell ~fanout resp
                   ~pos:w.wpos w.window.w_tt))
     in
     let t_s =
       fold Float.min infinity (fun w ->
           snd
-            (Eval_cache.min_tt_over_opt cache cell ~fanout resp ~pos:w.wpos
-               w.window.w_tt))
+            (Cellfn.min_tt_over cell ~fanout resp ~pos:w.wpos w.window.w_tt))
     in
     let t_l =
       fold Float.max neg_infinity (fun w ->
           snd
-            (Eval_cache.max_tt_over_opt cache cell ~fanout resp ~pos:w.wpos
-               w.window.w_tt))
+            (Cellfn.max_tt_over cell ~fanout resp ~pos:w.wpos w.window.w_tt))
     in
     {
       w_arr = Interval.make a_s (Float.max a_s a_l);
       w_tt = Interval.make t_s (Float.max t_s t_l);
     }
 
-let ctl_window ?cache cell ~fanout wins =
-  window_of ?cache Cellfn.Ctl cell ~fanout wins
-
-let non_window ?cache cell ~fanout wins =
-  window_of ?cache Cellfn.Non cell ~fanout wins
+let ctl_window cell ~fanout wins = window_of Cellfn.Ctl cell ~fanout wins
+let non_window cell ~fanout wins = window_of Cellfn.Non cell ~fanout wins

@@ -19,8 +19,8 @@ val pair_delay : Ssd_cell.Charlib.cell -> fanout:int
 val pair_out_tt : Ssd_cell.Charlib.cell -> fanout:int
   -> a:Types.transition_in -> b:Types.transition_in -> float
 
-val ctl_window : ?cache:Eval_cache.t -> Ssd_cell.Charlib.cell -> fanout:int
-  -> Types.win_in list -> Types.win
+val ctl_window : Ssd_cell.Charlib.cell -> fanout:int -> Types.win_in list
+  -> Types.win
 
-val non_window : ?cache:Eval_cache.t -> Ssd_cell.Charlib.cell -> fanout:int
-  -> Types.win_in list -> Types.win
+val non_window : Ssd_cell.Charlib.cell -> fanout:int -> Types.win_in list
+  -> Types.win

@@ -217,7 +217,7 @@ let non_event cell ~fanout transitions =
 
 (* ----- window transfer functions (STA, Section 4.2) -------------------- *)
 
-let ctl_window ?cache cell ~fanout wins =
+let ctl_window cell ~fanout wins =
   match wins with
   | [] -> invalid_arg "Vshape.ctl_window: no inputs"
   | _ ->
@@ -227,8 +227,7 @@ let ctl_window ?cache cell ~fanout wins =
     let single_min w =
       Interval.lo w.window.w_arr
       +. snd
-           (Eval_cache.min_delay_over_opt cache cell ~fanout resp ~pos:w.wpos
-              w.window.w_tt)
+           (Cellfn.min_delay_over cell ~fanout resp ~pos:w.wpos w.window.w_tt)
     in
     let pair_min (wa : win_in) (wb : win_in) =
       let a_s = Interval.lo wa.window.w_arr in
@@ -283,8 +282,7 @@ let ctl_window ?cache cell ~fanout wins =
             fold (k + 1)
               (Float.min acc
                  (a_min
-                 +. Eval_cache.min_tied_delay_over_opt cache cell ~fanout ~k
-                      t_iv))
+                 +. Cellfn.min_tied_delay_over cell ~fanout ~k t_iv))
         in
         fold 3 a_s
       end
@@ -298,7 +296,7 @@ let ctl_window ?cache cell ~fanout wins =
           Float.max acc
             (Interval.hi w.window.w_arr
             +. snd
-                 (Eval_cache.max_delay_over_opt cache cell ~fanout resp
+                 (Cellfn.max_delay_over cell ~fanout resp
                     ~pos:w.wpos w.window.w_tt)))
         neg_infinity wins
     in
@@ -306,8 +304,7 @@ let ctl_window ?cache cell ~fanout wins =
     (* transition-time extremes *)
     let t_s_single w =
       snd
-        (Eval_cache.min_tt_over_opt cache cell ~fanout resp ~pos:w.wpos
-           w.window.w_tt)
+        (Cellfn.min_tt_over cell ~fanout resp ~pos:w.wpos w.window.w_tt)
     in
     let t_s_pair (wa : win_in) (wb : win_in) =
       (* feasible skew interval given both arrival windows *)
@@ -359,7 +356,7 @@ let ctl_window ?cache cell ~fanout wins =
           else
             fold (k + 1)
               (Float.min acc
-                 (Eval_cache.min_tied_tt_over_opt cache cell ~fanout ~k t_iv))
+                 (Cellfn.min_tied_tt_over cell ~fanout ~k t_iv))
         in
         fold 3 t_s
       end
@@ -369,14 +366,14 @@ let ctl_window ?cache cell ~fanout wins =
         (fun acc w ->
           Float.max acc
             (snd
-               (Eval_cache.max_tt_over_opt cache cell ~fanout resp ~pos:w.wpos
+               (Cellfn.max_tt_over cell ~fanout resp ~pos:w.wpos
                   w.window.w_tt)))
         neg_infinity wins
     in
     let t_l = Float.max t_l t_s in
     { w_arr = Interval.make a_s a_l; w_tt = Interval.make t_s t_l }
 
-let non_window ?cache cell ~fanout wins =
+let non_window cell ~fanout wins =
   match wins with
   | [] -> invalid_arg "Vshape.non_window: no inputs"
   | _ ->
@@ -387,7 +384,7 @@ let non_window ?cache cell ~fanout wins =
           Float.min acc
             (Interval.lo w.window.w_arr
             +. snd
-                 (Eval_cache.min_delay_over_opt cache cell ~fanout resp
+                 (Cellfn.min_delay_over cell ~fanout resp
                     ~pos:w.wpos w.window.w_tt)))
         infinity wins
     in
@@ -397,7 +394,7 @@ let non_window ?cache cell ~fanout wins =
           Float.max acc
             (Interval.hi w.window.w_arr
             +. snd
-                 (Eval_cache.max_delay_over_opt cache cell ~fanout resp
+                 (Cellfn.max_delay_over cell ~fanout resp
                     ~pos:w.wpos w.window.w_tt)))
         neg_infinity wins
     in
@@ -406,7 +403,7 @@ let non_window ?cache cell ~fanout wins =
         (fun acc w ->
           Float.min acc
             (snd
-               (Eval_cache.min_tt_over_opt cache cell ~fanout resp ~pos:w.wpos
+               (Cellfn.min_tt_over cell ~fanout resp ~pos:w.wpos
                   w.window.w_tt)))
         infinity wins
     in
@@ -415,7 +412,7 @@ let non_window ?cache cell ~fanout wins =
         (fun acc w ->
           Float.max acc
             (snd
-               (Eval_cache.max_tt_over_opt cache cell ~fanout resp ~pos:w.wpos
+               (Cellfn.max_tt_over cell ~fanout resp ~pos:w.wpos
                   w.window.w_tt)))
         neg_infinity wins
     in

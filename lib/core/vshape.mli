@@ -44,11 +44,11 @@ val non_event : Ssd_cell.Charlib.cell -> fanout:int
 
 (** {2 Window transfer functions (Section 4.2)}
 
-    [cache] memoizes the per-cell corner searches across gate instances
-    (see {!Eval_cache}); omitting it recomputes every search. *)
+    Each bound is a closed-form corner search over the fitted curves
+    ({!Cellfn.min_delay_over} and friends), evaluated afresh per gate. *)
 
-val ctl_window : ?cache:Eval_cache.t -> Ssd_cell.Charlib.cell -> fanout:int
-  -> Types.win_in list -> Types.win
+val ctl_window : Ssd_cell.Charlib.cell -> fanout:int -> Types.win_in list
+  -> Types.win
 
-val non_window : ?cache:Eval_cache.t -> Ssd_cell.Charlib.cell -> fanout:int
-  -> Types.win_in list -> Types.win
+val non_window : Ssd_cell.Charlib.cell -> fanout:int -> Types.win_in list
+  -> Types.win

@@ -4,7 +4,6 @@ module Charlib = Ssd_cell.Charlib
 module Sweep = Ssd_cell.Sweep
 module Corners = Ssd_cell.Corners
 module Corner_batch = Ssd_core.Corner_batch
-module Delay_model = Ssd_core.Delay_model
 module Types = Ssd_core.Types
 module Netlist = Ssd_circuit.Netlist
 module Gate = Ssd_circuit.Gate
@@ -229,42 +228,25 @@ type mc_result = {
   mc_max : float array;  (* [sample]: circuit max delay *)
 }
 
-let monte_carlo_scalar ?(opts = Run_opts.default) ?(samples = 64) ~seed
-    ~library nl =
-  if samples < 1 then
-    invalid_arg "Corner_sta.monte_carlo_scalar: samples < 1";
-  let specs = Array.of_list (Corners.sample_specs ~seed samples) in
-  let pos = Array.of_list (Netlist.outputs nl) in
-  let delays = Array.map (fun _ -> Array.make samples 0.) pos in
-  let mc_max = Array.make samples 0. in
-  let opts = { opts with Run_opts.corners = 1 } in
-  Engine.with_engine ~opts ~library ~model:Delay_model.proposed nl (fun eng ->
-      Array.iteri
-        (fun s spec ->
-          (* one Set_model retarget per sample against the resident
-             session: netlist, levels, cones, pool and eval cache are
-             all reused; only the windows are recomputed *)
-          let dlib = Corners.derate_library spec library in
-          let m =
-            Delay_model.remap_cells
-              ~name:("proposed@" ^ spec.Corners.c_name)
-              (Corners.remap_of_library dlib)
-              Delay_model.proposed
-          in
-          Engine.apply eng (Engine.Set_model m);
-          (* keep the journal from accumulating one frame per sample *)
-          Engine.commit eng;
-          Array.iteri
-            (fun pi po ->
-              let lt = Engine.timing eng po in
-              delays.(pi).(s) <-
-                Float.max
-                  (Interval.hi lt.Sta.rise.Types.w_arr)
-                  (Interval.hi lt.Sta.fall.Types.w_arr))
-            pos;
-          mc_max.(s) <- Engine.max_delay eng)
-        specs);
-  { mc_specs = specs; mc_pos = pos; mc_delays = delays; mc_max }
+(* The extraction expressions of [monte_carlo]'s chunk loop, evaluated
+   on the scalar analysis: [Float.max] of the two arrival-window tops
+   per PO and the [po_window] hull fold for the circuit max, so
+   bit-identical windows compare equal. *)
+let sample_matches res ~sample (sta : Sta.t) =
+  if sample < 0 || sample >= Array.length res.mc_max then
+    invalid_arg "Corner_sta.sample_matches: sample out of range";
+  let beq a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
+  let po_matches pi =
+    let lt = Sta.timing sta res.mc_pos.(pi) in
+    beq res.mc_delays.(pi).(sample)
+      (Float.max
+         (Interval.hi lt.Sta.rise.Types.w_arr)
+         (Interval.hi lt.Sta.fall.Types.w_arr))
+  in
+  let rec pos_match pi =
+    pi >= Array.length res.mc_pos || (po_matches pi && pos_match (pi + 1))
+  in
+  beq res.mc_max.(sample) (Sta.max_delay sta) && pos_match 0
 
 (* per-lane batched-kernel state: one K-corner table whose layouts are
    fitted once and then only re-coefficiented per chunk, the evaluator
@@ -340,7 +322,7 @@ let monte_carlo ?(opts = Run_opts.default) ?(samples = 64) ~seed ~library nl =
     (* stream the per-PO delays and circuit max out of the finished
        planes; the window store is scratch reused by the next chunk.
        Both extractions replicate the scalar path's float expressions
-       ([Engine.timing] + Float.max / the [po_window] hull fold), so
+       ([Sta.timing] + Float.max / the [po_window] hull fold), so
        bit-identical windows give bit-identical results.  Writes land
        at disjoint sample indices, hence are safe across lanes. *)
     let w = lane.mc_sw.sw_w in

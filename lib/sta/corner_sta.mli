@@ -16,8 +16,8 @@
     per-lane resident corner table ({!Ssd_cell.Corners.refit} rewrites
     coefficients only, reusing the fitted layouts) and swept K planes
     at a time, with independent sample chunks fanned across the {!Par}
-    domain pool.  The pre-existing scalar resident-{!Engine} path
-    remains as {!monte_carlo_scalar}, the bit-identity oracle;
+    domain pool.  Each sample is bit-identical to a scalar
+    {!Sta.analyze_with} over its derated library ({!sample_matches});
     {!mc_po_quantiles} reports per-PO delay distributions. *)
 
 type t
@@ -26,10 +26,9 @@ type t
 val analyze : ?opts:Run_opts.t -> table:Ssd_cell.Corners.table -> Ssd_circuit.Netlist.t -> t
 (** Forward pass over all corners of [table].  [opts.corners] must be 1
     (unset) or equal the table's corner count; [opts.jobs] and
-    [opts.pi_spec] behave as in {!Sta.analyze_with} ([opts.cache] is
-    irrelevant — the batched kernel does not search through the memo
-    cache).  @raise Sta.Unsupported_gate on an uncharacterized gate
-    arity, [Invalid_argument] on a corner-count mismatch. *)
+    [opts.pi_spec] behave as in {!Sta.analyze_with}.
+    @raise Sta.Unsupported_gate on an uncharacterized gate arity,
+    [Invalid_argument] on a corner-count mismatch. *)
 
 val netlist : t -> Ssd_circuit.Netlist.t
 val table : t -> Ssd_cell.Corners.table
@@ -51,7 +50,8 @@ val max_delay : t -> corner:int -> float
 
 val plane_matches : t -> corner:int -> Sta.t -> bool
 (** Bitwise comparison of one corner plane against a scalar analysis
-    (expected: [Sta.analyze_with] over [Corners.library table corner]). *)
+    (expected: [Sta.analyze_with] over [Corners.library table corner]).
+    {!sample_matches} is the Monte-Carlo counterpart. *)
 
 val summary : t -> string
 (** Multi-line per-corner PO window report. *)
@@ -82,29 +82,20 @@ val monte_carlo :
     {!Ssd_cell.Corners.refit} — plus its own scratch {!Windows} planes;
     per-PO delays and circuit max stream out of each finished chunk, so
     memory stays O(lanes × K × nodes), never O(samples).  All specs are
-    drawn before chunking, so results are bit-identical to
-    {!monte_carlo_scalar} for every ([opts.jobs], [opts.mc_batch])
-    setting.  Telemetry ([opts.obs]): [mc.chunks], [mc.tables_built],
-    [mc.fit_cache_hits] (chunks served by an already-fitted lane
-    table), [mc.planes].  [opts.corners] and [opts.cache] are ignored.
+    drawn before chunking, so every sample is bit-identical to its
+    scalar analysis ({!sample_matches}) for every ([opts.jobs],
+    [opts.mc_batch]) setting.  Telemetry ([opts.obs]): [mc.chunks],
+    [mc.tables_built], [mc.fit_cache_hits] (chunks served by an
+    already-fitted lane table), [mc.planes].  [opts.corners] is ignored.
     @raise Invalid_argument on [samples < 1], [opts.mc_batch < 1] or a
     netlist without outputs. *)
 
-val monte_carlo_scalar :
-  ?opts:Run_opts.t ->
-  ?samples:int ->
-  seed:int64 ->
-  library:Ssd_cell.Charlib.t ->
-  Ssd_circuit.Netlist.t ->
-  mc_result
-(** The pre-batching Monte-Carlo path, kept as the bit-identity oracle
-    behind [ssd mc --check]: analyze each sampled corner by retargeting
-    one resident {!Engine} session via [Set_model] +
-    {!Ssd_core.Delay_model.remap_cells}; the history is committed after
-    every sample so journal memory stays bounded.  [opts.jobs] sets the
-    session's lane count and [opts.cache] its corner-search memo cache
-    (safe across retargets: the cache keys on physical cell identity).
-    @raise Invalid_argument on [samples < 1]. *)
+val sample_matches : mc_result -> sample:int -> Sta.t -> bool
+(** Bitwise comparison of one sample's per-PO delays and circuit max
+    against a scalar analysis (expected: [Sta.analyze_with] over
+    [Corners.derate_library res.mc_specs.(sample) library]) — the check
+    behind [ssd mc --check].
+    @raise Invalid_argument on an out-of-range sample. *)
 
 val mc_po_quantiles : mc_result -> float list -> (float * float) list array
 (** Per PO (aligned with [mc_pos]), the requested quantiles of its

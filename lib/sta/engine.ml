@@ -40,7 +40,6 @@ type t = {
   e_jobs : int;
   mutable e_model : Delay_model.t;
   mutable e_windowing : Delay_model.windowing;
-  e_cache : Ssd_core.Eval_cache.t option;
   e_timing : Windows.t;
   (* per-node evaluation slots: the resolved cell and electrical load are
      fixed per node (a kind swap refreshes its slot), so the hot path
@@ -113,8 +112,8 @@ let eval_one t i =
       fanin_timings := get t (Netlist.fanin_nth nl i p) :: !fanin_timings
     done;
     Sta.shift_timing
-      (Sta.gate_windows ?cache:t.e_cache ~windowing:t.e_windowing ~cell
-         ~load:t.e_loads.(i) !fanin_timings)
+      (Sta.gate_windows ~windowing:t.e_windowing ~cell ~load:t.e_loads.(i)
+         !fanin_timings)
       t.e_extra.(i)
 
 (* Re-resolve a node's cell slot from its current (overlaid) kind. *)
@@ -239,9 +238,6 @@ let create ?(opts = Run_opts.default) ~library ~model nl =
       e_jobs = jobs;
       e_model = model;
       e_windowing = windowing;
-      e_cache =
-        (if opts.Run_opts.cache then Some (Ssd_core.Eval_cache.create ())
-         else None);
       e_timing = Windows.create n;
       e_cells =
         Array.init n (fun i ->

@@ -17,8 +17,7 @@
     kernel {!Sta.eval_node} is a pure function of the fan-in windows: a
     node outside every dirty cone — or cut off behind bit-identical
     recomputed windows — already holds the value the full pass would
-    recompute.  The guarantee covers any [jobs] lane count and an enabled
-    {!Ssd_core.Eval_cache} alike.
+    recompute.  The guarantee covers any [jobs] lane count.
 
     {2 History}
 
@@ -116,12 +115,10 @@ val create :
   t
 (** Open a session: one full forward pass under [opts] (default
     {!Run_opts.default}).  [opts.jobs] sets the session's lane count for
-    subsequent propagations, [opts.cache] memoizes corner searches across
-    the session's whole lifetime (it pays off far more here than in
-    one-shot analyses, since edits revisit the same cells), and
-    [opts.obs] receives per-edit spans ([engine.edit.<kind>]) and the
-    [engine.*] counters.  @raise Sta.Unsupported_gate or
-    [Invalid_argument] as {!Sta.analyze_with}. *)
+    subsequent propagations, and [opts.obs] receives per-edit spans
+    ([engine.edit.<kind>]) and the [engine.*] counters.
+    @raise Sta.Unsupported_gate or [Invalid_argument] as
+    {!Sta.analyze_with}. *)
 
 val close : t -> unit
 (** Join the session's worker domains (if any).  Idempotent; any further

@@ -11,7 +11,6 @@ let default_pi_spec =
 
 type t = {
   jobs : int;
-  cache : bool;
   obs : Obs.t;
   pi_spec : pi_spec;
   corners : int;
@@ -21,7 +20,6 @@ type t = {
 let default =
   {
     jobs = 1;
-    cache = false;
     obs = Obs.disabled;
     pi_spec = default_pi_spec;
     corners = 1;
@@ -36,7 +34,6 @@ let default =
    turns the [Error] into a protocol error response). *)
 
 let with_jobs jobs t = { t with jobs }
-let with_cache cache t = { t with cache }
 let with_obs obs t = { t with obs }
 let with_pi_spec pi_spec t = { t with pi_spec }
 let with_corners corners t = { t with corners }
@@ -52,8 +49,8 @@ let validate t =
     Error "pi_spec transition-time window must be non-negative"
   else Ok t
 
-let make ?(jobs = 1) ?(cache = false) ?(obs = Obs.disabled)
-    ?(pi_spec = default_pi_spec) ?(corners = 1) ?(mc_batch = 16) () =
-  match validate { jobs; cache; obs; pi_spec; corners; mc_batch } with
+let make ?(jobs = 1) ?(obs = Obs.disabled) ?(pi_spec = default_pi_spec)
+    ?(corners = 1) ?(mc_batch = 16) () =
+  match validate { jobs; obs; pi_spec; corners; mc_batch } with
   | Ok t -> t
   | Error msg -> invalid_arg ("Run_opts.make: " ^ msg)

@@ -2,9 +2,7 @@
 
     Every analysis entry point — {!Sta.analyze_with}, {!Engine.create},
     {!Ssd_atpg.Fault_sim.simulate_with}, {!Ssd_atpg.Atpg.run_with} — takes
-    one {!t} record instead of re-declaring the same optional arguments.
-    The legacy per-argument signatures remain as thin wrappers over
-    {!make}. *)
+    one {!t} record instead of re-declaring the same optional arguments. *)
 
 type pi_spec = {
   pi_arrival : Ssd_util.Interval.t;
@@ -20,8 +18,6 @@ type t = {
   jobs : int;
       (** execution lanes: [1] sequential, [> 1] that many domains,
           [<= 0] auto-selects the recommended domain count *)
-  cache : bool;
-      (** memoize per-cell corner searches (never changes results) *)
   obs : Ssd_obs.Obs.t;  (** telemetry sink (default: disabled no-op) *)
   pi_spec : pi_spec;  (** windows assumed at the primary inputs *)
   corners : int;
@@ -36,8 +32,8 @@ type t = {
 }
 
 val default : t
-(** [jobs = 1], [cache = false], disabled telemetry,
-    {!default_pi_spec}, [corners = 1], [mc_batch = 16]. *)
+(** [jobs = 1], disabled telemetry, {!default_pi_spec}, [corners = 1],
+    [mc_batch = 16]. *)
 
 (** {2 Builder}
 
@@ -46,10 +42,9 @@ val default : t
     Constructing or updating the record field-by-field with literal
     record syntax is deprecated: it bypasses the field checks and
     breaks silently whenever a field is added.  New call sites should
-    read [Run_opts.(default |> with_jobs 4 |> with_cache true)]. *)
+    read [Run_opts.(default |> with_jobs 4 |> with_corners 3)]. *)
 
 val with_jobs : int -> t -> t
-val with_cache : bool -> t -> t
 val with_obs : Ssd_obs.Obs.t -> t -> t
 val with_pi_spec : pi_spec -> t -> t
 val with_corners : int -> t -> t
@@ -62,7 +57,6 @@ val validate : t -> (t, string) result
 
 val make :
   ?jobs:int ->
-  ?cache:bool ->
   ?obs:Ssd_obs.Obs.t ->
   ?pi_spec:pi_spec ->
   ?corners:int ->

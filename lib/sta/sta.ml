@@ -27,7 +27,6 @@ type t = {
   st_library : Charlib.t;
   st_model : Delay_model.t;
   st_timing : Windows.t;
-  st_cache : Ssd_core.Eval_cache.t option;
 }
 
 exception Unsupported_gate of string
@@ -56,7 +55,7 @@ let cell_of_gate library kind n_in =
    order defines input positions (index 0 = closest to the output).
    For NAND/NOT the controlling input transition is the fall, and the
    to-controlling response is the output rise; for NOR it is the dual. *)
-let gate_windows ?cache ~windowing ~cell ~load fanin_timings =
+let gate_windows ~windowing ~cell ~load fanin_timings =
   let wins_of sel =
     List.mapi
       (fun idx lt -> { Types.wpos = idx; window = sel lt })
@@ -67,12 +66,8 @@ let gate_windows ?cache ~windowing ~cell ~load fanin_timings =
   in
   let ctl_wins = wins_of (fun lt -> if ctl_in_is_fall then lt.fall else lt.rise) in
   let non_wins = wins_of (fun lt -> if ctl_in_is_fall then lt.rise else lt.fall) in
-  let ctl_out =
-    windowing.Delay_model.ctl_window ?cache cell ~fanout:load ctl_wins
-  in
-  let non_out =
-    windowing.Delay_model.non_window ?cache cell ~fanout:load non_wins
-  in
+  let ctl_out = windowing.Delay_model.ctl_window cell ~fanout:load ctl_wins in
+  let non_out = windowing.Delay_model.non_window cell ~fanout:load non_wins in
   if ctl_in_is_fall then { rise = ctl_out; fall = non_out }
   else { rise = non_out; fall = ctl_out }
 
@@ -99,14 +94,13 @@ let shift_timing lt extra =
     in
     { rise = sh lt.rise; fall = sh lt.fall }
 
-(* The forward pass's per-node kernel, shared by [analyze_with], the
-   record-array oracle [analyze_ref] and the incremental {!Engine}: a
-   pure function of the fan-in entries read through [timing] (for a PI,
-   of [pi_win]), so recomputing any node whose inputs are bit-identical
-   reproduces its windows bit-identically.  [timing] abstracts the
-   storage — the packed {!Windows} store and the seed's record array
-   feed the identical float values through the identical operations. *)
-let eval_node ?cache ~windowing ~library nl timing ~pi_win ~extra i =
+(* The forward pass's per-node kernel, shared by [analyze_with] and the
+   incremental {!Engine}: a pure function of the fan-in entries read
+   through [timing] (for a PI, of [pi_win]), so recomputing any node
+   whose inputs are bit-identical reproduces its windows
+   bit-identically.  [timing] abstracts the storage, so any store that
+   feeds the identical float values gets the identical windows. *)
+let eval_node ~windowing ~library nl timing ~pi_win ~extra i =
   let lt =
     if Netlist.is_pi nl i then { rise = pi_win; fall = pi_win }
     else begin
@@ -118,14 +112,14 @@ let eval_node ?cache ~windowing ~library nl timing ~pi_win ~extra i =
         fanin_timings := timing (Netlist.fanin_nth nl i p) :: !fanin_timings
       done;
       let load = Netlist.load_of nl i in
-      gate_windows ?cache ~windowing ~cell ~load !fanin_timings
+      gate_windows ~windowing ~cell ~load !fanin_timings
     end
   in
   shift_timing lt extra
 
 let analyze_with ?(extra_delay = fun _ -> 0.) ?(pi_override = fun _ -> None)
     (opts : Run_opts.t) ~library ~model nl =
-  let { Run_opts.jobs; cache; obs; pi_spec; corners; mc_batch = _ } = opts in
+  let { Run_opts.jobs; obs; pi_spec; corners; mc_batch = _ } = opts in
   if corners <> 1 then
     invalid_arg
       "Sta.analyze_with: corners > 1 is the batched sweep (Corner_sta.analyze)";
@@ -137,22 +131,19 @@ let analyze_with ?(extra_delay = fun _ -> 0.) ?(pi_override = fun _ -> None)
   in
   let timing = Windows.create n in
   let get j = { rise = Windows.rise timing j; fall = Windows.fall timing j } in
-  let ecache =
-    if cache then Some (Ssd_core.Eval_cache.create ()) else None
-  in
   let c_gates = Obs.counter obs "sta.gates" in
   let eval i =
     if not (Netlist.is_pi nl i) then Obs.incr c_gates;
     let lt =
-      eval_node ?cache:ecache ~windowing ~library nl get
+      eval_node ~windowing ~library nl get
         ~pi_win:(pi_win_of i) ~extra:(extra_delay i) i
     in
     Windows.set timing i ~rise:lt.rise ~fall:lt.fall
   in
   (* gates of one topological level are independent; the per-gate window
-     computation is a pure function of the fan-in windows (and the memo
-     cache stores bit-exact replays), so the parallel schedule produces
-     bit-identical results to the sequential walk.  An instrumented run
+     computation is a pure function of the fan-in windows, so the
+     parallel schedule produces bit-identical results to the sequential
+     walk.  An instrumented run
      always walks level-by-level — also for [jobs = 1] — so the spans
      line up with the parallel schedule; the levelized order is a
      topological order, so the windows stay bit-identical either way. *)
@@ -192,38 +183,8 @@ let analyze_with ?(extra_delay = fun _ -> 0.) ?(pi_override = fun _ -> None)
                   (fun k -> eval (Netlist.level_node nl l k)))
           done
         end);
-  Option.iter
-    (fun ec ->
-      let s = Ssd_core.Eval_cache.stats ec in
-      Obs.add (Obs.counter obs "sta.cache.hits") s.Ssd_core.Eval_cache.s_hits;
-      Obs.add (Obs.counter obs "sta.cache.misses") s.Ssd_core.Eval_cache.s_misses;
-      Obs.add (Obs.counter obs "sta.cache.entries") s.Ssd_core.Eval_cache.s_entries)
-    ecache;
   { st_netlist = nl; st_library = library; st_model = model;
-    st_timing = timing; st_cache = ecache }
-
-let analyze ?(pi_spec = default_pi_spec) ?(jobs = 1) ?(cache = false)
-    ?(obs = Obs.disabled) ~library ~model nl =
-  analyze_with (Run_opts.make ~jobs ~cache ~obs ~pi_spec ()) ~library ~model nl
-
-(* The seed representation, kept as the bit-identity oracle: a plain
-   sequential topological walk over a per-node record array.  Same
-   kernel, same schedule, different storage — the scale bench and the
-   property tests assert the packed path reproduces this array bit for
-   bit. *)
-let analyze_ref ?(pi_spec = default_pi_spec) ~library ~model nl =
-  let windowing = windowing_of model in
-  let n = Netlist.size nl in
-  let pi_win = pi_window pi_spec in
-  let timing = Array.make n { rise = pi_win; fall = pi_win } in
-  Array.iter
-    (fun i ->
-      timing.(i) <-
-        eval_node ~windowing ~library nl
-          (fun j -> timing.(j))
-          ~pi_win ~extra:0. i)
-    (Netlist.topo_order nl);
-  timing
+    st_timing = timing }
 
 let netlist t = t.st_netlist
 let library t = t.st_library
@@ -232,7 +193,6 @@ let timing t i =
   { rise = Windows.rise t.st_timing i; fall = Windows.fall t.st_timing i }
 
 let windows t = t.st_timing
-let cache_stats t = Option.map Ssd_core.Eval_cache.stats t.st_cache
 
 let po_window t =
   let pos = Netlist.outputs t.st_netlist in

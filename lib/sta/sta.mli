@@ -43,7 +43,6 @@ val pi_window : pi_spec -> Ssd_core.Types.win
 (** The window a PI spec induces on both transitions of the input. *)
 
 val gate_windows :
-  ?cache:Ssd_core.Eval_cache.t ->
   windowing:Ssd_core.Delay_model.windowing ->
   cell:Ssd_cell.Charlib.cell ->
   load:int ->
@@ -59,7 +58,6 @@ val shift_timing : line_timing -> float -> line_timing
     [0.] is the bit-exact identity (never flips a negative zero). *)
 
 val eval_node :
-  ?cache:Ssd_core.Eval_cache.t ->
   windowing:Ssd_core.Delay_model.windowing ->
   library:Ssd_cell.Charlib.t ->
   Ssd_circuit.Netlist.t ->
@@ -74,10 +72,9 @@ val eval_node :
     [extra] (the crosstalk-fault primitive; [0.] is the bit-exact
     identity).  A pure function of those inputs — the contract that makes
     the sequential, levelized-parallel and incremental ({!Engine})
-    schedules bit-identical.  The getter abstracts the storage: the
-    packed {!Windows} store and {!analyze_ref}'s record array feed the
-    identical float values through the identical operations.  Shared by
-    {!analyze_with}, {!analyze_ref} and {!Engine}; reads only fan-in
+    schedules bit-identical.  The getter abstracts the storage: any
+    store that feeds the identical float values gets the identical
+    windows.  Shared by {!analyze_with} and {!Engine}; reads only fan-in
     entries, so concurrent calls for distinct nodes of one logic level
     are safe.  @raise Unsupported_gate *)
 
@@ -101,19 +98,9 @@ val analyze_with :
     sink: gate evaluations count into [sta.gates], each level runs under
     a span [sta.level.<l>] (per-level wall time in the report, one trace
     event per level), level widths feed the [sta.level_gates] histogram,
-    the {!Par} pool reports lane utilization and barrier waits, and —
-    when [opts.cache] is on — the memo statistics land in
-    [sta.cache.hits] / [sta.cache.misses] / [sta.cache.entries].
+    and the {!Par} pool reports lane utilization and barrier waits.
     Instrumented runs walk level-by-level even at [jobs = 1]; results
     stay bit-identical to the uninstrumented engine in every combination.
-
-    [opts.cache] (default [false]) memoizes the per-cell corner searches
-    across gate instances (see {!Ssd_core.Eval_cache}); it never changes
-    the results, only the work done to reach them.  It is off by default
-    because on the bundled analytic library a corner search is a handful
-    of polynomial evaluations (~0.1 us) — cheaper than any thread-safe
-    table hit — so memoization only pays when the per-cell kernels are
-    expensive (table-driven or re-simulated characterizations).
 
     [extra_delay] (default: constant [0.]) translates a line's arrival
     windows by that amount — the window-level image of
@@ -124,33 +111,6 @@ val analyze_with :
     @raise Unsupported_gate, or [Invalid_argument] when the model has no
     window transfer functions. *)
 
-val analyze :
-  ?pi_spec:pi_spec ->
-  ?jobs:int ->
-  ?cache:bool ->
-  ?obs:Ssd_obs.Obs.t ->
-  library:Ssd_cell.Charlib.t ->
-  model:Ssd_core.Delay_model.t ->
-  Ssd_circuit.Netlist.t ->
-  t
-(** Thin wrapper over {!analyze_with} kept for source compatibility: the
-    optional arguments are bundled through {!Run_opts.make}.  Deprecated
-    in favour of {!analyze_with}; new call sites should build a
-    {!Run_opts.t}. *)
-
-val analyze_ref :
-  ?pi_spec:pi_spec ->
-  library:Ssd_cell.Charlib.t ->
-  model:Ssd_core.Delay_model.t ->
-  Ssd_circuit.Netlist.t ->
-  line_timing array
-(** The seed representation, kept as the bit-identity oracle: a plain
-    sequential topological walk storing per-node [line_timing] records in
-    an array.  Same kernel and schedule as [analyze ~jobs:1], different
-    storage — the scale bench and the property tests assert the packed
-    {!Windows} path reproduces this array bit for bit.
-    @raise Unsupported_gate *)
-
 val netlist : t -> Ssd_circuit.Netlist.t
 val library : t -> Ssd_cell.Charlib.t
 val timing : t -> int -> line_timing
@@ -159,11 +119,6 @@ val timing : t -> int -> line_timing
 val windows : t -> Windows.t
 (** The packed per-node window store itself — allocation-free bitwise
     comparisons via {!Windows.eq}. *)
-
-val cache_stats : t -> Ssd_core.Eval_cache.stats option
-(** Structured {!Ssd_core.Eval_cache.stats} snapshot of the memo table
-    used by the analysis ([Ssd_core.Eval_cache.to_string] renders the
-    legacy one-liner); [None] when it ran with [cache:false]. *)
 
 val po_window : t -> Ssd_util.Interval.t
 (** Union of both transitions' arrival windows over all primary outputs:

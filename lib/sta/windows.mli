@@ -15,8 +15,8 @@
 
     Loads and stores are bit-preserving, so a window materialized by
     {!rise}/{!fall} is bit-identical to the one {!set} packed — the
-    invariant that keeps the packed path bit-identical to the
-    record-array seed representation ({!Sta.analyze_ref}).
+    invariant that keeps the packed path bit-identical to a plain
+    record-array walk of the same kernel (the tests' reference).
 
     Concurrent {!set}/{!set_plane} on distinct (plane, node) slots from
     several domains is safe (disjoint plain float writes, no OCaml-heap

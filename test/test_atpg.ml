@@ -6,12 +6,15 @@ module V = Ssd_itr.Value2f
 module DM = Ssd_core.Delay_model
 module Charlib = Ssd_cell.Charlib
 module Sta = Ssd_sta.Sta
+module RO = Ssd_sta.Run_opts
 
 let lib = lazy (Charlib.default ~profile:Charlib.coarse ())
 let c17_prim () = Ck.Decompose.to_primitive (Ck.Benchmarks.c17 ())
 
 let clock_of nl =
-  Sta.max_delay (Sta.analyze ~library:(Lazy.force lib) ~model:DM.proposed nl)
+  Sta.max_delay
+    (Sta.analyze_with RO.default ~library:(Lazy.force lib) ~model:DM.proposed
+       nl)
 
 (* ---------- Fault extraction ---------- *)
 
@@ -128,7 +131,10 @@ let test_atpg_run_and_stats () =
   let nl = c17_prim () in
   let sites = [ c17_site nl ] in
   let cfg = Atpg.default_config ~clock_period:(clock_of nl) in
-  let results, stats = Atpg.run cfg ~library:(Lazy.force lib) ~model:DM.proposed nl sites in
+  let results, stats =
+    Atpg.run_with RO.default cfg ~library:(Lazy.force lib) ~model:DM.proposed
+      nl sites
+  in
   Alcotest.(check int) "results per site" 1 (List.length results);
   Alcotest.(check int) "total" 1 stats.Atpg.total;
   Alcotest.(check int) "accounted" 1
@@ -175,9 +181,9 @@ let test_faultsim_detects_atpg_vector () =
     List.iter
       (fun engine ->
         let res =
-          A.Fault_sim.simulate ~engine ~library:(Lazy.force lib)
-            ~model:DM.proposed ~clock_period:(clock_of nl) nl [ site ]
-            [ vector ]
+          A.Fault_sim.simulate_with ~engine RO.default
+            ~library:(Lazy.force lib) ~model:DM.proposed
+            ~clock_period:(clock_of nl) nl [ site ] [ vector ]
         in
         Alcotest.(check (list (pair int int))) "site 0 detected by vector 0"
           [ (0, 0) ] res.A.Fault_sim.detected;
@@ -196,8 +202,9 @@ let test_faultsim_deterministic_c880s () =
   in
   let vectors = A.Fault_sim.random_vectors ~seed:6L ~count:24 nl in
   let run ~jobs ~engine =
-    A.Fault_sim.simulate ~jobs ~engine ~library:(Lazy.force lib)
-      ~model:DM.proposed ~clock_period:clock nl sites vectors
+    A.Fault_sim.simulate_with ~engine (RO.make ~jobs ())
+      ~library:(Lazy.force lib) ~model:DM.proposed ~clock_period:clock nl
+      sites vectors
   in
   let base = run ~jobs:1 ~engine:A.Fault_sim.Full in
   Alcotest.(check bool) "some sites detected (non-vacuous)" true
@@ -223,13 +230,13 @@ let test_faultsim_empty_inputs () =
   let clock = clock_of nl in
   let vectors = A.Fault_sim.random_vectors ~seed:1L ~count:4 nl in
   let no_sites =
-    A.Fault_sim.simulate ~library:(Lazy.force lib) ~model:DM.proposed
-      ~clock_period:clock nl [] vectors
+    A.Fault_sim.simulate_with RO.default ~library:(Lazy.force lib)
+      ~model:DM.proposed ~clock_period:clock nl [] vectors
   in
   Alcotest.(check (float 0.)) "no sites: 0 coverage" 0. no_sites.A.Fault_sim.coverage;
   let no_vectors =
-    A.Fault_sim.simulate ~library:(Lazy.force lib) ~model:DM.proposed
-      ~clock_period:clock nl [ c17_site nl ] []
+    A.Fault_sim.simulate_with RO.default ~library:(Lazy.force lib)
+      ~model:DM.proposed ~clock_period:clock nl [ c17_site nl ] []
   in
   Alcotest.(check (list int)) "no vectors: site undetected" [ 0 ]
     no_vectors.A.Fault_sim.undetected

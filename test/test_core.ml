@@ -172,70 +172,6 @@ let prop_pair_swap_symmetric =
            (Vshape.pair_out_tt cell ~fanout ~a ~b)
            (Vshape.pair_out_tt cell ~fanout ~a:b ~b:a))
 
-(* ---------- Eval_cache ---------- *)
-
-module Eval_cache = Ssd_core.Eval_cache
-
-let test_eval_cache_matches_direct () =
-  let cell = nand2 () in
-  let cache = Eval_cache.create () in
-  let ivs =
-    [ Interval.make 0.2e-9 0.2e-9; Interval.make 0.2e-9 1.4e-9;
-      Interval.make 0.9e-9 2.7e-9 ]
-  in
-  let beq a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
-  List.iter
-    (fun iv ->
-      List.iter
-        (fun fanout ->
-          (* two passes over the same queries: the second is all hits *)
-          for _ = 1 to 2 do
-            List.iter
-              (fun pos ->
-                let (t1, d1) =
-                  Cellfn.min_delay_over cell ~fanout Cellfn.Ctl ~pos iv
-                and (t2, d2) =
-                  Eval_cache.min_delay_over cache cell ~fanout Cellfn.Ctl ~pos iv
-                in
-                Alcotest.(check bool) "min delay bit-equal" true
-                  (beq t1 t2 && beq d1 d2);
-                let (u1, e1) =
-                  Cellfn.max_delay_over cell ~fanout Cellfn.Non ~pos iv
-                and (u2, e2) =
-                  Eval_cache.max_delay_over cache cell ~fanout Cellfn.Non ~pos iv
-                in
-                Alcotest.(check bool) "max delay bit-equal" true
-                  (beq u1 u2 && beq e1 e2);
-                Alcotest.(check bool) "min tt bit-equal" true
-                  (beq
-                     (snd (Cellfn.min_tt_over cell ~fanout Cellfn.Ctl ~pos iv))
-                     (snd (Eval_cache.min_tt_over cache cell ~fanout Cellfn.Ctl
-                             ~pos iv)));
-                Alcotest.(check bool) "max tt bit-equal" true
-                  (beq
-                     (snd (Cellfn.max_tt_over cell ~fanout Cellfn.Non ~pos iv))
-                     (snd (Eval_cache.max_tt_over cache cell ~fanout Cellfn.Non
-                             ~pos iv))))
-              [ 0; 1 ]
-          done)
-        [ 1; 3 ])
-    ivs;
-  Alcotest.(check bool) "cache actually hit" true (Eval_cache.hits cache > 0);
-  Alcotest.(check bool) "and missed first" true (Eval_cache.misses cache > 0)
-
-let test_eval_cache_load_independent () =
-  (* the memo key excludes the fanout: querying many loads for one interval
-     costs one kernel evaluation *)
-  let cell = nand2 () in
-  let cache = Eval_cache.create () in
-  let iv = Interval.make 0.3e-9 1.1e-9 in
-  List.iter
-    (fun fanout ->
-      ignore (Eval_cache.min_delay_over cache cell ~fanout Cellfn.Ctl ~pos:0 iv))
-    [ 1; 2; 3; 4; 5 ];
-  Alcotest.(check int) "one miss" 1 (Eval_cache.misses cache);
-  Alcotest.(check int) "rest hits" 4 (Eval_cache.hits cache)
-
 (* ---------- window transfer functions ---------- *)
 
 let win a1 a2 t1 t2 =
@@ -371,13 +307,6 @@ let suites =
           test_vshape_multi_input;
       ] );
     qsuite "core.vshape.props" [ prop_pair_swap_symmetric ];
-    ( "core.eval_cache",
-      [
-        Alcotest.test_case "matches direct search" `Slow
-          test_eval_cache_matches_direct;
-        Alcotest.test_case "load-independent keys" `Slow
-          test_eval_cache_load_independent;
-      ] );
     qsuite "core.windows.props"
       [ test_window_contains_point_events; test_window_non_contains_point_events ];
     ( "core.windows",

@@ -3,8 +3,7 @@
    over that corner's derated library, at jobs 1 and 4 and for a corner
    count that leaves a partial chunk in the parallel schedule.  The same
    windows must come out of Engine.retarget_corner — including through
-   edits and checkpoint/revert round-trips — and out of a cached session
-   flipping models mid-stream.  Monte-Carlo sampling must be
+   edits and checkpoint/revert round-trips.  Monte-Carlo sampling must be
    seed-deterministic and agree with fresh per-sample analyses. *)
 
 module Ck = Ssd_circuit
@@ -13,22 +12,12 @@ module CS = Ssd_sta.Corner_sta
 module E = Ssd_sta.Engine
 module RO = Ssd_sta.Run_opts
 module DM = Ssd_core.Delay_model
-module Types = Ssd_core.Types
 module Corners = Ssd_cell.Corners
 module Charlib = Ssd_cell.Charlib
-module Interval = Ssd_util.Interval
+
+open Test_support
 
 let lib = lazy (Charlib.default ~profile:Charlib.coarse ())
-let beq a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
-
-let int_beq (a : Interval.t) (b : Interval.t) =
-  beq (Interval.lo a) (Interval.lo b) && beq (Interval.hi a) (Interval.hi b)
-
-let win_beq (a : Types.win) (b : Types.win) =
-  int_beq a.Types.w_arr b.Types.w_arr && int_beq a.Types.w_tt b.Types.w_tt
-
-let lt_beq (a : Sta.line_timing) (b : Sta.line_timing) =
-  win_beq a.Sta.rise b.Sta.rise && win_beq a.Sta.fall b.Sta.fall
 
 (* a mid-size layered primitive circuit: wide enough levels to exercise
    the (level slot × corner chunk) schedule, small enough to re-analyze
@@ -139,46 +128,18 @@ let prop_retarget_through_edits =
           done;
           !ok))
 
-(* The Eval_cache regression: a cached session flipping models
-   mid-stream (corner retargets both ways, plus a different model
-   family) must stay bit-identical to an uncached session applying the
-   same sequence.  Before the cache keyed on cell identity, entries
-   memoized under one corner's cells poisoned the next. *)
-let test_cache_across_retargets () =
-  let nl = mid_prim ~gates:400 11 in
-  let lib = Lazy.force lib in
-  let table = Corners.build ~specs:(Corners.default_specs 3) lib in
-  let edits eng =
-    [
-      (fun () -> E.retarget_corner eng (Corners.spec table 0));
-      (fun () -> E.retarget_corner eng (Corners.spec table 2));
-      (fun () -> E.apply eng (E.Set_model DM.pin_to_pin));
-      (fun () -> E.retarget_corner eng (Corners.spec table 0));
-      (fun () -> E.apply eng (E.Set_model DM.proposed));
-    ]
-  in
-  E.with_engine ~opts:(RO.make ~cache:true ()) ~library:lib
-    ~model:DM.proposed nl (fun cached ->
-      E.with_engine ~library:lib ~model:DM.proposed nl (fun plain ->
-          let n = Ck.Netlist.size nl in
-          List.iteri
-            (fun step (ec, ep) ->
-              ec ();
-              ep ();
-              for i = 0 to n - 1 do
-                if not (lt_beq (E.timing cached i) (E.timing plain i)) then
-                  Alcotest.failf
-                    "cached/uncached windows diverge at node %d after step %d"
-                    i step
-              done)
-            (List.combine (edits cached) (edits plain))))
+(* the per-sample reference: a one-lane scalar analysis over the
+   sample's derated library *)
+let sample_reference lib nl spec =
+  Sta.analyze_with RO.default
+    ~library:(Corners.derate_library spec lib)
+    ~model:DM.proposed nl
 
 let test_mc_deterministic () =
   let nl = mid_prim ~gates:400 5 in
   let lib = Lazy.force lib in
   let run () =
-    CS.monte_carlo ~opts:(RO.make ~cache:true ()) ~samples:8 ~seed:42L
-      ~library:lib nl
+    CS.monte_carlo ~samples:8 ~seed:42L ~library:lib nl
   in
   let a = run () and b = run () in
   Alcotest.(check int) "samples" 8 (Array.length a.CS.mc_max);
@@ -188,29 +149,13 @@ let test_mc_deterministic () =
         Alcotest.failf "mc_max diverges between identical runs at sample %d" s)
     a.CS.mc_max;
   (* each sample agrees with a fresh scalar analysis of its derated
-     library: the resident-session retarget is an optimization, not an
+     library: the batched sweep is an optimization, not an
      approximation *)
-  List.iter
-    (fun s ->
-      let dlib = Corners.derate_library a.CS.mc_specs.(s) lib in
-      let sta =
-        Sta.analyze_with (RO.make ()) ~library:dlib ~model:DM.proposed nl
-      in
-      if not (beq a.CS.mc_max.(s) (Sta.max_delay sta)) then
-        Alcotest.failf "mc_max.(%d) differs from a fresh derated analysis" s;
-      Array.iteri
-        (fun pi po ->
-          let lt = Sta.timing sta po in
-          let want =
-            Float.max
-              (Interval.hi lt.Sta.rise.Types.w_arr)
-              (Interval.hi lt.Sta.fall.Types.w_arr)
-          in
-          if not (beq a.CS.mc_delays.(pi).(s) want) then
-            Alcotest.failf "mc_delays.(%d).(%d) differs from fresh analysis"
-              pi s)
-        a.CS.mc_pos)
-    [ 0; 7 ];
+  Array.iteri
+    (fun s spec ->
+      if not (CS.sample_matches a ~sample:s (sample_reference lib nl spec))
+      then Alcotest.failf "sample %d differs from a fresh derated analysis" s)
+    a.CS.mc_specs;
   (* quantiles: monotone in q, endpoints are the sample extremes *)
   let qs = [ 0.; 0.5; 0.95; 1. ] in
   let mx = CS.mc_max_quantiles a qs in
@@ -254,11 +199,11 @@ let mc_eq ~what a b =
         Alcotest.failf "%s: circuit max at sample %d differs" what s)
     a.CS.mc_max
 
-(* the tentpole contract: the chunked batched-kernel Monte-Carlo is
-   bit-identical to the scalar resident-engine oracle for every (jobs,
-   batch) combination — including batch 1 (a chunk per sample), a
-   samples-not-divisible-by-K tail chunk (10 = 3+3+3+1) and a batch
-   larger than the sample count (clamped) *)
+(* the chunked batched-kernel Monte-Carlo is bit-identical to a scalar
+   analysis of every sample for every (jobs, batch) combination —
+   including batch 1 (a chunk per sample), a samples-not-divisible-by-K
+   tail chunk (10 = 3+3+3+1) and a batch larger than the sample count
+   (clamped) *)
 let prop_mc_batched_matches_scalar =
   QCheck.Test.make
     ~name:"batched monte_carlo == scalar oracle (jobs {1,4} x K {1,3,16})"
@@ -268,10 +213,8 @@ let prop_mc_batched_matches_scalar =
       let nl = mid_prim ~gates:400 seed in
       let lib = Lazy.force lib in
       let samples = 10 and mc_seed = Int64.of_int (seed + 99) in
-      let oracle =
-        CS.monte_carlo_scalar ~opts:(RO.make ~cache:true ()) ~samples
-          ~seed:mc_seed ~library:lib nl
-      in
+      let specs = Array.of_list (Corners.sample_specs ~seed:mc_seed samples) in
+      let refs = Array.map (sample_reference lib nl) specs in
       List.iter
         (fun jobs ->
           List.iter
@@ -281,8 +224,14 @@ let prop_mc_batched_matches_scalar =
                   ~opts:(RO.make ~jobs ~mc_batch:k ())
                   ~samples ~seed:mc_seed ~library:lib nl
               in
-              mc_eq ~what:(Printf.sprintf "jobs %d batch %d" jobs k) res
-                oracle)
+              if not (Array.for_all2 spec_eq res.CS.mc_specs specs) then
+                Alcotest.failf "jobs %d batch %d: sampled specs differ" jobs k;
+              Array.iteri
+                (fun s sta ->
+                  if not (CS.sample_matches res ~sample:s sta) then
+                    Alcotest.failf "jobs %d batch %d: sample %d differs" jobs
+                      k s)
+                refs)
             [ 1; 3; 16 ])
         [ 1; 4 ];
       true)
@@ -334,6 +283,29 @@ let test_mc_batch_validation () =
   in
   Alcotest.(check int) "clamped run samples" 5 (Array.length a.CS.mc_max);
   mc_eq ~what:"batch 64 clamped to 5" a b
+
+(* the comparator itself: true on an untouched result, false once one
+   PO delay or one circuit max of one sample moves by a single ulp —
+   otherwise [ssd mc --check] and the MC property could pass vacuously *)
+let test_sample_matches_one_ulp () =
+  let nl = mid_prim ~gates:200 7 in
+  let lib = Lazy.force lib in
+  let res = CS.monte_carlo ~samples:3 ~seed:9L ~library:lib nl in
+  let s = 1 in
+  let sta = sample_reference lib nl res.CS.mc_specs.(s) in
+  Alcotest.(check bool) "untouched result matches" true
+    (CS.sample_matches res ~sample:s sta);
+  let pi = Array.length res.CS.mc_pos - 1 in
+  let delays = Array.map Array.copy res.CS.mc_delays in
+  delays.(pi).(s) <- Float.succ delays.(pi).(s);
+  Alcotest.(check bool) "one PO delay one ulp off" false
+    (CS.sample_matches { res with CS.mc_delays = delays } ~sample:s sta);
+  let mc_max = Array.copy res.CS.mc_max in
+  mc_max.(s) <- Float.succ mc_max.(s);
+  Alcotest.(check bool) "circuit max one ulp off" false
+    (CS.sample_matches { res with CS.mc_max } ~sample:s sta);
+  Alcotest.(check bool) "another sample's reference differs" false
+    (CS.sample_matches res ~sample:0 sta)
 
 (* refit retargets a table in place: coefficients, specs and the lazily
    rebuilt derated libraries must all match a fresh build *)
@@ -400,12 +372,12 @@ let suites =
       ];
     ( "corners.unit",
       [
-        Alcotest.test_case "cache across model retargets" `Quick
-          test_cache_across_retargets;
         Alcotest.test_case "monte-carlo determinism + oracle" `Quick
           test_mc_deterministic;
         Alcotest.test_case "batch validation and clamping" `Quick
           test_mc_batch_validation;
+        Alcotest.test_case "sample_matches detects one ulp" `Quick
+          test_sample_matches_one_ulp;
         Alcotest.test_case "refit matches a fresh build" `Quick
           test_refit_matches_fresh_build;
         Alcotest.test_case "corner-count validation" `Quick

@@ -1,33 +1,22 @@
 (* The Engine's contract (bit-identity to a fresh analysis of the edited
    circuit, across edit kinds, checkpoint/revert round-trips and lane
-   counts) plus the Run_opts wrapper equivalences and the structured
-   Eval_cache stats. *)
+   counts). *)
 
 module Ck = Ssd_circuit
 module Sta = Ssd_sta.Sta
 module E = Ssd_sta.Engine
 module RO = Ssd_sta.Run_opts
 module TS = Ssd_sta.Timing_sim
-module A = Ssd_atpg
 module DM = Ssd_core.Delay_model
-module EC = Ssd_core.Eval_cache
 module Types = Ssd_core.Types
 module Charlib = Ssd_cell.Charlib
 module Interval = Ssd_util.Interval
 module Rng = Ssd_util.Rng
 
+open Test_support
+
 let lib = lazy (Charlib.default ~profile:Charlib.coarse ())
 let c17_prim () = Ck.Decompose.to_primitive (Ck.Benchmarks.c17 ())
-let beq a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
-
-let int_eq (a : Interval.t) (b : Interval.t) =
-  beq (Interval.lo a) (Interval.lo b) && beq (Interval.hi a) (Interval.hi b)
-
-let win_eq (a : Types.win) (b : Types.win) =
-  int_eq a.Types.w_arr b.Types.w_arr && int_eq a.Types.w_tt b.Types.w_tt
-
-let lt_eq (a : Sta.line_timing) (b : Sta.line_timing) =
-  win_eq a.Sta.rise b.Sta.rise && win_eq a.Sta.fall b.Sta.fall
 
 (* the oracle: engine windows vs a fresh sequential analysis of the
    edited circuit, bit for bit on every line *)
@@ -36,7 +25,7 @@ let engine_matches eng =
   let n = Ck.Netlist.size (E.netlist eng) in
   let ok = ref true in
   for i = 0 to n - 1 do
-    if not (lt_eq (E.timing eng i) (Sta.timing reference i)) then ok := false
+    if not (lt_beq (E.timing eng i) (Sta.timing reference i)) then ok := false
   done;
   !ok
 
@@ -123,7 +112,7 @@ let prop_engine_bit_identical =
               E.revert eng cp0;
               if not (engine_matches eng) then ok := false;
               for i = 0 to Ck.Netlist.size nl - 1 do
-                if not (lt_eq (E.timing eng i) (Sta.timing base i)) then
+                if not (lt_beq (E.timing eng i) (Sta.timing base i)) then
                   ok := false
               done;
               Alcotest.(check int) "depth after full revert" 0 (E.depth eng);
@@ -227,7 +216,7 @@ let test_apply_validation () =
         Alcotest.(check bool)
           (Printf.sprintf "line %d untouched" i)
           true
-          (lt_eq (E.timing eng i) snapshot.(i))
+          (lt_beq (E.timing eng i) snapshot.(i))
       done)
 
 let test_commit_and_close () =
@@ -248,86 +237,23 @@ let test_commit_and_close () =
       ignore (E.timing eng 0 : Sta.line_timing))
 
 let test_cached_parallel_session () =
-  (* cache:true over a session's lifetime and jobs:4 propagation must not
-     move a bit relative to the fresh uncached sequential reference *)
+  (* a session's cached per-node windows, re-propagated at jobs:4, must
+     not move a bit relative to the fresh sequential reference *)
   let nl = c17_prim () in
-  let opts = RO.make ~jobs:4 ~cache:true () in
+  let opts = RO.make ~jobs:4 () in
   E.with_engine ~opts ~library:(Lazy.force lib) ~model:DM.proposed nl
     (fun eng ->
       let some_gate = List.hd (two_input_gates nl) in
       List.iter
         (fun edit ->
           E.apply eng edit;
-          Alcotest.(check bool) "cached engine matches reanalyze" true
+          Alcotest.(check bool) "parallel engine matches reanalyze" true
             (engine_matches eng))
         [
           E.Set_extra_delay { line = some_gate; delta = 35e-12 };
           E.Swap_gate { node = some_gate; kind = Ck.Gate.Nor };
           E.Set_model DM.pin_to_pin;
         ])
-
-let test_run_opts_wrappers () =
-  (* the legacy optional-argument entry points are thin wrappers over the
-     Run_opts ones: same inputs, bit-identical outputs *)
-  let nl = c17_prim () in
-  let lib = Lazy.force lib in
-  let a = Sta.analyze ~jobs:4 ~cache:true ~library:lib ~model:DM.proposed nl in
-  let b =
-    Sta.analyze_with
-      (RO.make ~jobs:4 ~cache:true ())
-      ~library:lib ~model:DM.proposed nl
-  in
-  for i = 0 to Ck.Netlist.size nl - 1 do
-    Alcotest.(check bool)
-      (Printf.sprintf "sta wrapper line %d" i)
-      true
-      (lt_eq (Sta.timing a i) (Sta.timing b i))
-  done;
-  let sites =
-    A.Fault.extract ~count:8 ~delta:60e-12 ~align_window:2500e-12 ~seed:11L nl
-  in
-  let vectors = A.Fault_sim.random_vectors ~seed:5L ~count:16 nl in
-  let clock_period = Sta.max_delay a in
-  let r1 =
-    A.Fault_sim.simulate ~jobs:1 ~library:lib ~model:DM.proposed ~clock_period
-      nl sites vectors
-  in
-  let r2 =
-    A.Fault_sim.simulate_with (RO.make ()) ~library:lib ~model:DM.proposed
-      ~clock_period nl sites vectors
-  in
-  Alcotest.(check bool) "faultsim wrapper identical" true
-    (r1.A.Fault_sim.detected = r2.A.Fault_sim.detected
-    && r1.A.Fault_sim.undetected = r2.A.Fault_sim.undetected
-    && r1.A.Fault_sim.coverage = r2.A.Fault_sim.coverage)
-
-let contains hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-  go 0
-
-let test_eval_cache_stats () =
-  let nl = c17_prim () in
-  let uncached =
-    Sta.analyze ~library:(Lazy.force lib) ~model:DM.proposed nl
-  in
-  Alcotest.(check bool) "no stats without a cache" true
-    (Sta.cache_stats uncached = None);
-  let t = Sta.analyze ~cache:true ~library:(Lazy.force lib) ~model:DM.proposed nl in
-  match Sta.cache_stats t with
-  | None -> Alcotest.fail "cache:true must expose stats"
-  | Some st ->
-    Alcotest.(check bool) "lookups happened" true
-      (st.EC.s_hits + st.EC.s_misses > 0);
-    Alcotest.(check bool) "one entry per miss at most" true
-      (st.EC.s_entries > 0 && st.EC.s_entries <= st.EC.s_misses);
-    let ratio = EC.hit_ratio st in
-    Alcotest.(check bool) "hit ratio in [0, 100]" true
-      (ratio >= 0. && ratio <= 100.);
-    let line = EC.to_string st in
-    Alcotest.(check bool) "one-liner renders the counters" true
-      (contains line "hits"
-      && contains line (string_of_int st.EC.s_entries))
 
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
@@ -339,8 +265,6 @@ let suites =
         Alcotest.test_case "commit and close" `Slow test_commit_and_close;
         Alcotest.test_case "cached parallel session" `Slow
           test_cached_parallel_session;
-        Alcotest.test_case "run-opts wrappers" `Slow test_run_opts_wrappers;
-        Alcotest.test_case "eval-cache stats" `Slow test_eval_cache_stats;
         Alcotest.test_case "tsim window containment, input 274715" `Quick
           test_tsim_window_regression_274715;
       ] );

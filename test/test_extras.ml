@@ -3,6 +3,7 @@
 
 module Ck = Ssd_circuit
 module Sta = Ssd_sta.Sta
+module RO = Ssd_sta.Run_opts
 module Sdf = Ssd_sta.Sdf
 module Path_report = Ssd_sta.Path_report
 module DM = Ssd_core.Delay_model
@@ -81,8 +82,10 @@ let test_sdf_annotated_sta () =
   let sdf = Sdf.of_netlist ~library:(Lazy.force lib) ~tt_range nl in
   let ann = Sdf.Annotated.create sdf nl in
   let sta =
-    Sta.analyze
-      ~pi_spec:{ Sta.pi_arrival = Interval.point 0.; pi_tt = tt_range }
+    Sta.analyze_with
+      (RO.make
+         ~pi_spec:{ Sta.pi_arrival = Interval.point 0.; pi_tt = tt_range }
+         ())
       ~library:(Lazy.force lib) ~model:DM.pin_to_pin nl
   in
   (* the SDF-annotated sweep is the pin-to-pin STA without transition-time
@@ -112,7 +115,9 @@ let test_sdf_parse_errors () =
 
 let test_path_report_c17 () =
   let nl = c17_prim () in
-  let sta = Sta.analyze ~library:(Lazy.force lib) ~model:DM.proposed nl in
+  let sta =
+    Sta.analyze_with RO.default ~library:(Lazy.force lib) ~model:DM.proposed nl
+  in
   let paths = Path_report.critical_paths sta ~k:3 in
   Alcotest.(check int) "three paths" 3 (List.length paths);
   let worst = List.hd paths in
@@ -144,7 +149,9 @@ let test_path_report_c17 () =
 
 let test_min_path_flags_speedup () =
   let nl = c17_prim () in
-  let sta = Sta.analyze ~library:(Lazy.force lib) ~model:DM.proposed nl in
+  let sta =
+    Sta.analyze_with RO.default ~library:(Lazy.force lib) ~model:DM.proposed nl
+  in
   let min_paths = Path_report.min_paths sta ~k:4 in
   Alcotest.(check bool) "have paths" true (min_paths <> []);
   let best = List.hd min_paths in
@@ -203,14 +210,17 @@ let test_fault_sim_detects_atpg_vector () =
       align_window = 400e-12;
     }
   in
-  let sta = Sta.analyze ~library:(Lazy.force lib) ~model:DM.proposed nl in
+  let sta =
+    Sta.analyze_with RO.default ~library:(Lazy.force lib) ~model:DM.proposed nl
+  in
   let cfg = A.Atpg.default_config ~clock_period:(Sta.max_delay sta) in
   let r = A.Atpg.generate cfg ~library:(Lazy.force lib) ~model:DM.proposed nl site in
   match r.A.Atpg.outcome with
   | A.Atpg.Detected vector ->
     let res =
-      A.Fault_sim.simulate ~library:(Lazy.force lib) ~model:DM.proposed
-        ~clock_period:(Sta.max_delay sta) nl [ site ] [ vector ]
+      A.Fault_sim.simulate_with RO.default ~library:(Lazy.force lib)
+        ~model:DM.proposed ~clock_period:(Sta.max_delay sta) nl [ site ]
+        [ vector ]
     in
     Alcotest.(check (float 1e-9)) "100% coverage" 100. res.A.Fault_sim.coverage;
     Alcotest.(check bool) "detected by vector 0" true
@@ -230,12 +240,14 @@ let test_fault_sim_random_baseline () =
       align_window = 400e-12;
     }
   in
-  let sta = Sta.analyze ~library:(Lazy.force lib) ~model:DM.proposed nl in
+  let sta =
+    Sta.analyze_with RO.default ~library:(Lazy.force lib) ~model:DM.proposed nl
+  in
   let vectors = A.Fault_sim.random_vectors ~seed:5L ~count:64 nl in
   Alcotest.(check int) "vector count" 64 (List.length vectors);
   let res =
-    A.Fault_sim.simulate ~library:(Lazy.force lib) ~model:DM.proposed
-      ~clock_period:(Sta.max_delay sta) nl [ site ] vectors
+    A.Fault_sim.simulate_with RO.default ~library:(Lazy.force lib)
+      ~model:DM.proposed ~clock_period:(Sta.max_delay sta) nl [ site ] vectors
   in
   Alcotest.(check bool) "coverage bounded" true
     (res.A.Fault_sim.coverage >= 0. && res.A.Fault_sim.coverage <= 100.);
@@ -307,7 +319,10 @@ let prop_paths_match_po_windows =
                Ck.Generator.n_inputs = 8; n_outputs = 4; n_gates = 40;
                seed = Int64.of_int seed })
       in
-      let sta = Sta.analyze ~library:(Lazy.force lib) ~model:DM.proposed nl in
+      let sta =
+        Sta.analyze_with RO.default ~library:(Lazy.force lib)
+          ~model:DM.proposed nl
+      in
       List.for_all
         (fun po ->
           let lt = Sta.timing sta po in

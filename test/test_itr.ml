@@ -9,6 +9,7 @@ module Charlib = Ssd_cell.Charlib
 module Interval = Ssd_util.Interval
 module Rng = Ssd_util.Rng
 module TS = Ssd_sta.Timing_sim
+module RO = Ssd_sta.Run_opts
 
 let lib = lazy (Charlib.default ~profile:Charlib.coarse ())
 let v s = Option.get (V.of_string s)
@@ -148,7 +149,10 @@ let make_itr nl = Itr.create ~library:(Lazy.force lib) ~model:DM.proposed nl
 let test_itr_initial_equals_sta () =
   let nl = c17_prim () in
   let itr = make_itr nl in
-  let sta = Ssd_sta.Sta.analyze ~library:(Lazy.force lib) ~model:DM.proposed nl in
+  let sta =
+    Ssd_sta.Sta.analyze_with RO.default ~library:(Lazy.force lib)
+      ~model:DM.proposed nl
+  in
   for i = 0 to Ck.Netlist.size nl - 1 do
     let st = Ssd_sta.Sta.timing sta i in
     (match Itr.rise_window itr i with

@@ -5,13 +5,14 @@
 module Obs = Ssd_obs.Obs
 module Par = Ssd_sta.Par
 module Sta = Ssd_sta.Sta
+module RO = Ssd_sta.Run_opts
 module Json = Ssd_util.Json
-module Interval = Ssd_util.Interval
-module Types = Ssd_core.Types
 module DM = Ssd_core.Delay_model
 module Charlib = Ssd_cell.Charlib
 module Ck = Ssd_circuit
 module A = Ssd_atpg
+
+open Test_support
 
 (* ---------- counters / timers / histograms ---------- *)
 
@@ -195,34 +196,17 @@ let test_write_file_atomic () =
 
 let lib = lazy (Charlib.default ~profile:Charlib.coarse ())
 
-let beq a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
-
-let wins_equal nl a b =
-  let ok = ref true in
-  for i = 0 to Ck.Netlist.size nl - 1 do
-    let x = Sta.timing a i and y = Sta.timing b i in
-    let w (lt : Sta.line_timing) =
-      [ lt.Sta.rise.Types.w_arr; lt.Sta.rise.Types.w_tt;
-        lt.Sta.fall.Types.w_arr; lt.Sta.fall.Types.w_tt ]
-    in
-    List.iter2
-      (fun u v ->
-        if not (beq (Interval.lo u) (Interval.lo v)
-                && beq (Interval.hi u) (Interval.hi v))
-        then ok := false)
-      (w x) (w y)
-  done;
-  !ok
-
 let test_sta_instrumented_identical () =
   let library = Lazy.force lib in
   let nl = Ck.Decompose.to_primitive (Ck.Benchmarks.c17 ()) in
-  let base = Sta.analyze ~library ~model:DM.proposed nl in
+  let base = Sta.analyze_with RO.default ~library ~model:DM.proposed nl in
   List.iter
     (fun (tag, jobs, trace) ->
       let obs = Obs.create ~trace () in
-      let t = Sta.analyze ~jobs ~obs ~library ~model:DM.proposed nl in
-      Alcotest.(check bool) (tag ^ " identical") true (wins_equal nl base t);
+      let t =
+        Sta.analyze_with (RO.make ~jobs ~obs ()) ~library ~model:DM.proposed nl
+      in
+      Alcotest.(check bool) (tag ^ " identical") true (sta_beq base t);
       Alcotest.(check int)
         (tag ^ " counted every gate")
         (Array.fold_left
@@ -241,15 +225,15 @@ let test_sta_instrumented_identical () =
 let test_fault_sim_instrumented_identical () =
   let library = Lazy.force lib in
   let nl = Ck.Decompose.to_primitive (Ck.Benchmarks.c17 ()) in
-  let sta = Sta.analyze ~library ~model:DM.proposed nl in
+  let sta = Sta.analyze_with RO.default ~library ~model:DM.proposed nl in
   let clock = Sta.max_delay sta in
   let sites =
     A.Fault.extract ~count:12 ~delta:60e-12 ~align_window:2500e-12 ~seed:5L nl
   in
   let vectors = A.Fault_sim.random_vectors ~seed:2L ~count:24 nl in
   let run ?(obs = Obs.disabled) ~jobs () =
-    A.Fault_sim.simulate ~jobs ~obs ~library ~model:DM.proposed
-      ~clock_period:clock nl sites vectors
+    A.Fault_sim.simulate_with (RO.make ~jobs ~obs ()) ~library
+      ~model:DM.proposed      ~clock_period:clock nl sites vectors
   in
   let base = run ~jobs:1 () in
   let obs = Obs.create () in
@@ -502,7 +486,6 @@ let test_snapshot_json_roundtrip () =
 (* ---------- instrumented Monte-Carlo stays bit-identical ---------- *)
 
 module CS = Ssd_sta.Corner_sta
-module RO = Ssd_sta.Run_opts
 
 let test_mc_instrumented_identical () =
   let library = Lazy.force lib in

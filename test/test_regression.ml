@@ -10,6 +10,7 @@ module Types = Ssd_core.Types
 module Vshape = Ssd_core.Vshape
 module Cellfn = Ssd_core.Cellfn
 module Sta = Ssd_sta.Sta
+module RO = Ssd_sta.Run_opts
 module TS = Ssd_sta.Timing_sim
 module Interval = Ssd_util.Interval
 module Rng = Ssd_util.Rng
@@ -32,8 +33,11 @@ let test_generated_circuit_full_flow () =
   let pi_spec =
     { Sta.pi_arrival = Interval.point 0.; pi_tt = Interval.point 0.25e-9 }
   in
-  let prop = Sta.analyze ~pi_spec ~library:(Lazy.force lib) ~model:DM.proposed prim in
-  let p2p = Sta.analyze ~pi_spec ~library:(Lazy.force lib) ~model:DM.pin_to_pin prim in
+  let analyze model =
+    Sta.analyze_with (RO.make ~pi_spec ()) ~library:(Lazy.force lib) ~model prim
+  in
+  let prop = analyze DM.proposed in
+  let p2p = analyze DM.pin_to_pin in
   Alcotest.(check (float 1e-15)) "same max" (Sta.max_delay p2p) (Sta.max_delay prop);
   Alcotest.(check bool) "proposed min <= p2p min" true
     (Sta.min_delay prop <= Sta.min_delay p2p +. 1e-15);
@@ -172,7 +176,10 @@ let test_table2_suite_decomposes_and_analyzes () =
   List.iter
     (fun nl ->
       let prim = Ck.Decompose.to_primitive nl in
-      let sta = Sta.analyze ~library:(Lazy.force lib) ~model:DM.proposed prim in
+      let sta =
+        Sta.analyze_with RO.default ~library:(Lazy.force lib)
+          ~model:DM.proposed prim
+      in
       Alcotest.(check bool)
         (Ck.Netlist.name nl ^ " sane window")
         true

@@ -6,24 +6,14 @@
 
 module Ck = Ssd_circuit
 module Sta = Ssd_sta.Sta
+module RO = Ssd_sta.Run_opts
 module Windows = Ssd_sta.Windows
 module DM = Ssd_core.Delay_model
-module Types = Ssd_core.Types
 module Charlib = Ssd_cell.Charlib
-module Interval = Ssd_util.Interval
+
+open Test_support
 
 let lib = lazy (Charlib.default ~profile:Charlib.coarse ())
-
-let beq x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
-
-let win_beq (a : Types.win) (b : Types.win) =
-  beq (Interval.lo a.Types.w_arr) (Interval.lo b.Types.w_arr)
-  && beq (Interval.hi a.Types.w_arr) (Interval.hi b.Types.w_arr)
-  && beq (Interval.lo a.Types.w_tt) (Interval.lo b.Types.w_tt)
-  && beq (Interval.hi a.Types.w_tt) (Interval.hi b.Types.w_tt)
-
-let lt_beq (a : Sta.line_timing) (b : Sta.line_timing) =
-  win_beq a.Sta.rise b.Sta.rise && win_beq a.Sta.fall b.Sta.fall
 
 (* a >= 10k-gate primitive circuit per seed; layered so the level widths
    stay wide enough to exercise the level CSR and the parallel schedule *)
@@ -48,8 +38,8 @@ let prop_soa_matches_ref =
     (fun seed ->
       let nl = big_prim seed in
       let lib = Lazy.force lib in
-      let oracle = Sta.analyze_ref ~library:lib ~model:DM.proposed nl in
-      let t = Sta.analyze ~library:lib ~model:DM.proposed nl in
+      let oracle = analyze_ref ~library:lib ~model:DM.proposed nl in
+      let t = Sta.analyze_with RO.default ~library:lib ~model:DM.proposed nl in
       let w = Sta.windows t in
       let ok = ref true in
       for i = 0 to Ck.Netlist.size nl - 1 do
@@ -67,10 +57,13 @@ let prop_jobs_deterministic =
     (fun seed ->
       let nl = big_prim seed in
       let lib = Lazy.force lib in
-      let base = Sta.analyze ~jobs:1 ~library:lib ~model:DM.proposed nl in
+      let analyze jobs =
+        Sta.analyze_with (RO.make ~jobs ()) ~library:lib ~model:DM.proposed nl
+      in
+      let base = analyze 1 in
       List.for_all
         (fun jobs ->
-          let t = Sta.analyze ~jobs ~library:lib ~model:DM.proposed nl in
+          let t = analyze jobs in
           let ok = ref true in
           for i = 0 to Ck.Netlist.size nl - 1 do
             if not (lt_beq (Sta.timing base i) (Sta.timing t i)) then

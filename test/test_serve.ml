@@ -380,11 +380,9 @@ let test_edit_codec_errors () =
 
 let test_run_opts_builder () =
   let o =
-    RO.(default |> with_jobs 4 |> with_cache true |> with_corners 3
-        |> with_mc_batch 8)
+    RO.(default |> with_jobs 4 |> with_corners 3 |> with_mc_batch 8)
   in
   Alcotest.(check int) "jobs" 4 o.RO.jobs;
-  Alcotest.(check bool) "cache" true o.RO.cache;
   Alcotest.(check int) "corners" 3 o.RO.corners;
   Alcotest.(check int) "mc_batch" 8 o.RO.mc_batch;
   (match RO.validate o with

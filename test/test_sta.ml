@@ -1,5 +1,6 @@
 module Ck = Ssd_circuit
 module Sta = Ssd_sta.Sta
+module RO = Ssd_sta.Run_opts
 module TS = Ssd_sta.Timing_sim
 module DM = Ssd_core.Delay_model
 module Types = Ssd_core.Types
@@ -7,12 +8,14 @@ module Charlib = Ssd_cell.Charlib
 module Interval = Ssd_util.Interval
 module Rng = Ssd_util.Rng
 
+open Test_support
+
 let lib = lazy (Charlib.default ~profile:Charlib.coarse ())
 
 let c17_prim () = Ck.Decompose.to_primitive (Ck.Benchmarks.c17 ())
 
-let analyze ?pi_spec model nl =
-  Sta.analyze ?pi_spec ~library:(Lazy.force lib) ~model nl
+let analyze ?(pi_spec = Sta.default_pi_spec) model nl =
+  Sta.analyze_with (RO.make ~pi_spec ()) ~library:(Lazy.force lib) ~model nl
 
 (* ---------- forward analysis ---------- *)
 
@@ -82,29 +85,21 @@ let test_sta_pi_spec_effect () =
   Alcotest.(check bool) "wider PI spec widens PO window" true
     (Interval.width (Sta.po_window b) > Interval.width (Sta.po_window a))
 
-(* ---------- parallel / cached evaluation ---------- *)
+(* ---------- parallel evaluation ---------- *)
 
-let exact_win label (a : Types.win) (b : Types.win) =
-  (* bit-identical, not approximately equal: the parallel engine and the
-     memo cache both promise exact replay of the sequential arithmetic *)
-  let eq x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y) in
-  Alcotest.(check bool) label true
-    (eq (Interval.lo a.Types.w_arr) (Interval.lo b.Types.w_arr)
-    && eq (Interval.hi a.Types.w_arr) (Interval.hi b.Types.w_arr)
-    && eq (Interval.lo a.Types.w_tt) (Interval.lo b.Types.w_tt)
-    && eq (Interval.hi a.Types.w_tt) (Interval.hi b.Types.w_tt))
+let exact_win label a b =
+  (* bit-identical, not approximately equal: the parallel engine promises
+     exact replay of the sequential arithmetic *)
+  Alcotest.(check bool) label true (win_beq a b)
+
+let analyze_jobs jobs lib nl =
+  Sta.analyze_with (RO.make ~jobs ()) ~library:lib ~model:DM.proposed nl
 
 let check_deterministic name nl =
   let nl = Ck.Decompose.to_primitive nl in
   let lib = Lazy.force lib in
-  let base = Sta.analyze ~jobs:1 ~cache:false ~library:lib ~model:DM.proposed nl in
-  let runs =
-    [
-      ("cached", Sta.analyze ~jobs:1 ~cache:true ~library:lib ~model:DM.proposed nl);
-      ("par", Sta.analyze ~jobs:4 ~cache:false ~library:lib ~model:DM.proposed nl);
-      ("par+cached", Sta.analyze ~jobs:4 ~cache:true ~library:lib ~model:DM.proposed nl);
-    ]
-  in
+  let base = analyze_jobs 1 lib nl in
+  let runs = [ ("par", analyze_jobs 4 lib nl) ] in
   for i = 0 to Ck.Netlist.size nl - 1 do
     let b = Sta.timing base i in
     List.iter
@@ -123,8 +118,8 @@ let test_sta_jobs_auto () =
   (* jobs <= 0 selects the domain count; result must still match *)
   let nl = c17_prim () in
   let lib = Lazy.force lib in
-  let a = Sta.analyze ~jobs:1 ~library:lib ~model:DM.proposed nl in
-  let b = Sta.analyze ~jobs:0 ~library:lib ~model:DM.proposed nl in
+  let a = analyze_jobs 1 lib nl in
+  let b = analyze_jobs 0 lib nl in
   for i = 0 to Ck.Netlist.size nl - 1 do
     exact_win "auto rise" (Sta.timing a i).Sta.rise (Sta.timing b i).Sta.rise;
     exact_win "auto fall" (Sta.timing a i).Sta.fall (Sta.timing b i).Sta.fall
@@ -296,7 +291,6 @@ let prop_resim_cone_bit_identical =
       let inc = TS.resimulate_cone ~library:lib ~model:DM.proposed nl
           ~base ~cone ~extra_delay
       in
-      let beq x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y) in
       let n = Ck.Netlist.size nl in
       let lines_eq a b =
         let ok = ref true in

@@ -10,17 +10,23 @@ cd "$(dirname "$0")/.."
 dune build
 dune runtest
 
-# Trace integrity: an instrumented `ssd sta --trace` run must emit a
-# Chrome trace whose per-track timestamps are monotone and whose span
-# ids/parents form a forest (tools/trace_check.exe validates both), and
-# the --stats-json snapshot must be parseable JSON.
+# Trace integrity: an instrumented `ssd sta --stats --trace` run must
+# emit a Chrome trace whose per-track timestamps are monotone and whose
+# span ids/parents form a forest (tools/trace_check.exe validates both),
+# and the --stats-json snapshot must be parseable JSON.
 TRACE_TMP=$(mktemp -d)
 trap 'rm -rf "$TRACE_TMP"' EXIT
-dune exec bin/ssd.exe -- sta c880s --jobs 4 \
+dune exec bin/ssd.exe -- sta c880s --jobs 4 --stats \
   --trace "$TRACE_TMP/sta_trace.json" \
   --stats-json "$TRACE_TMP/sta_stats.json" >/dev/null
 dune exec tools/trace_check.exe -- "$TRACE_TMP/sta_trace.json"
 test -s "$TRACE_TMP/sta_stats.json"
+
+# Monte-Carlo check through the real binary: every sample of the batched
+# sweep (7 samples in chunks of 3, so the last chunk is a tail) must be
+# bit-identical to a scalar STA over its derated library.
+SSD_FAST=1 dune exec bin/ssd.exe -- mc c880s --samples 7 --batch 3 \
+  --check >/dev/null
 
 # Downsized scale + corners + Monte-Carlo runs (the 100k/40k-gate
 # experiments shrunk for CI — every bit-identity, footprint and speedup
