@@ -24,6 +24,10 @@ let () =
     Sta.analyze_with (RO.make ~jobs ~obs ()) ~library:lib ~model:DM.proposed nl
   in
   let base = run 1 in
+  if not (sta_beq base (analyze_reference RO.default ~library:lib nl)) then begin
+    Printf.eprintf "bench smoke: production pass differs from the closure reference\n";
+    exit 1
+  end;
   if not (sta_beq base (run 4)) then begin
     Printf.eprintf "bench smoke: par differs from sequential baseline\n";
     exit 1
@@ -81,13 +85,14 @@ let () =
     exit 1
   end;
   (* eco engine loop: every edit kind on c17, each checked bit-identical
-     to a fresh analysis of the edited circuit, then a checkpointed
-     revert back to the bit-exact base *)
+     to a fresh closure-walk analysis of the edited circuit (and to the
+     engine's own [reanalyze]), then a checkpointed revert back to the
+     bit-exact base *)
   let module E = Ssd_sta.Engine in
   E.with_engine ~library:lib ~model:DM.proposed nl (fun eng ->
       let engine_equals_reference tag =
-        let reference = E.reanalyze eng in
-        let ok = ref true in
+        let reference = engine_reference ~library:lib eng in
+        let ok = ref (sta_beq reference (E.reanalyze eng)) in
         for i = 0 to Ck.Netlist.size nl - 1 do
           if not (lt_beq (E.timing eng i) (Sta.timing reference i)) then
             ok := false
@@ -186,7 +191,7 @@ let () =
     exit 1
   end;
   (* corners loop, downsized: every plane of one batched K-corner sweep
-     must equal an independent scalar analysis over that corner's
+     must equal an independent closure-walk analysis over that corner's
      derated library, bit for bit, sequentially and in parallel (K=3
      exercises a partial chunk of the corner-chunked parallel path) *)
   let module CS = Ssd_sta.Corner_sta in
@@ -200,8 +205,8 @@ let () =
       in
       for c = 0 to ck - 1 do
         let scalar =
-          Sta.analyze_with RO.default ~library:(Corners.library table c)
-            ~model:DM.proposed scale_nl
+          analyze_reference RO.default ~library:(Corners.library table c)
+            scale_nl
         in
         if not (CS.plane_matches batched ~corner:c scalar) then begin
           Printf.eprintf
@@ -213,15 +218,14 @@ let () =
       done)
     [ 1; 4 ];
   (* monte-carlo loop, downsized: the chunked batched-kernel sampler must
-     reproduce a scalar analysis of every sample bit for bit, sequentially
+     reproduce a closure-walk analysis of every sample bit for bit, sequentially
      and in parallel (samples=7 with batch=3 exercises a tail chunk) *)
   let mc_samples = 7 and mc_seed = 4242L in
   let mc_refs =
     Array.map
       (fun spec ->
-        Sta.analyze_with RO.default
-          ~library:(Corners.derate_library spec lib)
-          ~model:DM.proposed scale_nl)
+        analyze_reference RO.default
+          ~library:(Corners.derate_library spec lib) scale_nl)
       (Array.of_list (Corners.sample_specs ~seed:mc_seed mc_samples))
   in
   List.iter

@@ -150,6 +150,10 @@ let finish_common c obs =
 
 let run_opts_of c obs = Run_opts.make ~jobs:c.co_jobs ~obs ()
 
+(* only the registry value selects the flat kernel, so an identity
+   remap keeps the window functions and takes the closure walk *)
+let check_model = DM.remap_cells Fun.id DM.proposed
+
 let load_netlist path =
   match Ck.Benchmarks.by_name path with
   | Some nl -> nl

@@ -57,6 +57,12 @@ val finish_common : common -> Ssd_obs.Obs.t -> unit
 
 val run_opts_of : common -> Ssd_obs.Obs.t -> Ssd_sta.Run_opts.t
 
+val check_model : Ssd_core.Delay_model.t
+(** The proposed model as an identity-remapped copy: same windows, but
+    {!Ssd_sta.Sta.analyze_with} evaluates it through the scalar closure
+    walk instead of the batched kernel, so the [--check] passes of
+    [ssd corners] and [ssd mc] compare two independent kernels. *)
+
 val load_netlist : string -> Ssd_circuit.Netlist.t
 (** Resolve a suite name or parse a [.bench] file; exits with code 2
     (after a diagnostic) when neither works. *)

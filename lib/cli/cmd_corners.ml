@@ -1,5 +1,4 @@
 module Corners = Ssd_cell.Corners
-module DM = Ssd_core.Delay_model
 module Ck = Ssd_circuit
 module Sta = Ssd_sta.Sta
 module Corner_sta = Ssd_sta.Corner_sta
@@ -16,8 +15,9 @@ let k_t =
 let check_t =
   Arg.(value & flag & info [ "check" ]
        ~doc:"Re-run every corner as an independent single-corner analysis \
-             over its derated library and verify the batched plane is \
-             bit-identical (exit 1 on the first mismatch).")
+             over its derated library, through the scalar closure walk \
+             rather than the batched kernel, and verify the batched plane \
+             is bit-identical (exit 1 on the first mismatch).")
 
 let run common fine file k check =
   let obs = setup_common common in
@@ -35,7 +35,7 @@ let run common fine file k check =
     for c = 0 to k - 1 do
       let scalar =
         Sta.analyze_with (Run_opts.make ())
-          ~library:(Corners.library table c) ~model:DM.proposed nl
+          ~library:(Corners.library table c) ~model:check_model nl
       in
       if not (Corner_sta.plane_matches t ~corner:c scalar) then begin
         Printf.eprintf
@@ -44,7 +44,8 @@ let run common fine file k check =
       end
     done;
     Printf.printf
-      "check: %d corner plane(s) bit-identical to independent analyses\n" k
+      "check: %d corner plane(s) bit-identical to independent scalar \
+       analyses\n" k
   end;
   finish_common common obs;
   0

@@ -1,7 +1,6 @@
 module Ck = Ssd_circuit
 module Corner_sta = Ssd_sta.Corner_sta
 module Corners = Ssd_cell.Corners
-module Delay_model = Ssd_core.Delay_model
 module Sta = Ssd_sta.Sta
 module Run_opts = Ssd_sta.Run_opts
 module Texttab = Ssd_util.Texttab
@@ -24,7 +23,8 @@ let batch_t =
 let check_t =
   Arg.(value & flag & info [ "check" ]
        ~doc:"Re-analyze every sample with the scalar STA over its derated \
-             library and verify its PO delays and circuit max are \
+             library, through the closure walk rather than the batched \
+             kernel, and verify its PO delays and circuit max are \
              bit-identical (exit 1 on the first mismatch).")
 
 let run common fine file samples seed batch check =
@@ -51,7 +51,7 @@ let run common fine file samples seed batch check =
         let sta =
           Sta.analyze_with ref_opts
             ~library:(Corners.derate_library spec lib)
-            ~model:Delay_model.proposed nl
+            ~model:check_model nl
         in
         if not (Corner_sta.sample_matches res ~sample:s sta) then begin
           Printf.eprintf "ssd: sample %d differs from its scalar analysis\n" s;

@@ -20,13 +20,15 @@ module Sweep = Ssd_cell.Sweep
    shapes), and load deltas are hoisted out of the per-candidate loop
    (the scalar path recomputes the identical product).
 
-   This file is the hot loop of the corners bench, compiled with a high
-   inline threshold (see the library's [ocamlopt_flags]) so the fit
-   evaluators below flatten into their call sites and the floats stay
-   unboxed.  It deliberately uses unsafe array accesses: every index is
-   derived from the layout record of a table slot validated once in
-   {!eval_node} (m = l_n, corner range inside [0, K)), and the scratch
-   arrays are sized by the caller to [corners × m × 8] / [corners × 8].
+   This file is the hot loop of every forward window pass of the
+   proposed model (single-corner at K = 1, multi-corner, Monte-Carlo),
+   compiled with a high inline threshold (see the library's
+   [ocamlopt_flags]) so the fit evaluators below flatten into their call
+   sites and the floats stay unboxed.  It deliberately uses unsafe array
+   accesses: every index is derived from the layout record of a table
+   slot validated once in {!eval_node} (m = l_n, corner range inside
+   [0, K)), and the scratch arrays are sized by the caller to
+   [corners × m × 8] / [corners × 8] / [8].
    Local [ref] accumulators never escape, so they compile to mutable
    stack variables, not heap cells. *)
 
@@ -489,7 +491,7 @@ let k t = t.bt_k
 let slot t kind n = Corners.cell_slot t.bt_table kind n
 
 let eval_node t ~slot ~fanout ~m ~c0 ~c1 ~(inputs : float array)
-    ~(outputs : float array) =
+    ~(outputs : float array) ~(acc : float array) =
   let l = Corners.layout t.bt_table slot in
   if m <> l.Corners.l_n then
     invalid_arg
@@ -497,7 +499,9 @@ let eval_node t ~slot ~fanout ~m ~c0 ~c1 ~(inputs : float array)
          m l.Corners.l_n);
   if c0 < 0 || c1 > t.bt_k || c0 >= c1 then
     invalid_arg "Corner_batch.eval_node: bad corner range";
-  if Array.length inputs < (c1 - c0) * m * 8 || Array.length outputs < (c1 - c0) * 8
+  if Array.length inputs < (c1 - c0) * m * 8
+     || Array.length outputs < (c1 - c0) * 8
+     || Array.length acc < 8
   then invalid_arg "Corner_batch.eval_node: scratch arrays too small";
   let co = t.bt_co in
   let fd = float_of_int (fanout - l.Corners.l_ref_fanout) in
@@ -510,9 +514,8 @@ let eval_node t ~slot ~fanout ~m ~c0 ~c1 ~(inputs : float array)
   let io_non = if ctl_is_fall then 0 else 4 in
   let ob_ctl = if ctl_is_fall then 0 else 4 in
   let ob_non = if ctl_is_fall then 4 else 0 in
-  (* one accumulator scratch per call, shared by all corners of the
-     node (each window evaluation re-initializes the slots it uses) *)
-  let acc = Array.make 8 0. in
+  (* the accumulator scratch is shared by all corners of the node:
+     each window evaluation re-initializes the slots it uses *)
   for c = c0 to c1 - 1 do
     let b = l.Corners.l_base + (c * l.Corners.l_stride) in
     let ib = (c - c0) * m * 8 in

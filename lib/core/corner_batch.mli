@@ -4,8 +4,14 @@
     ({!Vshape.ctl_window} / {!Vshape.non_window}) for a contiguous range
     of corners of one gate in a single pass over the flat corner-major
     coefficient table of {!Ssd_cell.Corners} — no cell lookup and no
-    allocation on the hot path (callers supply reusable scratch
-    buffers).
+    allocation (callers supply every scratch buffer).
+
+    It is the production evaluator of {!Delay_model.proposed} wherever
+    a forward window pass runs: at K = 1 over a one-corner nominal table
+    for single-corner analyses and the incremental engine, over K
+    corners for multi-corner and Monte-Carlo sweeps.  The scalar
+    {!Vshape} functions remain the closure walk of every remapped copy
+    of the model, and the independent oracle of the tests.
 
     Bit-identity contract: every float operation reproduces the scalar
     path literally (clamp order, extremum candidate order, strict
@@ -39,6 +45,7 @@ val eval_node :
   c1:int ->
   inputs:float array ->
   outputs:float array ->
+  acc:float array ->
   unit
 (** Evaluate corners [c0 .. c1-1] of one gate with [m] fan-ins.
 
@@ -47,7 +54,9 @@ val eval_node :
     rise tt lo/hi, fall arrival lo/hi, fall tt lo/hi) starting at
     [((c - c0) * m + i) * 8].  [outputs] receives the gate's eight
     output bounds per corner starting at [(c - c0) * 8], same slot
-    order.
+    order.  [acc] (at least 8 floats) is the kernel's accumulator
+    scratch; like [inputs] and [outputs] it belongs to the caller, so a
+    call allocates nothing.
 
     @raise Invalid_argument when [m] differs from the cell's fan-in
     count or the corner range is empty or out of bounds. *)

@@ -1,12 +1,9 @@
 module Interval = Ssd_util.Interval
 module Stats = Ssd_util.Stats
-module Charlib = Ssd_cell.Charlib
-module Sweep = Ssd_cell.Sweep
 module Corners = Ssd_cell.Corners
 module Corner_batch = Ssd_core.Corner_batch
 module Types = Ssd_core.Types
 module Netlist = Ssd_circuit.Netlist
-module Gate = Ssd_circuit.Gate
 module Obs = Ssd_obs.Obs
 
 type t = {
@@ -20,112 +17,19 @@ type t = {
    splits K = 16 into four independent lanes per node. *)
 let corner_chunk = 4
 
-let slot_of_gate table kind n_in =
-  let lookup k n =
-    match Corners.cell_slot table k n with
-    | Some s -> s
-    | None ->
-      raise
-        (Sta.Unsupported_gate
-           (Printf.sprintf "no characterized cell for %s with %d inputs"
-              (Gate.to_string kind) n_in))
-  in
-  match kind with
-  | Gate.Not -> lookup Sweep.Nand 1
-  | Gate.Nand -> lookup Sweep.Nand n_in
-  | Gate.Nor -> lookup Sweep.Nor n_in
-  | Gate.And | Gate.Or | Gate.Xor | Gate.Xnor | Gate.Buf ->
-    raise
-      (Sta.Unsupported_gate
-         (Printf.sprintf
-            "gate type %s is not primitive; decompose the netlist first"
-            (Gate.to_string kind)))
-
-(* resolve every gate's table slot up front: one hash lookup per node
-   instead of one per (node × corner), and unsupported gates fail
-   before any work is done.  Slot indices depend only on the library's
-   cell order, so the array can be shared read-only across the lanes of
-   a Monte-Carlo fan-out whose tables were built from the same
-   library. *)
-let resolve_slots table nl =
-  let n = Netlist.size nl in
-  let slots = Array.make n (-1) in
-  let max_fanin = ref 1 in
-  for i = 0 to n - 1 do
-    if not (Netlist.is_pi nl i) then begin
-      let m = Netlist.fanin_count nl i in
-      slots.(i) <- slot_of_gate table (Netlist.gate_kind nl i) m;
-      if m > !max_fanin then max_fanin := m
-    end
-  done;
-  (slots, !max_fanin)
-
-(* one corner sweep's resolved state: everything [eval_range] touches
-   per node, bundled so the analyze and Monte-Carlo paths share the
-   same gather/kernel/scatter code (and hence the same float ops) *)
-type sweep = {
-  sw_nl : Netlist.t;
-  sw_cb : Corner_batch.t;
-  sw_w : Windows.t;
-  sw_data : (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t;
-  sw_nw : int;
-  sw_slots : int array;
-  sw_pi_win : Types.win;
-}
-
-let make_sweep ~pi_spec ~slots ~planes ~cb nl =
-  let w = Windows.create ~planes (Netlist.size nl) in
-  {
-    sw_nl = nl;
-    sw_cb = cb;
-    sw_w = w;
-    sw_data = Windows.data w;
-    sw_nw = Windows.length w;
-    sw_slots = slots;
-    sw_pi_win = Sta.pi_window pi_spec;
-  }
-
-let eval_range sw ~inp ~out i c0 c1 =
-  let nl = sw.sw_nl in
-  if Netlist.is_pi nl i then
-    for c = c0 to c1 - 1 do
-      Windows.set_plane sw.sw_w ~plane:c i ~rise:sw.sw_pi_win
-        ~fall:sw.sw_pi_win
-    done
-  else begin
-    let data = sw.sw_data and nw = sw.sw_nw in
-    let m = Netlist.fanin_count nl i in
-    (* pin-major gather: the fanin lookup runs once per pin, not once
-       per (pin × corner), and the plane base is inlined arithmetic
-       ([Windows.base] = ((plane·n)+node)·8) *)
-    for p = 0 to m - 1 do
-      let j = Netlist.fanin_nth nl i p in
-      let d0 = p * 8 in
-      for c = c0 to c1 - 1 do
-        let src = ((c * nw) + j) * 8 in
-        let dst = ((c - c0) * m * 8) + d0 in
-        for f = 0 to 7 do
-          Array.unsafe_set inp (dst + f)
-            (Bigarray.Array1.unsafe_get data (src + f))
-        done
-      done
-    done;
-    Corner_batch.eval_node sw.sw_cb ~slot:sw.sw_slots.(i)
-      ~fanout:(Netlist.load_of nl i) ~m ~c0 ~c1 ~inputs:inp ~outputs:out;
-    for c = c0 to c1 - 1 do
-      let dst = ((c * nw) + i) * 8 in
-      let ob = (c - c0) * 8 in
-      for f = 0 to 7 do
-        Bigarray.Array1.unsafe_set data (dst + f) (Array.unsafe_get out (ob + f))
-      done
-    done
-  end
+(* the PI window of [opts.pi_spec], rejected up front when invalid: the
+   flat kernel would store the NaNs that non-finite bounds produce *)
+let checked_pi_win ctx opts =
+  match Run_opts.validate_pi_spec opts.Run_opts.pi_spec with
+  | Ok spec -> Sta.pi_window spec
+  | Error m -> invalid_arg (ctx ^ ": " ^ m)
 
 (* one streaming topological pass over corners [0, planes) *)
-let sweep_planes sw ~inp ~out planes =
+let sweep_planes sw nl ~pi_win planes =
+  let sc = Plane_sweep.scratch sw in
   Array.iter
-    (fun i -> eval_range sw ~inp ~out i 0 planes)
-    (Netlist.topo_order sw.sw_nl)
+    (fun i -> Plane_sweep.eval_range sw sc ~pi_win i 0 planes)
+    (Netlist.topo_order nl)
 
 let analyze ?(opts = Run_opts.default) ~table nl =
   let k = Corners.k table in
@@ -134,31 +38,23 @@ let analyze ?(opts = Run_opts.default) ~table nl =
       (Printf.sprintf
          "Corner_sta.analyze: opts.corners = %d but the table has %d corners"
          opts.Run_opts.corners k);
-  let cb = Corner_batch.create table in
-  let slots, max_fanin = resolve_slots table nl in
-  let sw = make_sweep ~pi_spec:opts.Run_opts.pi_spec ~slots ~planes:k ~cb nl in
-  let w = sw.sw_w in
+  let pi_win = checked_pi_win "Corner_sta.analyze" opts in
+  let w = Windows.create ~planes:k (Netlist.size nl) in
+  let sw = Plane_sweep.make ~cb:(Corner_batch.create table) w nl in
   let jobs =
     if opts.Run_opts.jobs <= 0 then Par.default_jobs () else opts.Run_opts.jobs
   in
   let obs = opts.Run_opts.obs in
   let tm_sweep = Obs.timer obs "corners.sweep" in
-  if jobs <= 1 then begin
+  if jobs <= 1 then
     (* one streaming pass over all K corners per node *)
-    let inp = Array.make (k * max_fanin * 8) 0. in
-    let out = Array.make (k * 8) 0. in
-    Obs.span obs tm_sweep (fun () -> sweep_planes sw ~inp ~out k)
-  end
+    Obs.span obs tm_sweep (fun () -> sweep_planes sw nl ~pi_win k)
   else begin
     (* the pool parallelizes over (level slot × corner chunk): a level
        of width W fans out into W × ⌈K/chunk⌉ independent tasks, since
-       corner planes never read each other *)
+       corner planes never read each other; each lane evaluates into
+       its own domain's scratch *)
     let nchunks = (k + corner_chunk - 1) / corner_chunk in
-    let scratch =
-      Domain.DLS.new_key (fun () ->
-          ( Array.make (corner_chunk * max_fanin * 8) 0.,
-            Array.make (corner_chunk * 8) 0. ))
-    in
     Par.with_pool ~obs ~jobs (fun pool ->
         Obs.span obs tm_sweep (fun () ->
             for l = 0 to Netlist.level_count nl - 1 do
@@ -169,8 +65,8 @@ let analyze ?(opts = Run_opts.default) ~table nl =
                   let i = Netlist.level_node nl l (tsk / nchunks) in
                   let c0 = tsk mod nchunks * corner_chunk in
                   let c1 = min k (c0 + corner_chunk) in
-                  let inp, out = Domain.DLS.get scratch in
-                  eval_range sw ~inp ~out i c0 c1)
+                  let sc = Plane_sweep.scratch sw in
+                  Plane_sweep.eval_range sw sc ~pi_win i c0 c1)
             done))
   end;
   { ct_netlist = nl; ct_table = table; ct_timing = w }
@@ -250,14 +146,14 @@ let sample_matches res ~sample (sta : Sta.t) =
 
 (* per-lane batched-kernel state: one K-corner table whose layouts are
    fitted once and then only re-coefficiented per chunk, the evaluator
-   bound to it, a K-plane scratch window store, and the gather/scatter
-   scratch.  Lanes never share mutable state, so sample chunks can fan
-   out across the domain pool without contention. *)
+   bound to it and a K-plane scratch window store (the gather/scatter
+   scratch is the lane domain's own).  Lanes never share mutable state,
+   so sample chunks can fan out across the domain pool without
+   contention. *)
 type mc_lane = {
-  mc_sw : sweep;
+  mc_sw : Plane_sweep.t;
+  mc_cb : Corner_batch.t;
   mc_table : Corners.table;
-  mc_inp : float array;
-  mc_out : float array;
   mutable mc_used : bool;  (* has this lane's table served a chunk yet? *)
 }
 
@@ -268,6 +164,7 @@ let monte_carlo ?(opts = Run_opts.default) ?(samples = 64) ~seed ~library nl =
   let pos = Array.of_list (Netlist.outputs nl) in
   let npos = Array.length pos in
   if npos = 0 then invalid_arg "Corner_sta.monte_carlo: netlist has no outputs";
+  let pi_win = checked_pi_win "Corner_sta.monte_carlo" opts in
   (* all samples are drawn from one splitmix stream up front, so the
      spec sequence is invariant under the chunking that follows *)
   let specs = Array.of_list (Corners.sample_specs ~seed samples) in
@@ -289,20 +186,22 @@ let monte_carlo ?(opts = Run_opts.default) ?(samples = 64) ~seed ~library nl =
   let tm_refresh = Obs.timer obs "corner_batch.refresh" in
   let tm_sweep = Obs.timer obs "mc.sweep" in
   let proto_specs = Array.to_list (Array.sub specs 0 batch) in
-  let lane_of ~slots ~max_fanin table =
+  (* the prototype lane also resolves the gate → table-slot mapping,
+     shared read-only by every other lane *)
+  let lane_of sweep table =
     Obs.incr c_built;
     let cb = Corner_batch.create table in
-    {
-      mc_sw =
-        make_sweep ~pi_spec:opts.Run_opts.pi_spec ~slots ~planes:batch ~cb nl;
-      mc_table = table;
-      mc_inp = Array.make (batch * max_fanin * 8) 0.;
-      mc_out = Array.make (batch * 8) 0.;
-      mc_used = false;
-    }
+    let w = Windows.create ~planes:batch (Netlist.size nl) in
+    { mc_sw = sweep ~cb w; mc_cb = cb; mc_table = table; mc_used = false }
   in
-  let new_lane ~slots ~max_fanin () =
-    lane_of ~slots ~max_fanin (Corners.build ~specs:proto_specs library)
+  let lane0 =
+    lane_of
+      (fun ~cb w -> Plane_sweep.make ~cb w nl)
+      (Corners.build ~specs:proto_specs library)
+  in
+  let new_lane () =
+    lane_of (Plane_sweep.rebind lane0.mc_sw)
+      (Corners.build ~specs:proto_specs library)
   in
   let run_chunk lane chunk =
     Obs.span obs tm_chunk (fun () ->
@@ -315,17 +214,16 @@ let monte_carlo ?(opts = Run_opts.default) ?(samples = 64) ~seed ~library nl =
        are reused, only r corners' coefficient blocks are rewritten *)
     Obs.span obs tm_refit (fun () ->
         Corners.refit lane.mc_table (Array.sub specs s0 r));
-    Obs.span obs tm_refresh (fun () ->
-        Corner_batch.refresh lane.mc_sw.sw_cb);
+    Obs.span obs tm_refresh (fun () -> Corner_batch.refresh lane.mc_cb);
     Obs.span obs tm_sweep (fun () ->
-        sweep_planes lane.mc_sw ~inp:lane.mc_inp ~out:lane.mc_out r);
+        sweep_planes lane.mc_sw nl ~pi_win r);
     (* stream the per-PO delays and circuit max out of the finished
        planes; the window store is scratch reused by the next chunk.
        Both extractions replicate the scalar path's float expressions
        ([Sta.timing] + Float.max / the [po_window] hull fold), so
        bit-identical windows give bit-identical results.  Writes land
        at disjoint sample indices, hence are safe across lanes. *)
-    let w = lane.mc_sw.sw_w in
+    let w = Plane_sweep.windows lane.mc_sw in
     for c = 0 to r - 1 do
       let s = s0 + c in
       let win_of po =
@@ -345,11 +243,6 @@ let monte_carlo ?(opts = Run_opts.default) ?(samples = 64) ~seed ~library nl =
       mc_max.(s) <- Interval.hi !acc
     done)
   in
-  (* the prototype lane also resolves the gate → table-slot mapping,
-     shared read-only by every other lane *)
-  let table0 = Corners.build ~specs:proto_specs library in
-  let slots, max_fanin = resolve_slots table0 nl in
-  let lane0 = lane_of ~slots ~max_fanin table0 in
   let jobs =
     if opts.Run_opts.jobs <= 0 then Par.default_jobs () else opts.Run_opts.jobs
   in
@@ -363,7 +256,7 @@ let monte_carlo ?(opts = Run_opts.default) ?(samples = 64) ~seed ~library nl =
       run_chunk lane0 chunk
     done
   else begin
-    let lane = Domain.DLS.new_key (new_lane ~slots ~max_fanin) in
+    let lane = Domain.DLS.new_key new_lane in
     (* the caller participates as a pool lane; hand it the prototype *)
     Domain.DLS.set lane lane0;
     Par.with_pool ~obs ~jobs (fun pool ->

@@ -3,13 +3,16 @@
     {!analyze} runs the forward window pass for all K corners of a
     {!Ssd_cell.Corners.table} in one sweep: every gate is evaluated for
     a whole corner range per task through the allocation-free
-    {!Ssd_core.Corner_batch} kernel, writing K timing planes of one
-    plane-major {!Windows} store.  With [jobs > 1] the pool
-    parallelizes over (level slot × corner chunk).
+    {!Ssd_core.Corner_batch} kernel ({!Plane_sweep}, the same step
+    {!Sta.analyze_with} runs at K = 1 for the proposed model), writing
+    K timing planes of one plane-major {!Windows} store.  With
+    [jobs > 1] the pool parallelizes over (level slot × corner chunk).
 
-    Each corner plane is bit-identical to an independent scalar
+    Each corner plane is bit-identical to an independent single-corner
     {!Sta.analyze_with} over that corner's derated library
-    ({!plane_matches} is the check the corners bench asserts).
+    ({!plane_matches} is the check the corners bench asserts, against
+    the closure walk of an identity-remapped proposed model, since a
+    production pass of the proposed model is this kernel itself).
 
     {!monte_carlo} routes statistical sampling through the same batched
     kernel: sampled derating specs are fitted in chunks of K into a
@@ -28,7 +31,8 @@ val analyze : ?opts:Run_opts.t -> table:Ssd_cell.Corners.table -> Ssd_circuit.Ne
     (unset) or equal the table's corner count; [opts.jobs] and
     [opts.pi_spec] behave as in {!Sta.analyze_with}.
     @raise Sta.Unsupported_gate on an uncharacterized gate arity,
-    [Invalid_argument] on a corner-count mismatch. *)
+    [Invalid_argument] on a corner-count mismatch or an [opts.pi_spec]
+    failing {!Run_opts.validate_pi_spec}. *)
 
 val netlist : t -> Ssd_circuit.Netlist.t
 val table : t -> Ssd_cell.Corners.table
@@ -87,8 +91,9 @@ val monte_carlo :
     [opts.mc_batch]) setting.  Telemetry ([opts.obs]): [mc.chunks],
     [mc.tables_built], [mc.fit_cache_hits] (chunks served by an
     already-fitted lane table), [mc.planes].  [opts.corners] is ignored.
-    @raise Invalid_argument on [samples < 1], [opts.mc_batch < 1] or a
-    netlist without outputs. *)
+    @raise Invalid_argument on [samples < 1], [opts.mc_batch < 1], an
+    [opts.pi_spec] failing {!Run_opts.validate_pi_spec} or a netlist
+    without outputs. *)
 
 val sample_matches : mc_result -> sample:int -> Sta.t -> bool
 (** Bitwise comparison of one sample's per-PO delays and circuit max

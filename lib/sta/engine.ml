@@ -42,9 +42,13 @@ type t = {
   mutable e_windowing : Delay_model.windowing;
   e_timing : Windows.t;
   (* per-node evaluation slots: the resolved cell and electrical load are
-     fixed per node (a kind swap refreshes its slot), so the hot path
-     skips the library lookup of the generic kernel; [None] marks a PI *)
+     fixed per node (a kind swap refreshes the cell, and the table slot
+     inside [e_sweep]), so the hot path skips the library lookup of the
+     generic kernel; [None] marks a PI *)
   e_cells : Charlib.cell option array;
+  e_sweep : Plane_sweep.t;
+      (* the flat kernel at K = 1 over [e_timing]: the evaluator while
+         [e_model == Delay_model.proposed], as in [Sta.analyze_with] *)
   e_loads : int array;
   e_pi_win : Types.win;  (* window of the session-default PI spec *)
   (* edit overlays over the immutable base netlist; [None] / [0.] means
@@ -92,18 +96,25 @@ let extra_delay_of t i = t.e_extra.(i)
 let get t j =
   { Sta.rise = Windows.rise t.e_timing j; fall = Windows.fall t.e_timing j }
 
-(* Exactly {!Sta.eval_node}'s computation, routed through the per-node
-   cell/load slots: same cell, same load, same fan-in list, so the
-   windows come back bit-identical to the generic kernel's. *)
-let eval_one t i =
-  match t.e_cells.(i) with
+(* Node [i]'s windows as {!Sta.analyze_with} computes them, into
+   [sc.out] at 0 (8 floats): the flat kernel through the per-node table
+   slot for the proposed model, otherwise {!Sta.gate_windows} through
+   the per-node cell/load slots — same cell, same load, same fan-in
+   list, so either way the windows come back bit-identical to a fresh
+   analysis's. *)
+let eval_into t (sc : Plane_sweep.scratch) i =
+  let out = sc.Plane_sweep.out in
+  (match t.e_cells.(i) with
   | None ->
     let pi_win =
       match t.e_pi_ov.(i) with
       | Some s -> Sta.pi_window s
       | None -> t.e_pi_win
     in
-    Sta.shift_timing { Sta.rise = pi_win; fall = pi_win } t.e_extra.(i)
+    Plane_sweep.put_win out ~off:0 pi_win;
+    Plane_sweep.put_win out ~off:4 pi_win
+  | Some _ when t.e_model == Delay_model.proposed ->
+    Plane_sweep.eval_gate t.e_sweep sc i 0 1
   | Some cell ->
     let nl = t.e_netlist in
     let n_in = Netlist.fanin_count nl i in
@@ -111,17 +122,25 @@ let eval_one t i =
     for p = n_in - 1 downto 0 do
       fanin_timings := get t (Netlist.fanin_nth nl i p) :: !fanin_timings
     done;
-    Sta.shift_timing
-      (Sta.gate_windows ~windowing:t.e_windowing ~cell ~load:t.e_loads.(i)
-         !fanin_timings)
-      t.e_extra.(i)
+    let lt =
+      Sta.gate_windows ~windowing:t.e_windowing ~cell ~load:t.e_loads.(i)
+        !fanin_timings
+    in
+    Plane_sweep.put_win out ~off:0 lt.Sta.rise;
+    Plane_sweep.put_win out ~off:4 lt.Sta.fall);
+  (* tested here so the common [0.] is never boxed for the call *)
+  let extra = t.e_extra.(i) in
+  if extra <> 0. then Plane_sweep.shift_arrivals out ~off:0 extra
 
-(* Re-resolve a node's cell slot from its current (overlaid) kind. *)
+
+(* Re-resolve a node's cell and table slot from its current (overlaid)
+   kind. *)
 let refresh_cell t i =
   match node_view t i with
   | Netlist.Pi -> ()
   | Netlist.Gate { kind; fanin } ->
-    t.e_cells.(i) <- Some (Sta.cell_of_gate t.e_library kind (Array.length fanin))
+    t.e_cells.(i) <- Some (Sta.cell_of_gate t.e_library kind (Array.length fanin));
+    Plane_sweep.retype t.e_sweep i kind
 
 let pool_of t =
   match t.e_pool with
@@ -148,27 +167,34 @@ let propagate t ~is_root ~root_eval ~nodes ~frame =
   let dirty = Array.make (Netlist.size nl) false in
   Array.iter (fun i -> if is_root i then dirty.(i) <- true) nodes;
   let recomputed = ref 0 and skipped = ref 0 and cutoffs = ref 0 in
-  let eval i =
+  let eval sc i =
     match root_eval with
-    | Some f when is_root i -> f ()
-    | _ -> eval_one t i
+    | Some f when is_root i -> f sc.Plane_sweep.out
+    | _ -> eval_into t sc i
   in
-  let commit i nv =
+  let commit i src off =
     incr recomputed;
     (* the cutoff test compares against the packed slots bitwise, without
        materializing the stored windows *)
-    if Windows.eq t.e_timing i ~rise:nv.Sta.rise ~fall:nv.Sta.fall then
+    if Plane_sweep.stored_equal t.e_sweep ~plane:0 i src ~off then
       incr cutoffs
     else begin
       frame := P_timing (i, get t i) :: !frame;
-      Windows.set t.e_timing i ~rise:nv.Sta.rise ~fall:nv.Sta.fall;
+      Plane_sweep.store t.e_sweep ~plane:0 i src ~off;
       Netlist.iter_fanout nl i ~f:(fun j -> dirty.(j) <- true)
     end
   in
-  if t.e_jobs <= 1 then
+  if t.e_jobs <= 1 then begin
+    let sc = Plane_sweep.scratch t.e_sweep in
     Array.iter
-      (fun i -> if dirty.(i) then commit i (eval i) else incr skipped)
+      (fun i ->
+        if dirty.(i) then begin
+          eval sc i;
+          commit i sc.Plane_sweep.out 0
+        end
+        else incr skipped)
       nodes
+  end
   else begin
     (* Bucket the slice by logic level (a topological order need not be
        level-sorted); nodes of one level are independent, so each bucket
@@ -196,10 +222,14 @@ let propagate t ~is_root ~root_eval ~nodes ~frame =
           in
           let nc = Array.length cand in
           if nc > 0 then begin
-            let news = Array.make nc (get t cand.(0)) in
+            (* each lane evaluates into its own domain's scratch and
+               parks the 8 result floats in the candidate's row *)
+            let news = Array.make (nc * 8) 0. in
             Par.parallel_for pool ~chunk:1 ~label:"eco" ~n:nc (fun k ->
-                news.(k) <- eval cand.(k));
-            Array.iteri (fun k i -> commit i news.(k)) cand
+                let sc = Plane_sweep.scratch t.e_sweep in
+                eval sc cand.(k);
+                Array.blit sc.Plane_sweep.out 0 news (k * 8) 8);
+            Array.iteri (fun k i -> commit i news (k * 8)) cand
           end)
       by_level
   end;
@@ -223,6 +253,9 @@ let propagate_cone t ~root_eval ~root ~frame =
 
 let create ?(opts = Run_opts.default) ~library ~model nl =
   let windowing = Sta.windowing_of model in
+  (match Run_opts.validate_pi_spec opts.Run_opts.pi_spec with
+  | Ok _ -> ()
+  | Error m -> invalid_arg ("Engine.create: " ^ m));
   let jobs =
     if opts.Run_opts.jobs <= 0 then Par.default_jobs ()
     else opts.Run_opts.jobs
@@ -230,6 +263,7 @@ let create ?(opts = Run_opts.default) ~library ~model nl =
   let obs = opts.Run_opts.obs in
   let n = Netlist.size nl in
   let pi_win = Sta.pi_window opts.Run_opts.pi_spec in
+  let timing = Windows.create n in
   let t =
     {
       e_netlist = nl;
@@ -238,13 +272,16 @@ let create ?(opts = Run_opts.default) ~library ~model nl =
       e_jobs = jobs;
       e_model = model;
       e_windowing = windowing;
-      e_timing = Windows.create n;
+      e_timing = timing;
       e_cells =
         Array.init n (fun i ->
             match Netlist.node nl i with
             | Netlist.Pi -> None
             | Netlist.Gate { kind; fanin } ->
               Some (Sta.cell_of_gate library kind (Array.length fanin)));
+      (* every library packs into a table, so a session can switch to
+         the proposed model at any time *)
+      e_sweep = Plane_sweep.nominal library timing nl;
       e_loads = Array.init n (Netlist.load_of nl);
       e_pi_win = pi_win;
       e_kind_ov = Array.make n None;
@@ -278,10 +315,11 @@ let create ?(opts = Run_opts.default) ~library ~model nl =
   in
   (* initial full forward pass: a plain sequential topological walk (the
      session's baseline, not counted as edit work) *)
+  let sc = Plane_sweep.scratch t.e_sweep in
   Array.iter
     (fun i ->
-      let lt = eval_one t i in
-      Windows.set t.e_timing i ~rise:lt.Sta.rise ~fall:lt.Sta.fall)
+      eval_into t sc i;
+      Plane_sweep.store t.e_sweep ~plane:0 i sc.Plane_sweep.out ~off:0)
     (Netlist.topo_order nl);
   t
 
@@ -518,6 +556,9 @@ let apply t edit =
       | Netlist.Gate _ ->
         bad "%s is a gate output, not a primary input"
           (Netlist.signal_name nl pi));
+      (match Run_opts.validate_pi_spec spec with
+      | Ok _ -> ()
+      | Error m -> bad "PI spec for %s: %s" (Netlist.signal_name nl pi) m);
       fun frame ->
         frame := P_pi (pi, t.e_pi_ov.(pi)) :: !frame;
         t.e_pi_ov.(pi) <- Some spec;
@@ -559,7 +600,10 @@ let apply t edit =
            without paying its corner searches *)
         let root_eval =
           if old = 0. then
-            Some (fun () -> Sta.shift_timing (get t line) delta)
+            Some
+              (fun out ->
+                Plane_sweep.load t.e_sweep ~plane:0 line out ~off:0;
+                Plane_sweep.shift_arrivals out ~off:0 delta)
           else None
         in
         propagate_cone t ~root_eval ~root:line ~frame

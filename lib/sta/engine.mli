@@ -14,10 +14,15 @@
     After any sequence of edits the engine's windows are bit-identical to
     a fresh {!Sta.analyze_with} of the edited circuit ({!reanalyze} runs
     exactly that reference analysis).  This holds because the per-node
-    kernel {!Sta.eval_node} is a pure function of the fan-in windows: a
-    node outside every dirty cone — or cut off behind bit-identical
-    recomputed windows — already holds the value the full pass would
-    recompute.  The guarantee covers any [jobs] lane count.
+    evaluation is a pure function of the fan-in windows: a node outside
+    every dirty cone — or cut off behind bit-identical recomputed
+    windows — already holds the value the full pass would recompute.
+    The evaluator is {!Sta.analyze_with}'s: the flat
+    {!Ssd_core.Corner_batch} kernel at K = 1 for
+    {!Ssd_core.Delay_model.proposed} (through a per-node table slot,
+    refreshed on {!Swap_gate}), {!Sta.gate_windows} through a per-node
+    cached cell for every other model; {!Set_model} switches between
+    them.  The guarantee covers any [jobs] lane count.
 
     {2 History}
 
@@ -118,7 +123,7 @@ val create :
     subsequent propagations, and [opts.obs] receives per-edit spans
     ([engine.edit.<kind>]) and the [engine.*] counters.
     @raise Sta.Unsupported_gate or [Invalid_argument] as
-    {!Sta.analyze_with}. *)
+    {!Sta.analyze_with} (an invalid [opts.pi_spec] included). *)
 
 val close : t -> unit
 (** Join the session's worker domains (if any).  Idempotent; any further
@@ -136,7 +141,8 @@ val with_engine :
 val apply : t -> edit -> unit
 (** Apply one edit and re-propagate its dirty cone.  Atomic: the edit is
     validated first, and a rejected edit ([Invalid_argument] on an
-    out-of-range id, a non-PI in {!Set_pi_spec}, a non-gate or
+    out-of-range id, a non-PI or a spec failing
+    {!Run_opts.validate_pi_spec} in {!Set_pi_spec}, a non-gate or
     non-primitive kind in {!Swap_gate}, a non-finite delta;
     {!Sta.Unsupported_gate} on an uncharacterized arity) leaves the
     engine untouched. *)
@@ -204,8 +210,10 @@ val reanalyze : t -> Sta.t
 (** The reference analysis of the current edited state: a fresh
     sequential {!Sta.analyze_with} over {!edited_netlist} with the
     session's overlays threaded through [extra_delay] / [pi_override].
-    Bit-identical to the engine's own windows — this is the oracle the
-    tests, the [eco] bench and [ssd eco --check] compare against. *)
+    Bit-identical to the engine's own windows — the check the [eco] bench,
+    [ssd eco --check] and the serve stack run.  For the proposed model
+    it runs the same flat kernel as the engine; the tests' independent
+    oracle is the closure walk ([Test_support.engine_reference]). *)
 
 val stats : t -> stats
 val cutoff_ratio : stats -> float

@@ -1,0 +1,207 @@
+module Charlib = Ssd_cell.Charlib
+module Sweep = Ssd_cell.Sweep
+module Corners = Ssd_cell.Corners
+module Corner_batch = Ssd_core.Corner_batch
+module Types = Ssd_core.Types
+module Interval = Ssd_util.Interval
+module Netlist = Ssd_circuit.Netlist
+module Gate = Ssd_circuit.Gate
+
+exception Unsupported_gate of string
+
+(* The characterized cell shape that times a primitive gate: NOT is a
+   1-input NAND.  Kind and arity are separate functions so a lookup
+   allocates nothing (the backward pass resolves a cell per gate). *)
+let cell_kind = function
+  | Gate.Not | Gate.Nand -> Sweep.Nand
+  | Gate.Nor -> Sweep.Nor
+  | (Gate.And | Gate.Or | Gate.Xor | Gate.Xnor | Gate.Buf) as kind ->
+    raise
+      (Unsupported_gate
+         (Printf.sprintf
+            "gate type %s is not primitive; decompose the netlist first"
+            (Gate.to_string kind)))
+
+let cell_arity kind n_in = match kind with Gate.Not -> 1 | _ -> n_in
+
+let uncharacterized kind n_in =
+  Unsupported_gate
+    (Printf.sprintf "no characterized cell for %s with %d inputs"
+       (Gate.to_string kind) n_in)
+
+let cell_of_gate library kind n_in =
+  let k = cell_kind kind in
+  match Charlib.find library k (cell_arity kind n_in) with
+  | cell -> cell
+  | exception Not_found -> raise (uncharacterized kind n_in)
+
+let slot_of_gate table kind n_in =
+  let k = cell_kind kind in
+  match Corners.cell_slot table k (cell_arity kind n_in) with
+  | Some s -> s
+  | None -> raise (uncharacterized kind n_in)
+
+(* resolve every gate's table slot up front: one hash lookup per node
+   instead of one per (node × corner), and unsupported gates fail
+   before any work is done.  Slot indices depend only on the library's
+   cell order, so the array can be shared read-only across the lanes of
+   a Monte-Carlo fan-out whose tables were built from the same
+   library. *)
+let resolve_slots table nl =
+  let n = Netlist.size nl in
+  let slots = Array.make n (-1) in
+  let max_fanin = ref 1 in
+  for i = 0 to n - 1 do
+    if not (Netlist.is_pi nl i) then begin
+      let m = Netlist.fanin_count nl i in
+      slots.(i) <- slot_of_gate table (Netlist.gate_kind nl i) m;
+      if m > !max_fanin then max_fanin := m
+    end
+  done;
+  (slots, !max_fanin)
+
+(* a sweep's resolved state: everything [eval_gate] touches per node,
+   bundled so every caller runs the same gather/kernel/scatter code
+   (and hence the same float ops) *)
+type t = {
+  sw_nl : Netlist.t;
+  sw_cb : Corner_batch.t;
+  sw_w : Windows.t;
+  sw_data : (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t;
+  sw_nw : int;
+  sw_slots : int array;
+  sw_max_fanin : int;
+}
+
+let rebind sw ~cb w =
+  if Windows.length w <> Netlist.size sw.sw_nl then
+    invalid_arg "Plane_sweep: store and netlist sizes differ";
+  if Windows.planes w > Corner_batch.k cb then
+    invalid_arg "Plane_sweep: more planes than table corners";
+  { sw with sw_cb = cb; sw_w = w; sw_data = Windows.data w;
+            sw_nw = Windows.length w }
+
+let make ~cb w nl =
+  let slots, max_fanin = resolve_slots (Corner_batch.table cb) nl in
+  rebind
+    { sw_nl = nl; sw_cb = cb; sw_w = w; sw_data = Windows.data w;
+      sw_nw = 0; sw_slots = slots; sw_max_fanin = max_fanin }
+    ~cb w
+
+(* a one-corner table at the nominal spec packs the library's own
+   coefficients ([1. *. c] is exact), so plane 0 reproduces the closure
+   walk bit for bit *)
+let nominal library w nl =
+  let table = Corners.build ~specs:(Corners.default_specs 1) library in
+  make ~cb:(Corner_batch.create table) w nl
+
+let windows sw = sw.sw_w
+
+let retype sw i kind =
+  sw.sw_slots.(i) <-
+    slot_of_gate (Corner_batch.table sw.sw_cb) kind
+      (Netlist.fanin_count sw.sw_nl i)
+
+type scratch = { inp : float array; out : float array; acc : float array }
+
+(* one scratch per domain, grown on demand and never shrunk: every
+   evaluation runs to completion on the domain that fetched it, so
+   the lanes of a parallel level never share one *)
+let scratch_key =
+  Domain.DLS.new_key (fun () ->
+      { inp = [||]; out = [||]; acc = Array.make 8 0. })
+
+let scratch sw =
+  let s = Domain.DLS.get scratch_key in
+  let planes = Windows.planes sw.sw_w in
+  let n_inp = planes * sw.sw_max_fanin * 8 and n_out = planes * 8 in
+  if Array.length s.inp >= n_inp && Array.length s.out >= n_out then s
+  else begin
+    let s =
+      {
+        inp = Array.make (max n_inp (Array.length s.inp)) 0.;
+        out = Array.make (max n_out (Array.length s.out)) 0.;
+        acc = s.acc;
+      }
+    in
+    Domain.DLS.set scratch_key s;
+    s
+  end
+
+let eval_gate sw sc i c0 c1 =
+  let nl = sw.sw_nl in
+  let data = sw.sw_data and nw = sw.sw_nw and inp = sc.inp in
+  let m = Netlist.fanin_count nl i in
+  (* pin-major gather: the fanin lookup runs once per pin, not once
+     per (pin × corner), and the plane base is inlined arithmetic
+     ([Windows.base] = ((plane·n)+node)·8) *)
+  for p = 0 to m - 1 do
+    let j = Netlist.fanin_nth nl i p in
+    let d0 = p * 8 in
+    for c = c0 to c1 - 1 do
+      let src = ((c * nw) + j) * 8 in
+      let dst = ((c - c0) * m * 8) + d0 in
+      for f = 0 to 7 do
+        Array.unsafe_set inp (dst + f)
+          (Bigarray.Array1.unsafe_get data (src + f))
+      done
+    done
+  done;
+  Corner_batch.eval_node sw.sw_cb ~slot:sw.sw_slots.(i)
+    ~fanout:(Netlist.load_of nl i) ~m ~c0 ~c1 ~inputs:inp ~outputs:sc.out
+    ~acc:sc.acc
+
+let store sw ~plane i (src : float array) ~off =
+  let dst = ((plane * sw.sw_nw) + i) * 8 in
+  for f = 0 to 7 do
+    Bigarray.Array1.unsafe_set sw.sw_data (dst + f) src.(off + f)
+  done
+
+let load sw ~plane i (dst : float array) ~off =
+  let src = ((plane * sw.sw_nw) + i) * 8 in
+  for f = 0 to 7 do
+    dst.(off + f) <- Bigarray.Array1.unsafe_get sw.sw_data (src + f)
+  done
+
+let scatter sw sc i c0 c1 =
+  for c = c0 to c1 - 1 do
+    store sw ~plane:c i sc.out ~off:((c - c0) * 8)
+  done
+
+let beq a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let stored_equal sw ~plane i (src : float array) ~off =
+  let b = ((plane * sw.sw_nw) + i) * 8 in
+  let rec go f =
+    f >= 8
+    || (beq (Bigarray.Array1.unsafe_get sw.sw_data (b + f)) src.(off + f)
+       && go (f + 1))
+  in
+  go 0
+
+let eval_range sw sc ~pi_win i c0 c1 =
+  if Netlist.is_pi sw.sw_nl i then
+    for c = c0 to c1 - 1 do
+      Windows.set_plane sw.sw_w ~plane:c i ~rise:pi_win ~fall:pi_win
+    done
+  else begin
+    eval_gate sw sc i c0 c1;
+    scatter sw sc i c0 c1
+  end
+
+(* the arrival translation of [Sta.shift_timing] ([Interval.shift]'s
+   [lo +. d], [hi +. d]) on one packed 8-slot window; [0.] is the
+   bit-exact identity *)
+let shift_arrivals (a : float array) ~off extra =
+  if extra <> 0. then begin
+    a.(off) <- a.(off) +. extra;
+    a.(off + 1) <- a.(off + 1) +. extra;
+    a.(off + 4) <- a.(off + 4) +. extra;
+    a.(off + 5) <- a.(off + 5) +. extra
+  end
+
+let put_win (a : float array) ~off (w : Types.win) =
+  a.(off) <- Interval.lo w.Types.w_arr;
+  a.(off + 1) <- Interval.hi w.Types.w_arr;
+  a.(off + 2) <- Interval.lo w.Types.w_tt;
+  a.(off + 3) <- Interval.hi w.Types.w_tt

@@ -39,15 +39,18 @@ let with_pi_spec pi_spec t = { t with pi_spec }
 let with_corners corners t = { t with corners }
 let with_mc_batch mc_batch t = { t with mc_batch }
 
-let validate t =
+let validate_pi_spec spec =
   let finite_iv iv = Float.is_finite (Interval.lo iv) && Float.is_finite (Interval.hi iv) in
+  if not (finite_iv spec.pi_arrival && finite_iv spec.pi_tt) then
+    Error "pi_spec windows must be finite"
+  else if Interval.lo spec.pi_tt < 0. then
+    Error "pi_spec transition-time window must be non-negative"
+  else Ok spec
+
+let validate t =
   if t.corners < 1 then Error "corners < 1"
   else if t.mc_batch < 1 then Error "mc_batch < 1"
-  else if not (finite_iv t.pi_spec.pi_arrival && finite_iv t.pi_spec.pi_tt)
-  then Error "pi_spec windows must be finite"
-  else if Interval.lo t.pi_spec.pi_tt < 0. then
-    Error "pi_spec transition-time window must be non-negative"
-  else Ok t
+  else Result.map (fun _ -> t) (validate_pi_spec t.pi_spec)
 
 let make ?(jobs = 1) ?(obs = Obs.disabled) ?(pi_spec = default_pi_spec)
     ?(corners = 1) ?(mc_batch = 16) () =

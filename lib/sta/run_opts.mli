@@ -22,9 +22,9 @@ type t = {
   pi_spec : pi_spec;  (** windows assumed at the primary inputs *)
   corners : int;
       (** timing planes to evaluate: [1] (default) the nominal corner
-          through the scalar path; [> 1] the batched corner sweep
-          ({!Corner_sta}), which requires it to match the corner
-          table's count *)
+          through the single-corner pass ({!Sta.analyze_with}); [> 1]
+          the batched corner sweep ({!Corner_sta}), which requires it to
+          match the corner table's count *)
   mc_batch : int;
       (** Monte-Carlo chunk size K: samples fitted and swept together
           per batched-kernel pass ({!Corner_sta.monte_carlo}); clamped
@@ -52,8 +52,13 @@ val with_mc_batch : int -> t -> t
 
 val validate : t -> (t, string) result
 (** The single authority on field invariants: [corners >= 1],
-    [mc_batch >= 1], finite PI windows with a non-negative transition
-    floor.  [Ok] returns the record unchanged. *)
+    [mc_batch >= 1], and {!validate_pi_spec} on [pi_spec].  [Ok]
+    returns the record unchanged. *)
+
+val validate_pi_spec : pi_spec -> (pi_spec, string) result
+(** The PI-spec rule alone: finite arrival and transition-time windows,
+    with a non-negative transition floor.  {!Sta.analyze_with} and
+    {!Engine} apply it to per-input overrides as well. *)
 
 val make :
   ?jobs:int ->

@@ -5,7 +5,6 @@ module Types = Ssd_core.Types
 module Delay_model = Ssd_core.Delay_model
 module Cellfn = Ssd_core.Cellfn
 module Netlist = Ssd_circuit.Netlist
-module Gate = Ssd_circuit.Gate
 module Obs = Ssd_obs.Obs
 
 type line_timing = { rise : Types.win; fall : Types.win }
@@ -29,27 +28,9 @@ type t = {
   st_timing : Windows.t;
 }
 
-exception Unsupported_gate of string
+exception Unsupported_gate = Plane_sweep.Unsupported_gate
 
-let cell_of_gate library kind n_in =
-  let lookup k n =
-    try Charlib.find library k n
-    with Not_found ->
-      raise
-        (Unsupported_gate
-           (Printf.sprintf "no characterized cell for %s with %d inputs"
-              (Gate.to_string kind) n_in))
-  in
-  match kind with
-  | Gate.Not -> lookup Sweep.Nand 1
-  | Gate.Nand -> lookup Sweep.Nand n_in
-  | Gate.Nor -> lookup Sweep.Nor n_in
-  | Gate.And | Gate.Or | Gate.Xor | Gate.Xnor | Gate.Buf ->
-    raise
-      (Unsupported_gate
-         (Printf.sprintf
-            "gate type %s is not primitive; decompose the netlist first"
-            (Gate.to_string kind)))
+let cell_of_gate = Plane_sweep.cell_of_gate
 
 (* Output windows of one gate given its fan-in windows.  The fan-in array
    order defines input positions (index 0 = closest to the output).
@@ -94,12 +75,13 @@ let shift_timing lt extra =
     in
     { rise = sh lt.rise; fall = sh lt.fall }
 
-(* The forward pass's per-node kernel, shared by [analyze_with] and the
-   incremental {!Engine}: a pure function of the fan-in entries read
-   through [timing] (for a PI, of [pi_win]), so recomputing any node
-   whose inputs are bit-identical reproduces its windows
-   bit-identically.  [timing] abstracts the storage, so any store that
-   feeds the identical float values gets the identical windows. *)
+(* The closure walk's per-node step — the forward pass of every model
+   but [Delay_model.proposed], and the tests' oracle for that one: a
+   pure function of the fan-in entries read through [timing] (for a PI,
+   of [pi_win]), so recomputing any node whose inputs are bit-identical
+   reproduces its windows bit-identically.  [timing] abstracts the
+   storage, so any store that feeds the identical float values gets the
+   identical windows. *)
 let eval_node ~windowing ~library nl timing ~pi_win ~extra i =
   let lt =
     if Netlist.is_pi nl i then { rise = pi_win; fall = pi_win }
@@ -123,22 +105,63 @@ let analyze_with ?(extra_delay = fun _ -> 0.) ?(pi_override = fun _ -> None)
   if corners <> 1 then
     invalid_arg
       "Sta.analyze_with: corners > 1 is the batched sweep (Corner_sta.analyze)";
+  let check what spec =
+    match Run_opts.validate_pi_spec spec with
+    | Ok _ -> ()
+    | Error m -> invalid_arg (Printf.sprintf "Sta.analyze_with: %s%s" what m)
+  in
+  check "" pi_spec;
+  List.iter
+    (fun i ->
+      match pi_override i with
+      | Some spec ->
+        check (Printf.sprintf "pi_override on %s: " (Netlist.signal_name nl i))
+          spec
+      | None -> ())
+    (Netlist.inputs nl);
   let windowing = windowing_of model in
   let n = Netlist.size nl in
   let pi_win = pi_window pi_spec in
   let pi_win_of i =
     match pi_override i with None -> pi_win | Some spec -> pi_window spec
   in
+  let extra_of i =
+    let x = extra_delay i in
+    if not (Float.is_finite x) then
+      invalid_arg
+        (Printf.sprintf "Sta.analyze_with: extra delay %g on %s is not finite"
+           x (Netlist.signal_name nl i));
+    x
+  in
   let timing = Windows.create n in
   let get j = { rise = Windows.rise timing j; fall = Windows.fall timing j } in
   let c_gates = Obs.counter obs "sta.gates" in
-  let eval i =
-    if not (Netlist.is_pi nl i) then Obs.incr c_gates;
+  let closure_step i =
     let lt =
       eval_node ~windowing ~library nl get
-        ~pi_win:(pi_win_of i) ~extra:(extra_delay i) i
+        ~pi_win:(pi_win_of i) ~extra:(extra_of i) i
     in
     Windows.set timing i ~rise:lt.rise ~fall:lt.fall
+  in
+  let step =
+    if model == Delay_model.proposed then begin
+      (* the flat kernel at K = 1, the production evaluator of the
+         proposed model; every other model takes the closure walk *)
+      let sw = Plane_sweep.nominal library timing nl in
+      fun i ->
+        if Netlist.is_pi nl i then closure_step i
+        else begin
+          let sc = Plane_sweep.scratch sw in
+          Plane_sweep.eval_gate sw sc i 0 1;
+          Plane_sweep.shift_arrivals sc.Plane_sweep.out ~off:0 (extra_of i);
+          Plane_sweep.scatter sw sc i 0 1
+        end
+    end
+    else closure_step
+  in
+  let eval i =
+    if not (Netlist.is_pi nl i) then Obs.incr c_gates;
+    step i
   in
   (* gates of one topological level are independent; the per-gate window
      computation is a pure function of the fan-in windows, so the

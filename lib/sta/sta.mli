@@ -4,7 +4,14 @@
     order; required-time windows propagate backward from the primary
     outputs.  The analysis is parametric in the delay model — any
     {!Ssd_core.Delay_model.t} carrying window transfer functions (the
-    proposed V-shape model or the pin-to-pin baseline). *)
+    proposed V-shape model or the pin-to-pin baseline).
+
+    The forward pass has two evaluators that compute the same windows
+    bit for bit.  {!Ssd_core.Delay_model.proposed} (that exact registry
+    value) runs the flat {!Ssd_core.Corner_batch} kernel at K = 1
+    ({!Plane_sweep}); every other model, including cell-remapped copies
+    of the proposed one, runs the closure walk ({!eval_node} over the
+    model's {!Ssd_core.Delay_model.windowing}). *)
 
 type line_timing = {
   rise : Ssd_core.Types.win;
@@ -50,8 +57,9 @@ val gate_windows :
   line_timing
 (** Output windows of one gate given its fan-in windows (list order =
     input positions, index 0 closest to the output).  The gate branch of
-    {!eval_node}, exposed so the {!Engine} can evaluate through per-node
-    cached cell/load slots without repeating the library lookup. *)
+    {!eval_node}, exposed so the {!Engine}'s closure walk can evaluate
+    through per-node cached cell/load slots without repeating the
+    library lookup. *)
 
 val shift_timing : line_timing -> float -> line_timing
 (** Translate both transitions' arrival windows by a line's extra delay;
@@ -66,7 +74,7 @@ val eval_node :
   extra:float ->
   int ->
   line_timing
-(** The forward pass's per-node kernel: the windows of node [i] given the
+(** The closure walk's per-node step: the windows of node [i] given the
     already-computed fan-in entries read through the timing getter
     ([pi_win] for a PI), with the line's arrival windows translated by
     [extra] (the crosstalk-fault primitive; [0.] is the bit-exact
@@ -74,7 +82,9 @@ val eval_node :
     the sequential, levelized-parallel and incremental ({!Engine})
     schedules bit-identical.  The getter abstracts the storage: any
     store that feeds the identical float values gets the identical
-    windows.  Shared by {!analyze_with} and {!Engine}; reads only fan-in
+    windows.  {!analyze_with} runs it for every model but
+    {!Ssd_core.Delay_model.proposed}; for that one it is the independent
+    reference the flat kernel is tested against.  Reads only fan-in
     entries, so concurrent calls for distinct nodes of one logic level
     are safe.  @raise Unsupported_gate *)
 
@@ -104,12 +114,18 @@ val analyze_with :
 
     [extra_delay] (default: constant [0.]) translates a line's arrival
     windows by that amount — the window-level image of
-    {!Timing_sim.simulate}'s fault-injection hook.  [pi_override]
+    {!Timing_sim.simulate}'s fault-injection hook, applied to the
+    evaluator's outputs with {!shift_timing}'s expression.  [pi_override]
     (default: [None] everywhere) replaces [opts.pi_spec] on individual
     primary inputs.  Both default to bit-exact no-ops.
 
+    The evaluator is chosen by the model value (see above); the choice
+    changes the cost of the pass, never its windows.
+
     @raise Unsupported_gate, or [Invalid_argument] when the model has no
-    window transfer functions. *)
+    window transfer functions, when [opts.pi_spec] or a [pi_override]
+    spec fails {!Run_opts.validate_pi_spec} (checked before any work),
+    or when an extra delay is not finite. *)
 
 val netlist : t -> Ssd_circuit.Netlist.t
 val library : t -> Ssd_cell.Charlib.t

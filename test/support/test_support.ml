@@ -2,7 +2,11 @@ module Interval = Ssd_util.Interval
 module Types = Ssd_core.Types
 module Netlist = Ssd_circuit.Netlist
 module Sta = Ssd_sta.Sta
+module Engine = Ssd_sta.Engine
+module Run_opts = Ssd_sta.Run_opts
 module Windows = Ssd_sta.Windows
+module Delay_model = Ssd_core.Delay_model
+module Obs = Ssd_obs.Obs
 
 let beq a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 
@@ -32,3 +36,24 @@ let analyze_ref ~library ~model nl =
           ~pi_win ~extra:0. i)
     (Netlist.topo_order nl);
   timing
+
+(* [remap_cells Fun.id] keeps every transfer function but yields a new
+   model value, and only the registry value selects the flat kernel *)
+let reference_model = Delay_model.remap_cells Fun.id Delay_model.proposed
+
+let analyze_reference ?extra_delay ?pi_override opts ~library nl =
+  Sta.analyze_with ?extra_delay ?pi_override opts ~library
+    ~model:reference_model nl
+
+let engine_reference ~library eng =
+  let model =
+    if Engine.model eng == Delay_model.proposed then reference_model
+    else Engine.model eng
+  in
+  let nl = Engine.edited_netlist eng in
+  Sta.analyze_with
+    ~extra_delay:(Engine.extra_delay_of eng)
+    ~pi_override:(fun i ->
+      if Netlist.is_pi nl i then Some (Engine.pi_spec_of eng i) else None)
+    Run_opts.(Engine.opts eng |> with_jobs 1 |> with_obs Obs.disabled)
+    ~library ~model nl

@@ -22,3 +22,32 @@ val analyze_ref :
     one-lane {!Ssd_sta.Sta.analyze_with}, different storage, so the
     packed path must reproduce this array bit for bit.
     @raise Ssd_sta.Sta.Unsupported_gate *)
+
+(** {1 The closure reference}
+
+    {!Ssd_sta.Sta.analyze_with} and {!Ssd_sta.Engine} evaluate
+    {!Ssd_core.Delay_model.proposed} through the flat
+    {!Ssd_core.Corner_batch} kernel, as {!Ssd_sta.Corner_sta} does, so
+    comparing those paths with one another checks the kernel against
+    itself.  The reference below runs the same analysis through the
+    scalar closure walk ({!Ssd_core.Vshape} reached through
+    {!Ssd_sta.Sta.eval_node}) instead. *)
+
+val reference_model : Ssd_core.Delay_model.t
+(** A cell-remapped copy of {!Ssd_core.Delay_model.proposed} (identity
+    remap): the same window functions, a different model value, so
+    analyses under it take the closure walk. *)
+
+val analyze_reference :
+  ?extra_delay:(int -> float) ->
+  ?pi_override:(int -> Ssd_sta.Run_opts.pi_spec option) ->
+  Ssd_sta.Run_opts.t ->
+  library:Ssd_cell.Charlib.t ->
+  Ssd_circuit.Netlist.t ->
+  Ssd_sta.Sta.t
+(** {!Ssd_sta.Sta.analyze_with} under {!reference_model}. *)
+
+val engine_reference : library:Ssd_cell.Charlib.t -> Ssd_sta.Engine.t -> Ssd_sta.Sta.t
+(** {!Ssd_sta.Engine.reanalyze} of the session's current edited state
+    ([library] is the session's), with {!reference_model} standing in
+    for the proposed model. *)

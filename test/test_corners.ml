@@ -37,10 +37,10 @@ let mid_prim ?(gates = 1_200) seed =
        })
 
 (* the scalar oracle for one corner: an independent single-corner
-   analysis over the derated library *)
+   analysis over the derated library, through the closure walk (a
+   production [Sta.analyze_with] runs the batched kernel itself) *)
 let scalar_corner table c nl =
-  Sta.analyze_with (RO.make ()) ~library:(Corners.library table c)
-    ~model:DM.proposed nl
+  analyze_reference (RO.make ()) ~library:(Corners.library table c) nl
 
 let prop_batched_matches_scalar =
   QCheck.Test.make
@@ -99,8 +99,7 @@ let prop_retarget_through_edits =
       let lib = Lazy.force lib in
       let table = Corners.build ~specs:(Corners.default_specs 3) lib in
       let batched = CS.analyze ~table nl in
-      let nominal = Sta.analyze_with (RO.make ()) ~library:lib
-          ~model:DM.proposed nl in
+      let nominal = analyze_reference (RO.make ()) ~library:lib nl in
       E.with_engine ~library:lib ~model:DM.proposed nl (fun eng ->
           let ok = ref true in
           let ck0 = E.checkpoint eng in
@@ -128,12 +127,10 @@ let prop_retarget_through_edits =
           done;
           !ok))
 
-(* the per-sample reference: a one-lane scalar analysis over the
+(* the per-sample reference: a one-lane closure-walk analysis over the
    sample's derated library *)
 let sample_reference lib nl spec =
-  Sta.analyze_with RO.default
-    ~library:(Corners.derate_library spec lib)
-    ~model:DM.proposed nl
+  analyze_reference RO.default ~library:(Corners.derate_library spec lib) nl
 
 let test_mc_deterministic () =
   let nl = mid_prim ~gates:400 5 in

@@ -18,12 +18,13 @@ open Test_support
 let lib = lazy (Charlib.default ~profile:Charlib.coarse ())
 let c17_prim () = Ck.Decompose.to_primitive (Ck.Benchmarks.c17 ())
 
-(* the oracle: engine windows vs a fresh sequential analysis of the
-   edited circuit, bit for bit on every line *)
+(* the oracle: engine windows vs a fresh sequential closure-walk
+   analysis of the edited circuit, bit for bit on every line — and
+   [E.reanalyze], which runs the engine's own kernel, must agree too *)
 let engine_matches eng =
-  let reference = E.reanalyze eng in
+  let reference = engine_reference ~library:(Lazy.force lib) eng in
   let n = Ck.Netlist.size (E.netlist eng) in
-  let ok = ref true in
+  let ok = ref (sta_beq reference (E.reanalyze eng)) in
   for i = 0 to n - 1 do
     if not (lt_beq (E.timing eng i) (Sta.timing reference i)) then ok := false
   done;
@@ -96,7 +97,7 @@ let prop_engine_bit_identical =
           let opts = RO.make ~jobs () in
           E.with_engine ~opts ~library:(Lazy.force lib) ~model:DM.proposed nl
             (fun eng ->
-              let base = E.reanalyze eng in
+              let base = engine_reference ~library:(Lazy.force lib) eng in
               let ok = ref (engine_matches eng) in
               let step () =
                 E.apply eng (random_edit rng nl);
@@ -219,6 +220,36 @@ let test_apply_validation () =
           (lt_beq (E.timing eng i) snapshot.(i))
       done)
 
+let test_nonfinite_pi_spec () =
+  (* [1e999] parses as infinity in the JSON codec, so a serve client can
+     send an unbounded PI window; every such edit must be rejected before
+     it mutates anything, so a revert to an earlier checkpoint lands on
+     a consistent session *)
+  let nl = c17_prim () in
+  let unbounded =
+    { RO.pi_arrival = Interval.make neg_infinity infinity;
+      pi_tt = RO.default_pi_spec.RO.pi_tt }
+  in
+  E.with_engine ~library:(Lazy.force lib) ~model:DM.proposed nl (fun eng ->
+      let cp = E.checkpoint eng in
+      List.iter
+        (fun pi ->
+          expect_invalid
+            (Printf.sprintf "unbounded arrival on PI %d" pi)
+            (fun () -> E.apply eng (E.Set_pi_spec { pi; spec = unbounded })))
+        (Ck.Netlist.inputs nl);
+      Alcotest.(check int) "nothing journaled" 0 (E.depth eng);
+      E.revert eng cp;
+      Alcotest.(check bool) "session equals a fresh analysis" true
+        (engine_matches eng));
+  Alcotest.check_raises "Engine.create rejects an unbounded opts.pi_spec"
+    (Invalid_argument "Engine.create: pi_spec windows must be finite")
+    (fun () ->
+      ignore
+        (E.create
+           ~opts:{ RO.default with RO.pi_spec = unbounded }
+           ~library:(Lazy.force lib) ~model:DM.proposed nl))
+
 let test_commit_and_close () =
   let nl = c17_prim () in
   let eng = E.create ~library:(Lazy.force lib) ~model:DM.proposed nl in
@@ -262,6 +293,8 @@ let suites =
     ( "engine.api",
       [
         Alcotest.test_case "apply validation" `Slow test_apply_validation;
+        Alcotest.test_case "non-finite PI spec rejected" `Quick
+          test_nonfinite_pi_spec;
         Alcotest.test_case "commit and close" `Slow test_commit_and_close;
         Alcotest.test_case "cached parallel session" `Slow
           test_cached_parallel_session;

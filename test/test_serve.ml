@@ -188,6 +188,47 @@ let test_session_lifecycle () =
         "query after close" (Some "unknown-session")
         (code_of (d "{\"v\":1,\"op\":\"query\",\"session\":\"s\"}")))
 
+(* an unbounded PI window ([1e999] decodes as infinity) anywhere in a
+   batch answers bad-edit and rolls the session back to exactly what a
+   fresh session computes *)
+let test_nonfinite_pi_batch () =
+  with_server (fun sv ->
+      let d = Server.dispatch sv in
+      List.iter
+        (fun s ->
+          Alcotest.(check bool) ("open " ^ s) true
+            (is_ok
+               (d
+                  (Printf.sprintf
+                     "{\"v\":1,\"op\":\"open\",\"session\":%S,\"circuit\":\"c17\"}"
+                     s))))
+        [ "s"; "fresh" ];
+      let pi sg =
+        Printf.sprintf
+          "{\"op\":\"pi\",\"signal\":%S,\"arrival\":[-1e999,1e999],\"tt\":[1.5e-10,5e-10]}"
+          sg
+      in
+      Alcotest.(check (option string))
+        "unbounded PI windows" (Some "bad-edit")
+        (code_of
+           (d
+              (Printf.sprintf
+                 "{\"v\":1,\"op\":\"edit\",\"session\":\"s\",\"edits\":[{\"op\":\"extra\",\"signal\":\"11\",\"delta\":2e-11},%s]}"
+                 (String.concat "," (List.map pi [ "1"; "2"; "3"; "6"; "7" ])))));
+      let query s what =
+        d
+          (Printf.sprintf "{\"v\":1,\"op\":\"query\",\"session\":%S%s}" s
+             what)
+      in
+      List.iter
+        (fun what ->
+          Alcotest.(check string) ("rolled back: query" ^ what)
+            (query "fresh" what) (query "s" what))
+        ([ ""; ",\"what\":\"po_delays\"" ]
+        @ List.map
+            (Printf.sprintf ",\"what\":\"timing\",\"signal\":%S")
+            [ "1"; "2"; "3"; "6"; "7"; "10"; "11"; "16"; "19"; "22"; "23" ]))
+
 (* ---- session manager unit behavior ---- *)
 
 let test_session_manager () =
@@ -425,6 +466,8 @@ let suites =
       [
         Alcotest.test_case "lifecycle through dispatch" `Quick
           test_session_lifecycle;
+        Alcotest.test_case "unbounded PI batch rolls back" `Quick
+          test_nonfinite_pi_batch;
         Alcotest.test_case "manager admission and checkpoints" `Quick
           test_session_manager;
       ] );

@@ -7,6 +7,8 @@ module Types = Ssd_core.Types
 module Charlib = Ssd_cell.Charlib
 module Interval = Ssd_util.Interval
 module Rng = Ssd_util.Rng
+module E = Ssd_sta.Engine
+module Obs = Ssd_obs.Obs
 
 open Test_support
 
@@ -337,6 +339,151 @@ let test_resim_cone_out_of_cone_preserved () =
 
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
+(* ---------- the production kernel vs the closure reference ---------- *)
+
+(* [analyze_with] evaluates the proposed model through the flat batched
+   kernel at K = 1; every hook it offers must leave that pass bit-identical
+   to the closure walk, whatever the lane count and with telemetry on *)
+let prop_production_matches_reference =
+  QCheck.Test.make
+    ~name:
+      "production pass == closure reference (pi_spec, extra_delay, \
+       pi_override; jobs 1, 4; traced)"
+    ~count:4
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Rng.create (Int64.of_int seed) in
+      let lib = Lazy.force lib in
+      let nl =
+        Ck.Decompose.to_primitive
+          (Ck.Generator.generate
+             {
+               Ck.Generator.default_params with
+               Ck.Generator.g_name = "prod";
+               n_inputs = 12;
+               n_outputs = 6;
+               n_gates = 150 + Rng.int rng 150;
+               seed = Int64.of_int (seed + 3);
+             })
+      in
+      let spec () =
+        let a = Rng.float_range rng (-0.1e-9) 0.2e-9 in
+        let t = Rng.float_range rng 0.05e-9 0.3e-9 in
+        {
+          Sta.pi_arrival = Interval.make a (a +. Rng.float_range rng 0. 0.2e-9);
+          pi_tt = Interval.make t (t +. Rng.float_range rng 0. 0.3e-9);
+        }
+      in
+      let pi_spec = spec () in
+      let n = Ck.Netlist.size nl in
+      let extras =
+        Array.init n (fun _ ->
+            match Rng.int rng 5 with
+            | 0 -> Rng.float_range rng 5e-12 150e-12
+            | 1 -> -.Rng.float_range rng 5e-12 50e-12
+            | 2 -> -0.
+            | _ -> 0.)
+      in
+      let overrides =
+        Array.init n (fun i ->
+            if Ck.Netlist.is_pi nl i && Rng.bool rng then Some (spec ())
+            else None)
+      in
+      let extra_delay i = extras.(i) and pi_override i = overrides.(i) in
+      let reference =
+        analyze_reference ~extra_delay ~pi_override (RO.make ~pi_spec ())
+          ~library:lib nl
+      in
+      List.for_all
+        (fun (jobs, traced) ->
+          let obs = if traced then Obs.create () else Obs.disabled in
+          sta_beq reference
+            (Sta.analyze_with ~extra_delay ~pi_override
+               (RO.make ~jobs ~obs ~pi_spec ())
+               ~library:lib ~model:DM.proposed nl))
+        [ (1, false); (1, true); (4, false); (4, true) ])
+
+(* Minor words per node of one call, after a warm-up call.  The flat
+   kernel allocates nothing per gate and the closure walk allocates
+   closures, lists and records for every corner candidate, so these
+   bounds tell the two apart on any host. *)
+let words_per_node nl f =
+  ignore (Sys.opaque_identity (f ()));
+  let w0 = Gc.minor_words () in
+  ignore (Sys.opaque_identity (f ()));
+  (Gc.minor_words () -. w0) /. float_of_int (Ck.Netlist.size nl)
+
+let test_allocation_guard () =
+  let lib = Lazy.force lib in
+  List.iter
+    (fun name ->
+      let nl =
+        Ck.Decompose.to_primitive (Option.get (Ck.Benchmarks.by_name name))
+      in
+      let check what ok v =
+        if not ok then Alcotest.failf "%s %s: %.1f minor words per node" name what v
+      in
+      let production =
+        words_per_node nl (fun () ->
+            Sta.analyze_with RO.default ~library:lib ~model:DM.proposed nl)
+      in
+      check "production pass (want <= 64)" (production <= 64.) production;
+      let engine =
+        words_per_node nl (fun () ->
+            E.create ~library:lib ~model:DM.proposed nl)
+      in
+      check "Engine.create (want <= 128)" (engine <= 128.) engine;
+      let reference =
+        words_per_node nl (fun () -> analyze_reference RO.default ~library:lib nl)
+      in
+      check "closure reference (want >= 500)" (reference >= 500.) reference)
+    [ "c880s"; "c7552s" ]
+
+let test_rejects_invalid_specs () =
+  let nl = c17_prim () in
+  let lib = Lazy.force lib in
+  let pi0 = List.hd (Ck.Netlist.inputs nl) in
+  let unbounded =
+    { Sta.pi_arrival = Interval.make neg_infinity infinity;
+      pi_tt = Sta.default_pi_spec.Sta.pi_tt }
+  in
+  let negative_tt =
+    { Sta.pi_arrival = Interval.point 0.; pi_tt = Interval.make (-1e-12) 1e-10 }
+  in
+  let rejects what f =
+    match f () with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.failf "%s: expected Invalid_argument" what
+  in
+  List.iter
+    (fun model ->
+      let run ?extra_delay ?pi_override opts () =
+        Sta.analyze_with ?extra_delay ?pi_override opts ~library:lib ~model nl
+      in
+      let name = model.DM.name in
+      List.iter
+        (fun (tag, spec) ->
+          (* a hand-built record bypasses [Run_opts.make]'s validation *)
+          rejects (name ^ " opts.pi_spec " ^ tag)
+            (run { RO.default with RO.pi_spec = spec });
+          rejects (name ^ " pi_override " ^ tag)
+            (run ~pi_override:(fun i -> if i = pi0 then Some spec else None)
+               RO.default))
+        [ ("unbounded", unbounded); ("negative tt", negative_tt) ];
+      List.iter
+        (fun x ->
+          rejects (Printf.sprintf "%s extra delay %g" name x)
+            (run ~extra_delay:(fun i -> if i = pi0 then x else 0.) RO.default))
+        [ Float.nan; infinity ])
+    [ DM.proposed; DM.pin_to_pin ];
+  (* the corner sweeps run the same kernel and check the same rule *)
+  let module CS = Ssd_sta.Corner_sta in
+  let opts = { RO.default with RO.pi_spec = unbounded } in
+  rejects "Corner_sta.analyze opts.pi_spec" (fun () ->
+      CS.analyze ~opts ~table:(Ssd_cell.Corners.build lib) nl);
+  rejects "Corner_sta.monte_carlo opts.pi_spec" (fun () ->
+      CS.monte_carlo ~opts ~samples:2 ~seed:1L ~library:lib nl)
+
 let suites =
   [
     ( "sta.forward",
@@ -376,4 +523,11 @@ let suites =
       ] );
     qsuite "sta.tsim.props"
       [ prop_tsim_within_sta_windows; prop_resim_cone_bit_identical ];
+    ( "sta.kernel",
+      [
+        Alcotest.test_case "allocation guard" `Slow test_allocation_guard;
+        Alcotest.test_case "rejects invalid specs" `Quick
+          test_rejects_invalid_specs;
+      ] );
+    qsuite "sta.kernel.props" [ prop_production_matches_reference ];
   ]

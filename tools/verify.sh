@@ -22,9 +22,12 @@ dune exec bin/ssd.exe -- sta c880s --jobs 4 --stats \
 dune exec tools/trace_check.exe -- "$TRACE_TMP/sta_trace.json"
 test -s "$TRACE_TMP/sta_stats.json"
 
-# Monte-Carlo check through the real binary: every sample of the batched
-# sweep (7 samples in chunks of 3, so the last chunk is a tail) must be
-# bit-identical to a scalar STA over its derated library.
+# Corner and Monte-Carlo checks through the real binary: every plane of
+# a 4-corner sweep, and every sample of the batched Monte-Carlo sweep (7
+# samples in chunks of 3, so the last chunk is a tail), must be
+# bit-identical to a closure-walk STA over its derated library.
+SSD_FAST=1 dune exec bin/ssd.exe -- corners c880s --corners 4 \
+  --check >/dev/null
 SSD_FAST=1 dune exec bin/ssd.exe -- mc c880s --samples 7 --batch 3 \
   --check >/dev/null
 
