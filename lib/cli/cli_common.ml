@@ -31,7 +31,8 @@ let option_table =
           "Execution lanes for the timing analysis and the fault \
            simulator: 1 is sequential, 0 picks the recommended domain \
            count, N>1 uses N domains. Results are identical for any \
-           value." } );
+           value. The edits of $(b,ssd eco) run on one lane whatever \
+           the value." } );
     ( "stats",
       { o_names = [ "stats" ]; o_docv = None;
         o_doc =

@@ -5,7 +5,6 @@ module Types = Ssd_core.Types
 module Delay_model = Ssd_core.Delay_model
 module Cellfn = Ssd_core.Cellfn
 module Netlist = Ssd_circuit.Netlist
-module Gate = Ssd_circuit.Gate
 module Sta = Ssd_sta.Sta
 
 type line_windows = {
@@ -26,14 +25,6 @@ type t = {
 let implication t = t.it_impl
 
 let state t i tr = Value2f.state (Implication.value t.it_impl i) tr
-
-let cell_of_gate library kind n_in =
-  match kind with
-  | Gate.Not -> Charlib.find library Sweep.Nand 1
-  | Gate.Nand -> Charlib.find library Sweep.Nand n_in
-  | Gate.Nor -> Charlib.find library Sweep.Nor n_in
-  | Gate.And | Gate.Or | Gate.Xor | Gate.Xnor | Gate.Buf ->
-    raise (Sta.Unsupported_gate (Gate.to_string kind))
 
 (* One gate-output transition window under transition states.
    [ins] lists, per input position, the state and (optional) window of the
@@ -118,7 +109,7 @@ let non_window_refined ~windowing ~cell ~load ins =
 
 let gate_windows t i kind fanin =
   let nl = Implication.netlist t.it_impl in
-  let cell = cell_of_gate t.it_library kind (Array.length fanin) in
+  let cell = Sta.cell_of_gate t.it_library kind (Array.length fanin) in
   let load = Netlist.load_of nl i in
   let ctl_in_is_fall =
     match cell.Charlib.kind with Sweep.Nand -> true | Sweep.Nor -> false

@@ -35,7 +35,8 @@ val create :
     skipping the rest makes refinement much cheaper).  Windows of
     out-of-focus lines are unspecified.
     @raise Invalid_argument when the model cannot identify worst-case
-    corners (no window functions). *)
+    corners (no window functions), or {!Ssd_sta.Sta.Unsupported_gate} on
+    a gate with no characterized cell (as {!Ssd_sta.Sta.analyze_with}). *)
 
 val copy : t -> t
 (** Snapshot for backtracking search. *)

@@ -168,11 +168,12 @@ let op_query t s (req : P.request) =
   match Option.value ~default:"po_window" (Json.member_string "what" body) with
   | "po_window" ->
     Session.with_session s (fun eng ->
+        let po = Engine.po_window eng in
         P.ok_json ~id
           (Json.Obj
-             [ ("po", iv_json (Engine.po_window eng));
-               ("min", num (Engine.min_delay eng));
-               ("max", num (Engine.max_delay eng)) ]))
+             [ ("po", iv_json po);
+               ("min", num (Interval.lo po));
+               ("max", num (Interval.hi po)) ]))
   | "po_delays" ->
     Session.with_session s (fun eng ->
         let nl = Engine.netlist eng in
@@ -241,10 +242,21 @@ let op_query t s (req : P.request) =
           (Printf.sprintf "\"dir\" must be \"max\" or \"min\", not %S" d))
   | what -> error t ~id P.Bad_params (Printf.sprintf "unknown query %S" what)
 
+(* Admission bounds of the sweep ops.  A K-corner sweep sizes a table
+   of K derated libraries and a 64·K·nodes-byte window store, and a
+   Monte-Carlo batch as many planes per lane, so one small frame must
+   not pick K; the bounds sit far above every CLI and bench default. *)
+let max_corners = 64
+let max_mc_batch = 64
+let max_mc_samples = 65_536
+
 let op_corners t s (req : P.request) =
   let id = req.rq_id in
   let k = member_int_default "corners" 4 req.rq_body in
   if k < 2 then error t ~id P.Bad_params "\"corners\" must be >= 2"
+  else if k > max_corners then
+    error t ~id P.Bad_params
+      (Printf.sprintf "\"corners\" must be <= %d" max_corners)
   else
     Session.with_session s (fun eng ->
         let nl = Engine.edited_netlist eng in
@@ -278,7 +290,13 @@ let op_mc t s (req : P.request) =
     member_int_default "batch" t.cfg.sv_engine_opts.Run_opts.mc_batch body
   in
   if samples < 1 then error t ~id P.Bad_params "\"samples\" must be >= 1"
+  else if samples > max_mc_samples then
+    error t ~id P.Bad_params
+      (Printf.sprintf "\"samples\" must be <= %d" max_mc_samples)
   else if batch < 1 then error t ~id P.Bad_params "\"batch\" must be >= 1"
+  else if batch > max_mc_batch then
+    error t ~id P.Bad_params
+      (Printf.sprintf "\"batch\" must be <= %d" max_mc_batch)
   else
     Session.with_session s (fun eng ->
         let nl = Engine.edited_netlist eng in

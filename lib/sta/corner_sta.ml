@@ -83,15 +83,7 @@ let timing t ~corner i =
   }
 
 let po_window t ~corner =
-  match Netlist.outputs t.ct_netlist with
-  | [] -> invalid_arg "Corner_sta.po_window: netlist has no outputs"
-  | first :: rest ->
-    let win_of i =
-      let lt = timing t ~corner i in
-      Interval.hull lt.Sta.rise.Types.w_arr lt.Sta.fall.Types.w_arr
-    in
-    List.fold_left (fun acc i -> Interval.hull acc (win_of i)) (win_of first)
-      rest
+  Sta.po_window_of t.ct_netlist t.ct_timing ~plane:corner
 
 let min_delay t ~corner = Interval.lo (po_window t ~corner)
 let max_delay t ~corner = Interval.hi (po_window t ~corner)
@@ -126,7 +118,7 @@ type mc_result = {
 
 (* The extraction expressions of [monte_carlo]'s chunk loop, evaluated
    on the scalar analysis: [Float.max] of the two arrival-window tops
-   per PO and the [po_window] hull fold for the circuit max, so
+   per PO and the {!Sta.po_window_of} fold for the circuit max, so
    bit-identical windows compare equal. *)
 let sample_matches res ~sample (sta : Sta.t) =
   if sample < 0 || sample >= Array.length res.mc_max then
@@ -219,28 +211,21 @@ let monte_carlo ?(opts = Run_opts.default) ?(samples = 64) ~seed ~library nl =
         sweep_planes lane.mc_sw nl ~pi_win r);
     (* stream the per-PO delays and circuit max out of the finished
        planes; the window store is scratch reused by the next chunk.
-       Both extractions replicate the scalar path's float expressions
-       ([Sta.timing] + Float.max / the [po_window] hull fold), so
+       Both extractions are the scalar path's float expressions
+       ([Sta.timing] + Float.max / {!Sta.po_window_of}), so
        bit-identical windows give bit-identical results.  Writes land
        at disjoint sample indices, hence are safe across lanes. *)
     let w = Plane_sweep.windows lane.mc_sw in
     for c = 0 to r - 1 do
       let s = s0 + c in
-      let win_of po =
-        Interval.hull
-          (Windows.rise_plane w ~plane:c po).Types.w_arr
-          (Windows.fall_plane w ~plane:c po).Types.w_arr
-      in
-      let acc = ref (win_of pos.(0)) in
       for pi = 0 to npos - 1 do
         let po = pos.(pi) in
         delays.(pi).(s) <-
           Float.max
             (Interval.hi (Windows.rise_plane w ~plane:c po).Types.w_arr)
-            (Interval.hi (Windows.fall_plane w ~plane:c po).Types.w_arr);
-        if pi > 0 then acc := Interval.hull !acc (win_of po)
+            (Interval.hi (Windows.fall_plane w ~plane:c po).Types.w_arr)
       done;
-      mc_max.(s) <- Interval.hi !acc
+      mc_max.(s) <- Interval.hi (Sta.po_window_of nl w ~plane:c)
     done)
   in
   let jobs =

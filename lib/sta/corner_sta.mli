@@ -46,8 +46,9 @@ val timing : t -> corner:int -> int -> Sta.line_timing
 
 val po_window : t -> corner:int -> Ssd_util.Interval.t
 (** Union of both transitions' arrival windows over all primary
-    outputs, per corner.  @raise Invalid_argument on a netlist without
-    outputs. *)
+    outputs, per corner ({!Sta.po_window_of} on the corner's plane).
+    @raise Invalid_argument on a netlist without outputs or an
+    out-of-range corner. *)
 
 val min_delay : t -> corner:int -> float
 val max_delay : t -> corner:int -> float

@@ -21,7 +21,7 @@ type patch =
   | P_kind of int * Gate.kind option
   | P_extra of int * float
   | P_pi of int * Run_opts.pi_spec option
-  | P_model of Delay_model.t * Delay_model.windowing
+  | P_model of Delay_model.t
 
 type stats = {
   edits : int;
@@ -37,19 +37,12 @@ type t = {
   e_netlist : Netlist.t;
   e_library : Charlib.t;
   e_opts : Run_opts.t;
-  e_jobs : int;
   mutable e_model : Delay_model.t;
-  mutable e_windowing : Delay_model.windowing;
   e_timing : Windows.t;
-  (* per-node evaluation slots: the resolved cell and electrical load are
-     fixed per node (a kind swap refreshes the cell, and the table slot
-     inside [e_sweep]), so the hot path skips the library lookup of the
-     generic kernel; [None] marks a PI *)
-  e_cells : Charlib.cell option array;
   e_sweep : Plane_sweep.t;
       (* the flat kernel at K = 1 over [e_timing]: the evaluator while
-         [e_model == Delay_model.proposed], as in [Sta.analyze_with] *)
-  e_loads : int array;
+         [e_model == Delay_model.proposed], as in [Sta.analyze_with]; a
+         kind swap re-resolves the node's table slot *)
   e_pi_win : Types.win;  (* window of the session-default PI spec *)
   (* edit overlays over the immutable base netlist; [None] / [0.] means
      "as built" *)
@@ -59,7 +52,6 @@ type t = {
   mutable e_journal : patch list list;  (* newest frame first *)
   mutable e_depth : int;
   mutable e_base_depth : int;  (* journal reaches back to this depth *)
-  mutable e_pool : Par.t option;  (* created on first parallel edit *)
   mutable e_closed : bool;
   mutable e_stats : stats;
   c_edits : Obs.counter;
@@ -85,6 +77,12 @@ let node_view t i =
     | Netlist.Gate { fanin; _ } -> Netlist.Gate { kind; fanin }
     | Netlist.Pi -> assert false)
 
+(* A gate's kind as currently edited. *)
+let kind_of t i =
+  match t.e_kind_ov.(i) with
+  | Some kind -> kind
+  | None -> Netlist.gate_kind t.e_netlist i
+
 let pi_spec_of t i =
   match t.e_pi_ov.(i) with
   | Some s -> s
@@ -97,15 +95,15 @@ let get t j =
   { Sta.rise = Windows.rise t.e_timing j; fall = Windows.fall t.e_timing j }
 
 (* Node [i]'s windows as {!Sta.analyze_with} computes them, into
-   [sc.out] at 0 (8 floats): the flat kernel through the per-node table
-   slot for the proposed model, otherwise {!Sta.gate_windows} through
-   the per-node cell/load slots — same cell, same load, same fan-in
-   list, so either way the windows come back bit-identical to a fresh
-   analysis's. *)
+   [sc.out] at 0 (8 floats): the flat kernel through the node's table
+   slot for the proposed model, otherwise {!Sta.gate_windows} over the
+   cell of the node's current kind, as {!Sta.eval_node} resolves it —
+   same cell, same load, same fan-in list, so either way the windows
+   come back bit-identical to a fresh analysis's. *)
 let eval_into t (sc : Plane_sweep.scratch) i =
   let out = sc.Plane_sweep.out in
-  (match t.e_cells.(i) with
-  | None ->
+  let nl = t.e_netlist in
+  if Netlist.is_pi nl i then begin
     let pi_win =
       match t.e_pi_ov.(i) with
       | Some s -> Sta.pi_window s
@@ -113,52 +111,33 @@ let eval_into t (sc : Plane_sweep.scratch) i =
     in
     Plane_sweep.put_win out ~off:0 pi_win;
     Plane_sweep.put_win out ~off:4 pi_win
-  | Some _ when t.e_model == Delay_model.proposed ->
+  end
+  else if t.e_model == Delay_model.proposed then
     Plane_sweep.eval_gate t.e_sweep sc i 0 1
-  | Some cell ->
-    let nl = t.e_netlist in
+  else begin
     let n_in = Netlist.fanin_count nl i in
+    let cell = Sta.cell_of_gate t.e_library (kind_of t i) n_in in
     let fanin_timings = ref [] in
     for p = n_in - 1 downto 0 do
       fanin_timings := get t (Netlist.fanin_nth nl i p) :: !fanin_timings
     done;
     let lt =
-      Sta.gate_windows ~windowing:t.e_windowing ~cell ~load:t.e_loads.(i)
-        !fanin_timings
+      Sta.gate_windows ~windowing:(Sta.windowing_of t.e_model) ~cell
+        ~load:(Netlist.load_of nl i) !fanin_timings
     in
     Plane_sweep.put_win out ~off:0 lt.Sta.rise;
-    Plane_sweep.put_win out ~off:4 lt.Sta.fall);
+    Plane_sweep.put_win out ~off:4 lt.Sta.fall
+  end;
   (* tested here so the common [0.] is never boxed for the call *)
   let extra = t.e_extra.(i) in
   if extra <> 0. then Plane_sweep.shift_arrivals out ~off:0 extra
 
-
-(* Re-resolve a node's cell and table slot from its current (overlaid)
-   kind. *)
-let refresh_cell t i =
-  match node_view t i with
-  | Netlist.Pi -> ()
-  | Netlist.Gate { kind; fanin } ->
-    t.e_cells.(i) <- Some (Sta.cell_of_gate t.e_library kind (Array.length fanin));
-    Plane_sweep.retype t.e_sweep i kind
-
-let pool_of t =
-  match t.e_pool with
-  | Some p -> p
-  | None ->
-    let p = Par.create ~obs:t.e_opts.Run_opts.obs ~jobs:t.e_jobs () in
-    t.e_pool <- Some p;
-    p
-
 (* Re-evaluate the dirty part of [nodes] (a topologically ordered slice —
-   a fanout cone, or the whole netlist for a model retarget).  A node is
-   dirty when it is a root of the edit or some fan-in's windows changed;
-   a recomputed node whose windows come back bit-identical is a cutoff —
-   it does not dirty its own fanout, which is what keeps a single-line
-   edit local even inside a wide cone.  Values never depend on the visit
-   schedule (the kernel is a pure function of committed fan-in entries),
-   so the sequential topological walk and the level-parallel walk are
-   bit-identical. *)
+   a fanout cone, or the whole netlist for a model retarget) in order.
+   A node is dirty when it is a root of the edit or some fan-in's windows
+   changed; a recomputed node whose windows come back bit-identical is a
+   cutoff — it does not dirty its own fanout, which is what keeps a
+   single-line edit local even inside a wide cone. *)
 let propagate t ~is_root ~root_eval ~nodes ~frame =
   let nl = t.e_netlist in
   (* push-based dirtying: a node is visited dirty when it is a root or a
@@ -167,72 +146,27 @@ let propagate t ~is_root ~root_eval ~nodes ~frame =
   let dirty = Array.make (Netlist.size nl) false in
   Array.iter (fun i -> if is_root i then dirty.(i) <- true) nodes;
   let recomputed = ref 0 and skipped = ref 0 and cutoffs = ref 0 in
-  let eval sc i =
-    match root_eval with
-    | Some f when is_root i -> f sc.Plane_sweep.out
-    | _ -> eval_into t sc i
-  in
-  let commit i src off =
-    incr recomputed;
-    (* the cutoff test compares against the packed slots bitwise, without
-       materializing the stored windows *)
-    if Plane_sweep.stored_equal t.e_sweep ~plane:0 i src ~off then
-      incr cutoffs
-    else begin
-      frame := P_timing (i, get t i) :: !frame;
-      Plane_sweep.store t.e_sweep ~plane:0 i src ~off;
-      Netlist.iter_fanout nl i ~f:(fun j -> dirty.(j) <- true)
-    end
-  in
-  if t.e_jobs <= 1 then begin
-    let sc = Plane_sweep.scratch t.e_sweep in
-    Array.iter
-      (fun i ->
-        if dirty.(i) then begin
-          eval sc i;
-          commit i sc.Plane_sweep.out 0
+  let sc = Plane_sweep.scratch t.e_sweep in
+  let out = sc.Plane_sweep.out in
+  Array.iter
+    (fun i ->
+      if dirty.(i) then begin
+        (match root_eval with
+        | Some f when is_root i -> f out
+        | _ -> eval_into t sc i);
+        incr recomputed;
+        (* the cutoff test compares against the packed slots bitwise,
+           without materializing the stored windows *)
+        if Plane_sweep.stored_equal t.e_sweep ~plane:0 i out ~off:0 then
+          incr cutoffs
+        else begin
+          frame := P_timing (i, get t i) :: !frame;
+          Plane_sweep.store t.e_sweep ~plane:0 i out ~off:0;
+          Netlist.iter_fanout nl i ~f:(fun j -> dirty.(j) <- true)
         end
-        else incr skipped)
-      nodes
-  end
-  else begin
-    (* Bucket the slice by logic level (a topological order need not be
-       level-sorted); nodes of one level are independent, so each bucket
-       fans out across the pool while dirty-filtering, the cutoff
-       comparison and journaling stay in the orchestrator. *)
-    let pool = pool_of t in
-    let by_level = Array.make (Netlist.depth nl + 1) [] in
-    Array.iter
-      (fun i ->
-        let l = Netlist.level nl i in
-        by_level.(l) <- i :: by_level.(l))
-      nodes;
-    Array.iter
-      (fun bucket ->
-        match List.rev bucket with
-        | [] -> ()
-        | bucket ->
-          let cand =
-            Array.of_list
-              (List.filter
-                 (fun i ->
-                   if not dirty.(i) then incr skipped;
-                   dirty.(i))
-                 bucket)
-          in
-          let nc = Array.length cand in
-          if nc > 0 then begin
-            (* each lane evaluates into its own domain's scratch and
-               parks the 8 result floats in the candidate's row *)
-            let news = Array.make (nc * 8) 0. in
-            Par.parallel_for pool ~chunk:1 ~label:"eco" ~n:nc (fun k ->
-                let sc = Plane_sweep.scratch t.e_sweep in
-                eval sc cand.(k);
-                Array.blit sc.Plane_sweep.out 0 news (k * 8) 8);
-            Array.iteri (fun k i -> commit i news (k * 8)) cand
-          end)
-      by_level
-  end;
+      end
+      else incr skipped)
+    nodes;
   Obs.add t.c_recomputed !recomputed;
   Obs.add t.c_skipped !skipped;
   Obs.add t.c_cutoffs !cutoffs;
@@ -252,14 +186,10 @@ let propagate_cone t ~root_eval ~root ~frame =
     ~nodes:cone.Netlist.cone_nodes ~frame
 
 let create ?(opts = Run_opts.default) ~library ~model nl =
-  let windowing = Sta.windowing_of model in
+  ignore (Sta.windowing_of model : Delay_model.windowing);
   (match Run_opts.validate_pi_spec opts.Run_opts.pi_spec with
   | Ok _ -> ()
   | Error m -> invalid_arg ("Engine.create: " ^ m));
-  let jobs =
-    if opts.Run_opts.jobs <= 0 then Par.default_jobs ()
-    else opts.Run_opts.jobs
-  in
   let obs = opts.Run_opts.obs in
   let n = Netlist.size nl in
   let pi_win = Sta.pi_window opts.Run_opts.pi_spec in
@@ -269,20 +199,12 @@ let create ?(opts = Run_opts.default) ~library ~model nl =
       e_netlist = nl;
       e_library = library;
       e_opts = opts;
-      e_jobs = jobs;
       e_model = model;
-      e_windowing = windowing;
       e_timing = timing;
-      e_cells =
-        Array.init n (fun i ->
-            match Netlist.node nl i with
-            | Netlist.Pi -> None
-            | Netlist.Gate { kind; fanin } ->
-              Some (Sta.cell_of_gate library kind (Array.length fanin)));
       (* every library packs into a table, so a session can switch to
-         the proposed model at any time *)
+         the proposed model at any time; resolving every gate's slot
+         also rejects an uncharacterized gate up front *)
       e_sweep = Plane_sweep.nominal library timing nl;
-      e_loads = Array.init n (Netlist.load_of nl);
       e_pi_win = pi_win;
       e_kind_ov = Array.make n None;
       e_extra = Array.make n 0.;
@@ -290,7 +212,6 @@ let create ?(opts = Run_opts.default) ~library ~model nl =
       e_journal = [];
       e_depth = 0;
       e_base_depth = 0;
-      e_pool = None;
       e_closed = false;
       e_stats =
         { edits = 0; reverts = 0; nodes_recomputed = 0; nodes_skipped = 0;
@@ -302,9 +223,9 @@ let create ?(opts = Run_opts.default) ~library ~model nl =
       c_cutoffs = Obs.counter obs "engine.cutoffs";
       c_cone = Obs.counter obs "engine.cone_nodes";
       tm_edit = Obs.timer obs "engine.edit";
-      (* fixed edges so observations from parallel edits merge bin-wise;
-         cone sizes are bounded by the netlist, latencies clip into the
-         top bin beyond 10 ms *)
+      (* fixed edges so several sessions' snapshots merge bin-wise; cone
+         sizes are bounded by the netlist, latencies clip into the top
+         bin beyond 10 ms *)
       h_cone =
         Obs.histogram ~bins:20 ~lo:0.
           ~hi:(float_of_int (max 16 n))
@@ -323,12 +244,7 @@ let create ?(opts = Run_opts.default) ~library ~model nl =
     (Netlist.topo_order nl);
   t
 
-let close t =
-  if not t.e_closed then begin
-    t.e_closed <- true;
-    (match t.e_pool with Some p -> Par.shutdown p | None -> ());
-    t.e_pool <- None
-  end
+let close t = t.e_closed <- true
 
 let with_engine ?opts ~library ~model nl f =
   let t = create ?opts ~library ~model nl in
@@ -583,7 +499,7 @@ let apply t edit =
       fun frame ->
         frame := P_kind (node, t.e_kind_ov.(node)) :: !frame;
         t.e_kind_ov.(node) <- Some kind;
-        refresh_cell t node;
+        Plane_sweep.retype t.e_sweep node kind;
         propagate_cone t ~root_eval:None ~root:node ~frame
     | Set_extra_delay { line; delta } ->
       check_range "line" line;
@@ -608,11 +524,10 @@ let apply t edit =
         in
         propagate_cone t ~root_eval ~root:line ~frame
     | Set_model model ->
-      let windowing = Sta.windowing_of model in
+      ignore (Sta.windowing_of model : Delay_model.windowing);
       fun frame ->
-        frame := P_model (t.e_model, t.e_windowing) :: !frame;
+        frame := P_model t.e_model :: !frame;
         t.e_model <- model;
-        t.e_windowing <- windowing;
         propagate t ~is_root:(fun _ -> true) ~root_eval:None ~nodes:(Netlist.topo_order nl)
           ~frame
   in
@@ -630,22 +545,6 @@ let apply t edit =
   Obs.incr t.c_edits;
   t.e_stats <- { t.e_stats with edits = t.e_stats.edits + 1 }
 
-(* One-call corner retarget: derate the session's library and swap in a
-   cell-remapped model — the Monte-Carlo sweep's per-sample edit.  [base]
-   is the model the remap wraps (default: the paper's proposed model);
-   passing the session's current model after a previous retarget would
-   chain remaps, so the base is taken explicitly. *)
-let retarget_corner ?(base = Delay_model.proposed) t spec =
-  check_open t "Engine.retarget_corner";
-  let dlib = Ssd_cell.Corners.derate_library spec t.e_library in
-  let m =
-    Delay_model.remap_cells
-      ~name:(base.Delay_model.name ^ "@" ^ spec.Ssd_cell.Corners.c_name)
-      (Ssd_cell.Corners.remap_of_library dlib)
-      base
-  in
-  apply t (Set_model m)
-
 let checkpoint t =
   check_open t "Engine.checkpoint";
   { cp_depth = t.e_depth }
@@ -654,12 +553,10 @@ let restore t = function
   | P_timing (i, v) -> Windows.set t.e_timing i ~rise:v.Sta.rise ~fall:v.Sta.fall
   | P_kind (i, k) ->
     t.e_kind_ov.(i) <- k;
-    refresh_cell t i
+    Plane_sweep.retype t.e_sweep i (kind_of t i)
   | P_extra (i, x) -> t.e_extra.(i) <- x
   | P_pi (i, s) -> t.e_pi_ov.(i) <- s
-  | P_model (m, w) ->
-    t.e_model <- m;
-    t.e_windowing <- w
+  | P_model m -> t.e_model <- m
 
 let revert t cp =
   check_open t "Engine.revert";
@@ -701,20 +598,8 @@ let timing t i =
 
 let po_window t =
   check_open t "Engine.po_window";
-  let pos = Netlist.outputs t.e_netlist in
-  match pos with
-  | [] -> invalid_arg "Engine.po_window: netlist has no outputs"
-  | first :: rest ->
-    let win_of i =
-      let lt = get t i in
-      Interval.hull lt.Sta.rise.Types.w_arr lt.Sta.fall.Types.w_arr
-    in
-    List.fold_left
-      (fun acc i -> Interval.hull acc (win_of i))
-      (win_of first) rest
+  Sta.po_window_of t.e_netlist t.e_timing ~plane:0
 
-let min_delay t = Interval.lo (po_window t)
-let max_delay t = Interval.hi (po_window t)
 
 let edited_netlist t =
   let nl = t.e_netlist in

@@ -20,9 +20,10 @@
     The evaluator is {!Sta.analyze_with}'s: the flat
     {!Ssd_core.Corner_batch} kernel at K = 1 for
     {!Ssd_core.Delay_model.proposed} (through a per-node table slot,
-    refreshed on {!Swap_gate}), {!Sta.gate_windows} through a per-node
-    cached cell for every other model; {!Set_model} switches between
-    them.  The guarantee covers any [jobs] lane count.
+    refreshed on {!Swap_gate}), {!Sta.gate_windows} over the cell of the
+    node's current kind for every other model; {!Set_model} switches
+    between them.  Every propagation is one sequential walk in
+    topological order, whatever [opts.jobs] says.
 
     {2 History}
 
@@ -30,16 +31,12 @@
     overwritten windows); {!checkpoint} marks a depth and {!revert}
     restores to it in O(windows changed since) without recomputation.
     {!commit} discards accumulated history — bounding memory in
-    long-running sessions — after which earlier checkpoints are invalid.
-
-    A session holding [jobs > 1] lazily spawns a persistent {!Par} pool
-    on its first parallel propagation; call {!close} (or use
-    {!with_engine}) to join the worker domains. *)
+    long-running sessions — after which earlier checkpoints are invalid. *)
 
 type t
-(** A timing session.  Not thread-safe: drive each engine from a single
-    orchestrating thread (its internal pool parallelizes safely under
-    it). *)
+(** A timing session.  Not thread-safe: drive each engine from one
+    domain at a time (distinct engines may run on distinct domains, as
+    [ssd serve]'s cross-session lanes do). *)
 
 type edit =
   | Set_pi_spec of { pi : int; spec : Run_opts.pi_spec }
@@ -119,15 +116,18 @@ val create :
   Ssd_circuit.Netlist.t ->
   t
 (** Open a session: one full forward pass under [opts] (default
-    {!Run_opts.default}).  [opts.jobs] sets the session's lane count for
-    subsequent propagations, and [opts.obs] receives per-edit spans
-    ([engine.edit.<kind>]) and the [engine.*] counters.
+    {!Run_opts.default}).  [opts.obs] receives per-edit spans
+    ([engine.edit.<kind>]) and the [engine.*] counters.  [opts.jobs] is
+    ignored: the dirty nodes of one cone level are too few to pay a
+    level barrier, so fanning them across domains made edits slower in
+    29 of 30 measured cases, and only {!Set_model}, a whole-netlist
+    recompute, got faster (EXPERIMENTS.md, "ECO engine lanes").
     @raise Sta.Unsupported_gate or [Invalid_argument] as
     {!Sta.analyze_with} (an invalid [opts.pi_spec] included). *)
 
 val close : t -> unit
-(** Join the session's worker domains (if any).  Idempotent; any further
-    operation on the engine raises [Invalid_argument]. *)
+(** Invalidate the handle; there is nothing to join.  Idempotent; any
+    further operation on the engine raises [Invalid_argument]. *)
 
 val with_engine :
   ?opts:Run_opts.t ->
@@ -146,16 +146,6 @@ val apply : t -> edit -> unit
     non-primitive kind in {!Swap_gate}, a non-finite delta;
     {!Sta.Unsupported_gate} on an uncharacterized arity) leaves the
     engine untouched. *)
-
-val retarget_corner : ?base:Ssd_core.Delay_model.t -> t -> Ssd_cell.Corners.spec -> unit
-(** [retarget_corner t spec] applies one {!Set_model} edit that rebinds
-    every evaluation to the session library derated by [spec]
-    ({!Ssd_core.Delay_model.remap_cells} over
-    {!Ssd_cell.Corners.derate_library}).  [base] is the model being
-    remapped — default {!Ssd_core.Delay_model.proposed}; it is taken
-    explicitly rather than from the session so repeated retargets
-    replace instead of chaining.  Undo/revert behave as for any other
-    edit.  @raise Invalid_argument as {!apply}. *)
 
 val checkpoint : t -> checkpoint
 (** Mark the current history depth. *)
@@ -178,10 +168,7 @@ val timing : t -> int -> Sta.line_timing
 
 val po_window : t -> Ssd_util.Interval.t
 (** Union of both transitions' arrival windows over all primary
-    outputs, as {!Sta.po_window}. *)
-
-val min_delay : t -> float
-val max_delay : t -> float
+    outputs ({!Sta.po_window_of}, as {!Sta.po_window}). *)
 
 val netlist : t -> Ssd_circuit.Netlist.t
 (** The base (unedited) netlist the session was created on. *)

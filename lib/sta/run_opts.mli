@@ -17,7 +17,8 @@ val default_pi_spec : pi_spec
 type t = {
   jobs : int;
       (** execution lanes: [1] sequential, [> 1] that many domains,
-          [<= 0] auto-selects the recommended domain count *)
+          [<= 0] auto-selects the recommended domain count ({!Engine}
+          ignores it: its edits run on one lane) *)
   obs : Ssd_obs.Obs.t;  (** telemetry sink (default: disabled no-op) *)
   pi_spec : pi_spec;  (** windows assumed at the primary inputs *)
   corners : int;

@@ -217,17 +217,29 @@ let timing t i =
 
 let windows t = t.st_timing
 
-let po_window t =
-  let pos = Netlist.outputs t.st_netlist in
-  match pos with
-  | [] -> invalid_arg "Sta.po_window: netlist has no outputs"
-  | first :: rest ->
-    let win_of i =
-      let lt = timing t i in
-      Interval.hull lt.rise.Types.w_arr lt.fall.Types.w_arr
-    in
-    List.fold_left (fun acc i -> Interval.hull acc (win_of i)) (win_of first)
-      rest
+(* The hull of each PO's rise and fall arrival windows in one plane,
+   folded in [Netlist.outputs] order: [Interval.hull]'s [Float.min] /
+   [Float.max] sequence, read straight from the packed slots (rise
+   arrival at +0/+1, fall arrival at +4/+5) without materializing a
+   window. *)
+let po_window_of nl w ~plane =
+  if plane < 0 || plane >= Windows.planes w then
+    invalid_arg
+      (Printf.sprintf "Sta.po_window_of: plane %d out of range [0, %d)" plane
+         (Windows.planes w));
+  let d = Windows.data w in
+  let slot i k = Bigarray.Array1.get d (Windows.base w ~plane i + k) in
+  let lo i = Float.min (slot i 0) (slot i 4)
+  and hi i = Float.max (slot i 1) (slot i 5) in
+  let rec fold l h = function
+    | [] -> Interval.make l h
+    | i :: rest -> fold (Float.min l (lo i)) (Float.max h (hi i)) rest
+  in
+  match Netlist.outputs nl with
+  | [] -> invalid_arg "Sta.po_window_of: netlist has no outputs"
+  | first :: rest -> fold (lo first) (hi first) rest
+
+let po_window t = po_window_of t.st_netlist t.st_timing ~plane:0
 
 let min_delay t = Interval.lo (po_window t)
 let max_delay t = Interval.hi (po_window t)

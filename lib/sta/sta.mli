@@ -136,9 +136,20 @@ val windows : t -> Windows.t
 (** The packed per-node window store itself — allocation-free bitwise
     comparisons via {!Windows.eq}. *)
 
+val po_window_of :
+  Ssd_circuit.Netlist.t -> Windows.t -> plane:int -> Ssd_util.Interval.t
+(** [po_window_of nl w ~plane]: the hull of each primary output's rise
+    and fall arrival windows in [plane] of a store over [nl]'s nodes,
+    folded in {!Ssd_circuit.Netlist.outputs} order.  {!po_window},
+    {!Engine.po_window}, {!Corner_sta.po_window} and each Monte-Carlo
+    sample's circuit max are this one fold, so bit-identical windows
+    give bit-identical results.  @raise Invalid_argument when [nl] has
+    no outputs or [plane] is out of range. *)
+
 val po_window : t -> Ssd_util.Interval.t
-(** Union of both transitions' arrival windows over all primary outputs:
-    [lo] is the circuit min-delay, [hi] the max-delay (Table 2's metric). *)
+(** Union of both transitions' arrival windows over all primary outputs
+    ({!po_window_of} on plane 0): [lo] is the circuit min-delay, [hi]
+    the max-delay (Table 2's metric). *)
 
 val min_delay : t -> float
 val max_delay : t -> float

@@ -2,9 +2,10 @@
    Corner_sta.analyze is bit-identical to an independent scalar analysis
    over that corner's derated library, at jobs 1 and 4 and for a corner
    count that leaves a partial chunk in the parallel schedule.  The same
-   windows must come out of Engine.retarget_corner — including through
-   edits and checkpoint/revert round-trips.  Monte-Carlo sampling must be
-   seed-deterministic and agree with fresh per-sample analyses. *)
+   windows must come out of an Engine retargeted by a derated Set_model
+   — including through edits and checkpoint/revert round-trips.
+   Monte-Carlo sampling must be seed-deterministic and agree with fresh
+   per-sample analyses. *)
 
 module Ck = Ssd_circuit
 module Sta = Ssd_sta.Sta
@@ -14,6 +15,8 @@ module RO = Ssd_sta.Run_opts
 module DM = Ssd_core.Delay_model
 module Corners = Ssd_cell.Corners
 module Charlib = Ssd_cell.Charlib
+module Interval = Ssd_util.Interval
+module Types = Ssd_core.Types
 
 open Test_support
 
@@ -91,7 +94,7 @@ let engine_matches_plane eng batched c =
 
 let prop_retarget_through_edits =
   QCheck.Test.make
-    ~name:"Engine.retarget_corner matches planes through edits and revert"
+    ~name:"derated Set_model matches planes through edits and revert"
     ~count:2
     QCheck.(int_range 0 1000)
     (fun seed ->
@@ -100,17 +103,22 @@ let prop_retarget_through_edits =
       let table = Corners.build ~specs:(Corners.default_specs 3) lib in
       let batched = CS.analyze ~table nl in
       let nominal = analyze_reference (RO.make ()) ~library:lib nl in
+      (* the proposed model evaluated through corner [c]'s derated cells *)
+      let retarget eng c =
+        E.apply eng
+          (E.Set_model (DM.remap_cells (Corners.remap table c) DM.proposed))
+      in
       E.with_engine ~library:lib ~model:DM.proposed nl (fun eng ->
           let ok = ref true in
           let ck0 = E.checkpoint eng in
           (* retargets replace (not chain): each corner in turn must
              land exactly on its batched plane *)
           for c = 0 to 2 do
-            E.retarget_corner eng (Corners.spec table c);
+            retarget eng c;
             if not (engine_matches_plane eng batched c) then ok := false
           done;
           (* an edit under a corner, then revert back to that corner *)
-          E.retarget_corner eng (Corners.spec table 1);
+          retarget eng 1;
           let ck1 = E.checkpoint eng in
           let line = List.hd (Ck.Netlist.outputs nl) in
           E.apply eng (E.Set_extra_delay { line; delta = 3e-11 });
@@ -356,6 +364,59 @@ let test_corner_count_mismatch () =
        "Corner_sta.analyze: opts.corners = 2 but the table has 3 corners")
     (fun () -> ignore (CS.analyze ~opts:(RO.make ~corners:2 ()) ~table nl))
 
+(* Every PO window is one fold ([Sta.po_window_of]); each caller must
+   equal the hull of the materialized PO windows, folded in outputs
+   order with [Interval.hull], bit for bit *)
+let one_po_fold nl =
+  let lib = Lazy.force lib in
+  let po_hull timing =
+    let win i =
+      let lt = timing i in
+      Interval.hull lt.Sta.rise.Types.w_arr lt.Sta.fall.Types.w_arr
+    in
+    match Ck.Netlist.outputs nl with
+    | [] -> Alcotest.fail "no outputs"
+    | first :: rest ->
+      List.fold_left (fun acc i -> Interval.hull acc (win i)) (win first) rest
+  in
+  let check what a b =
+    Alcotest.(check bool) what true
+      (beq (Interval.lo a) (Interval.lo b) && beq (Interval.hi a) (Interval.hi b))
+  in
+  let sta = Sta.analyze_with RO.default ~library:lib ~model:DM.proposed nl in
+  check "Sta.po_window" (Sta.po_window sta) (po_hull (Sta.timing sta));
+  let table = Corners.build ~specs:(Corners.default_specs 3) lib in
+  let ct = CS.analyze ~table nl in
+  for c = 0 to 2 do
+    check
+      (Printf.sprintf "Corner_sta.po_window %d" c)
+      (CS.po_window ct ~corner:c)
+      (po_hull (CS.timing ct ~corner:c))
+  done;
+  E.with_engine ~library:lib ~model:DM.proposed nl (fun eng ->
+      E.apply eng
+        (E.Set_extra_delay
+           { line = List.hd (Ck.Netlist.outputs nl); delta = -4e-11 });
+      check "Engine.po_window" (E.po_window eng) (po_hull (E.timing eng)));
+  let res =
+    CS.monte_carlo ~opts:(RO.make ~mc_batch:3 ()) ~samples:5 ~seed:11L
+      ~library:lib nl
+  in
+  Array.iteri
+    (fun s spec ->
+      let sta = sample_reference lib nl spec in
+      Alcotest.(check bool)
+        (Printf.sprintf "monte-carlo max, sample %d" s)
+        true
+        (beq res.CS.mc_max.(s) (Interval.hi (po_hull (Sta.timing sta)))))
+    res.CS.mc_specs
+
+(* two circuits, so both transitions decide a bound: the layered one's
+   earliest PO arrival is a rise, c17's a fall *)
+let test_one_po_fold () =
+  one_po_fold (mid_prim ~gates:300 3);
+  one_po_fold (Ck.Decompose.to_primitive (Ck.Benchmarks.c17 ()))
+
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
 let suites =
@@ -379,5 +440,6 @@ let suites =
           test_refit_matches_fresh_build;
         Alcotest.test_case "corner-count validation" `Quick
           test_corner_count_mismatch;
+        Alcotest.test_case "one PO-window fold" `Quick test_one_po_fold;
       ] );
   ]

@@ -12,6 +12,7 @@ module Types = Ssd_core.Types
 module Charlib = Ssd_cell.Charlib
 module Interval = Ssd_util.Interval
 module Rng = Ssd_util.Rng
+module Obs = Ssd_obs.Obs
 
 open Test_support
 
@@ -267,9 +268,9 @@ let test_commit_and_close () =
   expect_invalid "closed engine rejects queries" (fun () ->
       ignore (E.timing eng 0 : Sta.line_timing))
 
-let test_cached_parallel_session () =
-  (* a session's cached per-node windows, re-propagated at jobs:4, must
-     not move a bit relative to the fresh sequential reference *)
+let test_jobs4_session () =
+  (* a session opened at jobs:4 (which the engine ignores) must re-time
+     each edit bit for bit like the fresh sequential reference *)
   let nl = c17_prim () in
   let opts = RO.make ~jobs:4 () in
   E.with_engine ~opts ~library:(Lazy.force lib) ~model:DM.proposed nl
@@ -286,6 +287,73 @@ let test_cached_parallel_session () =
           E.Set_model DM.pin_to_pin;
         ])
 
+let test_jobs_open_no_pool () =
+  (* [opts.jobs] is accepted and ignored: a jobs-4 session with telemetry
+     on re-times every edit kind, both model switches and a revert on one
+     lane, so its windows and work counters equal a jobs-1 session's bit
+     for bit and its sink never registers a domain pool's instruments *)
+  let nl =
+    Ck.Decompose.to_primitive (Option.get (Ck.Benchmarks.by_name "c880s"))
+  in
+  let n = Ck.Netlist.size nl in
+  let gate = List.nth (two_input_gates nl) 7 in
+  let pi = List.nth (Ck.Netlist.inputs nl) 3 in
+  let edits =
+    [
+      E.Set_extra_delay { line = gate; delta = 40e-12 };
+      E.Swap_gate { node = gate; kind = Ck.Gate.Nor };
+      E.Set_pi_spec
+        {
+          pi;
+          spec =
+            {
+              RO.pi_arrival = Interval.make 0. 0.1e-9;
+              pi_tt = Interval.make 0.15e-9 0.3e-9;
+            };
+        };
+      E.Set_model DM.pin_to_pin;
+      E.Set_extra_delay { line = gate; delta = -15e-12 };
+      E.Set_model DM.proposed;
+    ]
+  in
+  let session opts =
+    E.with_engine ~opts ~library:(Lazy.force lib) ~model:DM.proposed nl
+      (fun eng ->
+        let cp = E.checkpoint eng in
+        let after =
+          List.map
+            (fun e ->
+              E.apply eng e;
+              Array.init n (E.timing eng))
+            edits
+        in
+        E.revert eng cp;
+        (after @ [ Array.init n (E.timing eng) ], E.stats eng))
+  in
+  let obs = Obs.create () in
+  let wide, wide_stats = session (RO.make ~jobs:4 ~obs ()) in
+  let narrow, narrow_stats = session (RO.make ~jobs:1 ()) in
+  List.iteri
+    (fun k (w, s) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "step %d windows equal jobs 1" k)
+        true
+        (Array.for_all2 lt_beq w s))
+    (List.combine wide narrow);
+  Alcotest.(check bool) "stats equal jobs 1" true (wide_stats = narrow_stats);
+  let sn = Obs.snapshot obs in
+  let names =
+    List.map fst sn.Obs.sn_counters
+    @ List.map fst sn.Obs.sn_gauges
+    @ List.map fst sn.Obs.sn_timers
+    @ List.map fst sn.Obs.sn_histograms
+  in
+  Alcotest.(check bool) "engine counters recorded" true
+    (List.mem "engine.edits" names);
+  Alcotest.(check (list string))
+    "no par.* instrument" []
+    (List.filter (String.starts_with ~prefix:"par.") names)
+
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
 let suites =
@@ -296,8 +364,9 @@ let suites =
         Alcotest.test_case "non-finite PI spec rejected" `Quick
           test_nonfinite_pi_spec;
         Alcotest.test_case "commit and close" `Slow test_commit_and_close;
-        Alcotest.test_case "cached parallel session" `Slow
-          test_cached_parallel_session;
+        Alcotest.test_case "jobs-4 session edits" `Slow test_jobs4_session;
+        Alcotest.test_case "jobs ignored: one lane, no pool" `Quick
+          test_jobs_open_no_pool;
         Alcotest.test_case "tsim window containment, input 274715" `Quick
           test_tsim_window_regression_274715;
       ] );

@@ -262,6 +262,24 @@ let prop_itr_windows_sound =
         (Ck.Netlist.inputs nl);
       !ok)
 
+(* a gate with no characterized cell is the typed error Sta raises, not
+   the library's bare Not_found *)
+let test_itr_uncharacterized_gate () =
+  let pis = List.init 5 (fun k -> (Printf.sprintf "a%d" k, Ck.Netlist.Pi)) in
+  let nl =
+    Ck.Netlist.build ~name:"nand5"
+      ~signals:
+        (pis
+        @ [ ("y",
+             Ck.Netlist.Gate
+               { kind = Ck.Gate.Nand; fanin = [| 0; 1; 2; 3; 4 |] }) ])
+      ~outputs:[ "y" ]
+  in
+  Alcotest.check_raises "Itr.create"
+    (Ssd_sta.Sta.Unsupported_gate "no characterized cell for NAND with 5 inputs")
+    (fun () ->
+      ignore (Itr.create ~library:(Lazy.force lib) ~model:DM.proposed nl))
+
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
 let suites =
@@ -293,6 +311,8 @@ let suites =
           test_itr_impossible_transition_drops_window;
         Alcotest.test_case "definite refines latest" `Slow
           test_itr_definite_refines_latest;
+        Alcotest.test_case "uncharacterized gate is typed" `Quick
+          test_itr_uncharacterized_gate;
       ] );
     qsuite "itr.soundness.props" [ prop_itr_windows_sound ];
   ]

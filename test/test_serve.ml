@@ -1,8 +1,9 @@
 (* The serve stack: wire-protocol golden behavior (framing, versioning,
    admission control), the session manager's lifecycle and checkpoint
-   registry, cross-session batch determinism at different lane counts,
-   record/replay bit-identity over a randomized session script, the
-   Engine edit codec round-trip property and the Run_opts builder. *)
+   registry, the bounded corners/mc sweep ops, cross-session batch
+   determinism at different lane counts, record/replay bit-identity
+   over a randomized session script, the Engine edit codec round-trip
+   property and the Run_opts builder. *)
 
 module Ck = Ssd_circuit
 module Charlib = Ssd_cell.Charlib
@@ -10,6 +11,8 @@ module DM = Ssd_core.Delay_model
 module E = Ssd_sta.Engine
 module RO = Ssd_sta.Run_opts
 module Session = Ssd_sta.Session
+module CS = Ssd_sta.Corner_sta
+module Corners = Ssd_cell.Corners
 module Interval = Ssd_util.Interval
 module Json = Ssd_util.Json
 module P = Ssd_serve.Protocol
@@ -228,6 +231,57 @@ let test_nonfinite_pi_batch () =
         @ List.map
             (Printf.sprintf ",\"what\":\"timing\",\"signal\":%S")
             [ "1"; "2"; "3"; "6"; "7"; "10"; "11"; "16"; "19"; "22"; "23" ]))
+
+(* ---- the sweep ops: corners and mc ---- *)
+
+let test_sweep_ops () =
+  with_server (fun sv ->
+      let d = Server.dispatch sv in
+      Alcotest.(check bool) "open ok" true
+        (is_ok (d "{\"v\":1,\"op\":\"open\",\"session\":\"s\",\"circuit\":\"c17\"}"));
+      let body resp =
+        match Json.parse resp with
+        | Ok j -> Option.get (Json.member "ok" j)
+        | Error m -> Alcotest.fail m
+      in
+      (* four corners answer what a direct batched analysis computes *)
+      let results =
+        body (d "{\"v\":1,\"op\":\"corners\",\"session\":\"s\",\"corners\":4}")
+        |> Json.member "results" |> Option.get |> Json.to_list
+      in
+      let direct =
+        CS.analyze
+          ~table:(Corners.build ~specs:(Corners.default_specs 4) (Lazy.force lib))
+          (c17_prim ())
+      in
+      Alcotest.(check int) "four results" 4 (List.length results);
+      List.iteri
+        (fun c r ->
+          Alcotest.(check bool)
+            (Printf.sprintf "corner %d max bit-identical" c)
+            true
+            (Test_support.beq
+               (Option.get (Json.member_number "max" r))
+               (CS.max_delay direct ~corner:c)))
+        results;
+      let mc = "{\"v\":1,\"op\":\"mc\",\"session\":\"s\",\"samples\":8}" in
+      let first = d mc in
+      Alcotest.(check bool) "mc ok" true (is_ok first);
+      Alcotest.(check string) "mc reply repeats" first (d mc);
+      (* one past each bound is refused, and the session is untouched *)
+      let q0 = d "{\"v\":1,\"op\":\"query\",\"session\":\"s\"}" in
+      List.iter
+        (fun (what, frame) ->
+          Alcotest.(check (option string)) what (Some "bad-params")
+            (code_of (d frame));
+          Alcotest.(check string) ("query after " ^ what) q0
+            (d "{\"v\":1,\"op\":\"query\",\"session\":\"s\"}"))
+        [
+          ("corners 65", "{\"v\":1,\"op\":\"corners\",\"session\":\"s\",\"corners\":65}");
+          ("batch 65", "{\"v\":1,\"op\":\"mc\",\"session\":\"s\",\"batch\":65}");
+          ( "samples 65537",
+            "{\"v\":1,\"op\":\"mc\",\"session\":\"s\",\"samples\":65537}" );
+        ])
 
 (* ---- session manager unit behavior ---- *)
 
@@ -470,6 +524,8 @@ let suites =
           test_nonfinite_pi_batch;
         Alcotest.test_case "manager admission and checkpoints" `Quick
           test_session_manager;
+        Alcotest.test_case "corners and mc ops, bounded" `Quick
+          test_sweep_ops;
       ] );
     ( "serve.determinism",
       [

@@ -31,6 +31,14 @@ SSD_FAST=1 dune exec bin/ssd.exe -- corners c880s --corners 4 \
 SSD_FAST=1 dune exec bin/ssd.exe -- mc c880s --samples 7 --batch 3 \
   --check >/dev/null
 
+# ECO replay through the real binary: tools/eco_smoke.eco uses every
+# script directive (extra with a negative delta, swap, pi, model both
+# ways, checkpoint, revert, commit), and --check re-analyzes the edited
+# circuit after every edit.  --jobs 2 is accepted; the edits run on one
+# lane.
+SSD_FAST=1 dune exec bin/ssd.exe -- eco c880s tools/eco_smoke.eco \
+  --check --jobs 2 >/dev/null
+
 # Downsized scale + corners + Monte-Carlo runs (the 100k/40k-gate
 # experiments shrunk for CI — every bit-identity, footprint and speedup
 # assertion still runs), consolidated into one invocation so the report
