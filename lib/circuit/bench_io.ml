@@ -29,79 +29,145 @@ let parse_call lineno s =
     in
     (fn, args)
 
-let parse_string ~name text =
-  let signals = ref [] in
-  let gate_defs = ref [] in
-  let outputs = ref [] in
-  let lines = String.split_on_char '\n' text in
-  List.iteri
-    (fun idx raw ->
-      let lineno = idx + 1 in
-      let line = strip (strip_comment raw) in
-      if line <> "" then begin
-        match String.index_opt line '=' with
-        | Some eq ->
-          let lhs = strip (String.sub line 0 eq) in
-          let rhs =
-            strip (String.sub line (eq + 1) (String.length line - eq - 1))
-          in
-          if lhs = "" then fail lineno "empty signal name";
-          let fn, args = parse_call lineno rhs in
-          (match Gate.of_string fn with
-          | None -> fail lineno "unknown gate type %S" fn
-          | Some kind ->
-            if args = [] then fail lineno "gate %S has no inputs" lhs;
-            gate_defs := (lineno, lhs, kind, args) :: !gate_defs)
-        | None ->
-          let fn, args = parse_call lineno line in
-          (match (String.uppercase_ascii fn, args) with
-          | "INPUT", [ a ] -> signals := (lineno, a) :: !signals
-          | "OUTPUT", [ a ] -> outputs := a :: !outputs
-          | "INPUT", _ | "OUTPUT", _ ->
-            fail lineno "%s takes exactly one signal" fn
-          | _ -> fail lineno "unknown directive %S" fn)
-      end)
-    lines;
-  (* assign ids: PIs in order, then gates in order *)
-  let pi_list = List.rev !signals in
-  let gates = List.rev !gate_defs in
-  let all_names =
-    List.map (fun (ln, n) -> (ln, n)) pi_list
-    @ List.map (fun (ln, n, _, _) -> (ln, n)) gates
+(* A growable array: what the parser keeps per line is a few int slots,
+   not a list cell, a tuple and a list of strings. *)
+type 'a vec = { mutable data : 'a array; mutable len : int; fill : 'a }
+
+let vec fill = { data = Array.make 64 fill; len = 0; fill }
+
+let push v x =
+  if v.len = Array.length v.data then begin
+    let grown = Array.make (2 * v.len) v.fill in
+    Array.blit v.data 0 grown 0 v.len;
+    v.data <- grown
+  end;
+  v.data.(v.len) <- x;
+  v.len <- v.len + 1
+
+(* What the per-line parser has read so far.  Every name is interned
+   once, in order of first appearance; definitions and fan-ins refer to
+   names by that index until [finish] assigns node ids. *)
+type acc = {
+  ids : (string, int) Hashtbl.t;
+  names : string vec;
+  pi_line : int vec;
+  pi_name : int vec;
+  gate_line : int vec;
+  gate_name : int vec;
+  gate_kind : int vec;
+  gate_end : int vec;  (* one past each gate's last entry in [fanins] *)
+  fanins : int vec;
+  mutable outputs : string list;  (* newest first *)
+}
+
+let new_acc () =
+  { ids = Hashtbl.create 1024; names = vec ""; pi_line = vec 0;
+    pi_name = vec 0; gate_line = vec 0; gate_name = vec 0; gate_kind = vec 0;
+    gate_end = vec 0; fanins = vec 0; outputs = [] }
+
+let intern acc s =
+  match Hashtbl.find_opt acc.ids s with
+  | Some k -> k
+  | None ->
+    let k = acc.names.len in
+    Hashtbl.add acc.ids s k;
+    push acc.names s;
+    k
+
+let parse_line acc lineno raw =
+  let line = strip (strip_comment raw) in
+  if line <> "" then begin
+    match String.index_opt line '=' with
+    | Some eq ->
+      let lhs = strip (String.sub line 0 eq) in
+      let rhs =
+        strip (String.sub line (eq + 1) (String.length line - eq - 1))
+      in
+      if lhs = "" then fail lineno "empty signal name";
+      let fn, args = parse_call lineno rhs in
+      (match Gate.of_string fn with
+      | None -> fail lineno "unknown gate type %S" fn
+      | Some kind ->
+        if args = [] then fail lineno "gate %S has no inputs" lhs;
+        push acc.gate_line lineno;
+        push acc.gate_name (intern acc lhs);
+        push acc.gate_kind (Gate.to_int kind);
+        List.iter (fun a -> push acc.fanins (intern acc a)) args;
+        push acc.gate_end acc.fanins.len)
+    | None ->
+      let fn, args = parse_call lineno line in
+      (match (String.uppercase_ascii fn, args) with
+      | "INPUT", [ a ] ->
+        push acc.pi_line lineno;
+        push acc.pi_name (intern acc a)
+      | "OUTPUT", [ a ] -> acc.outputs <- a :: acc.outputs
+      | "INPUT", _ | "OUTPUT", _ ->
+        fail lineno "%s takes exactly one signal" fn
+      | _ -> fail lineno "unknown directive %S" fn)
+  end
+
+(* Ids: PIs in order, then gates in order.  A name defined twice is
+   reported at its second definition in id order, before any fan-in is
+   resolved; an undefined fan-in at its gate, in gate then pin order. *)
+let finish ~name acc =
+  let npi = acc.pi_line.len and ngates = acc.gate_line.len in
+  let names = acc.names.data in
+  let id_of = Array.make acc.names.len (-1) in
+  let define id lineno k =
+    if id_of.(k) >= 0 then
+      fail lineno "signal %S is defined more than once" names.(k);
+    id_of.(k) <- id
   in
-  let index = Hashtbl.create 64 in
-  List.iteri
-    (fun i (lineno, n) ->
-      if Hashtbl.mem index n then
-        fail lineno "signal %S is defined more than once" n;
-      Hashtbl.add index n i)
-    all_names;
-  let resolve lineno s =
-    match Hashtbl.find_opt index s with
-    | Some i -> i
-    | None -> fail lineno "undefined signal %S" s
+  for p = 0 to npi - 1 do
+    define p acc.pi_line.data.(p) acc.pi_name.data.(p)
+  done;
+  for g = 0 to ngates - 1 do
+    define (npi + g) acc.gate_line.data.(g) acc.gate_name.data.(g)
+  done;
+  let gate g =
+    let first = if g = 0 then 0 else acc.gate_end.data.(g - 1) in
+    let fanin = Array.make (acc.gate_end.data.(g) - first) 0 in
+    for p = 0 to Array.length fanin - 1 do
+      let k = acc.fanins.data.(first + p) in
+      if id_of.(k) < 0 then
+        fail acc.gate_line.data.(g) "undefined signal %S" names.(k);
+      fanin.(p) <- id_of.(k)
+    done;
+    ( names.(acc.gate_name.data.(g)),
+      Netlist.Gate { kind = Gate.of_int acc.gate_kind.data.(g); fanin } )
   in
   let signal_nodes =
-    List.map (fun (_, n) -> (n, Netlist.Pi)) pi_list
-    @ List.map
-        (fun (lineno, n, kind, args) ->
-          ( n,
-            Netlist.Gate
-              { kind; fanin = Array.of_list (List.map (resolve lineno) args) }
-          ))
-        gates
+    List.init npi (fun p -> (names.(acc.pi_name.data.(p)), Netlist.Pi))
+    @ List.init ngates gate
   in
-  Netlist.build ~name ~signals:signal_nodes ~outputs:(List.rev !outputs)
+  Netlist.build ~name ~signals:signal_nodes ~outputs:(List.rev acc.outputs)
 
+let parse_string ~name text =
+  let acc = new_acc () in
+  List.iteri
+    (fun idx raw -> parse_line acc (idx + 1) raw)
+    (String.split_on_char '\n' text);
+  finish ~name acc
+
+(* One line at a time: neither the file's text nor a list of its lines
+   is ever held.  [input_line] drops the '\n' and keeps a '\r', which
+   [strip] removes as [parse_string]'s split does; a last line without
+   a newline is still returned. *)
 let parse_file path =
   let ic = open_in path in
-  let text =
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  let base = Filename.remove_extension (Filename.basename path) in
-  parse_string ~name:base text
+  let acc = new_acc () in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () ->
+      let rec loop lineno =
+        match input_line ic with
+        | raw ->
+          parse_line acc lineno raw;
+          loop (lineno + 1)
+        | exception End_of_file -> ()
+      in
+      loop 1);
+  finish ~name:(Filename.remove_extension (Filename.basename path)) acc
 
 let to_string nl =
   let buf = Buffer.create 4096 in

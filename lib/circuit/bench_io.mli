@@ -17,8 +17,15 @@ val parse_string : name:string -> string -> Netlist.t
     broken circuit. *)
 
 val parse_file : string -> Netlist.t
-(** Netlist name is the file's basename without extension.  The channel
-    is closed even when reading or parsing raises. *)
+(** Netlist name is the file's basename without extension.  Reads one
+    line at a time and feeds each to the parser {!parse_string} runs on
+    its split text, so the result, the line numbers and the messages
+    are the same as [parse_string] on the file's contents (CRLF line
+    ends and a missing final newline included), while neither the whole
+    text nor a list of its lines is held.  The channel is closed even
+    when reading or parsing raises.
+    @raise Parse_error, {!Netlist.Invalid} as {!parse_string}, or
+    [Sys_error] when the file cannot be opened or read. *)
 
 val to_string : Netlist.t -> string
 (** Round-trippable ".bench" text. *)

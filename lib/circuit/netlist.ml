@@ -49,9 +49,12 @@ let build ~name ~signals ~outputs =
       if Hashtbl.mem by_name s then invalid "duplicate signal %S" s;
       Hashtbl.replace by_name s i)
     signals;
-  let names = Array.of_list (List.map fst signals) in
-  let nodes = Array.make n Pi in
-  List.iteri (fun i (_, nd) -> nodes.(i) <- nd) signals;
+  let names = Array.make n "" and nodes = Array.make n Pi in
+  List.iteri
+    (fun i (s, nd) ->
+      names.(i) <- s;
+      nodes.(i) <- nd)
+    signals;
   (* validate fan-ins *)
   Array.iteri
     (fun i nd ->
@@ -72,9 +75,11 @@ let build ~name ~signals ~outputs =
               invalid "%s: fan-in id %d out of range" names.(i) j)
           fanin)
     nodes;
-  let pis =
-    List.filteri (fun i _ -> nodes.(i) = Pi) (List.init n Fun.id)
-  in
+  let pis = ref [] in
+  for i = n - 1 downto 0 do
+    match nodes.(i) with Pi -> pis := i :: !pis | Gate _ -> ()
+  done;
+  let pis = !pis in
   let pos =
     List.map
       (fun s ->
@@ -127,18 +132,28 @@ let build ~name ~signals ~outputs =
   for i = 0 to n - 1 do
     indeg.(i) <- fanin_off.(i + 1) - fanin_off.(i)
   done;
-  let queue = Queue.create () in
-  Array.iteri (fun i d -> if d = 0 then Queue.add i queue) indeg;
+  (* the FIFO is [topo] itself: entries before [head] are emitted,
+     [head .. count-1] are queued *)
   let topo = Array.make n (-1) in
   let count = ref 0 in
-  while not (Queue.is_empty queue) do
-    let i = Queue.pop queue in
-    topo.(!count) <- i;
-    incr count;
+  Array.iteri
+    (fun i d ->
+      if d = 0 then begin
+        topo.(!count) <- i;
+        incr count
+      end)
+    indeg;
+  let head = ref 0 in
+  while !head < !count do
+    let i = topo.(!head) in
+    incr head;
     for p = fanout_off.(i) to fanout_off.(i + 1) - 1 do
       let j = fanout_dat.(p) in
       indeg.(j) <- indeg.(j) - 1;
-      if indeg.(j) = 0 then Queue.add j queue
+      if indeg.(j) = 0 then begin
+        topo.(!count) <- j;
+        incr count
+      end
     done
   done;
   if !count <> n then invalid "netlist %S contains a cycle" name;

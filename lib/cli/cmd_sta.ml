@@ -10,9 +10,19 @@ open Cli_common
 let clock_t =
   Arg.(value & opt (some float) None
        & info [ "clock" ] ~docv:"NS"
-           ~doc:"Clock period in ns for the required-time check.")
+           ~doc:"Clock period in ns for the required-time check: a finite \
+                 number >= 0 (anything else exits with status 2).")
 
 let run common fine model file clock =
+  (* an input boundary: a bad period is rejected before any work *)
+  Option.iter
+    (fun ns ->
+      match Sta.validate_clock_period ns with
+      | Ok _ -> ()
+      | Error m ->
+        Printf.eprintf "ssd: --clock: %s\n" m;
+        exit 2)
+    clock;
   let obs = setup_common common in
   let lib = library_of fine in
   let nl = Ck.Decompose.to_primitive (load_netlist file) in

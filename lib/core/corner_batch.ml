@@ -21,14 +21,15 @@ module Sweep = Ssd_cell.Sweep
    (the scalar path recomputes the identical product).
 
    This file is the hot loop of every forward window pass of the
-   proposed model (single-corner at K = 1, multi-corner, Monte-Carlo),
-   compiled with a high inline threshold (see the library's
+   proposed model (single-corner at K = 1, multi-corner, Monte-Carlo)
+   and of every required-time pass ({!eval_pin_delays}), compiled with a high inline threshold (see the library's
    [ocamlopt_flags]) so the fit evaluators below flatten into their call
    sites and the floats stay unboxed.  It deliberately uses unsafe array
    accesses: every index is derived from the layout record of a table
-   slot validated once in {!eval_node} (m = l_n, corner range inside
-   [0, K)), and the scratch arrays are sized by the caller to
-   [corners × m × 8] / [corners × 8] / [8].
+   slot validated once per call ({!checked_layout}: m = l_n, corner
+   range inside [0, K)), and the scratch arrays are sized by the caller
+   to [corners × m × 8] / [corners × 8] / [8] ([corners × m × 4] for
+   the backward bounds).
    Local [ref] accumulators never escape, so they compile to mutable
    stack variables, not heap cells. *)
 
@@ -490,19 +491,31 @@ let table t = t.bt_table
 let k t = t.bt_k
 let slot t kind n = Corners.cell_slot t.bt_table kind n
 
-let eval_node t ~slot ~fanout ~m ~c0 ~c1 ~(inputs : float array)
-    ~(outputs : float array) ~(acc : float array) =
+(* the checks both evaluators make once per call, before any unsafe
+   access: the slot's fan-in count, the corner range, and scratch sizes
+   ([out_len] floats of output per corner) *)
+let checked_layout what t ~slot ~m ~c0 ~c1 ~(inputs : float array)
+    ~(outputs : float array) ~out_len =
   let l = Corners.layout t.bt_table slot in
   if m <> l.Corners.l_n then
     invalid_arg
-      (Printf.sprintf "Corner_batch.eval_node: %d inputs for a %d-input cell"
-         m l.Corners.l_n);
+      (Printf.sprintf "Corner_batch.%s: %d inputs for a %d-input cell" what m
+         l.Corners.l_n);
   if c0 < 0 || c1 > t.bt_k || c0 >= c1 then
-    invalid_arg "Corner_batch.eval_node: bad corner range";
+    invalid_arg (Printf.sprintf "Corner_batch.%s: bad corner range" what);
   if Array.length inputs < (c1 - c0) * m * 8
-     || Array.length outputs < (c1 - c0) * 8
-     || Array.length acc < 8
-  then invalid_arg "Corner_batch.eval_node: scratch arrays too small";
+     || Array.length outputs < (c1 - c0) * out_len
+  then
+    invalid_arg (Printf.sprintf "Corner_batch.%s: scratch arrays too small" what);
+  l
+
+let eval_node t ~slot ~fanout ~m ~c0 ~c1 ~(inputs : float array)
+    ~(outputs : float array) ~(acc : float array) =
+  let l =
+    checked_layout "eval_node" t ~slot ~m ~c0 ~c1 ~inputs ~outputs ~out_len:8
+  in
+  if Array.length acc < 8 then
+    invalid_arg "Corner_batch.eval_node: scratch arrays too small";
   let co = t.bt_co in
   let fd = float_of_int (fanout - l.Corners.l_ref_fanout) in
   let ctl_is_fall =
@@ -524,4 +537,51 @@ let eval_node t ~slot ~fanout ~m ~c0 ~c1 ~(inputs : float array)
       ~ob:(ob + ob_ctl);
     non_c co l ~b ~fd ~m ~inp:inputs ~ib ~io:io_non ~acc ~out:outputs
       ~ob:(ob + ob_non)
+  done
+
+(* The backward evaluator: [Cellfn.min_delay_over] / [max_delay_over]
+   of every fan-in pin, the required-time pass's single-pin bounds.
+   Every primitive inverts, so a rising input drives the output's fall
+   (the to-non-controlling response of a NAND, the to-controlling one
+   of a NOR) and a falling input its rise.  The extremizers and the
+   load term are the forward kernel's, over the same table blocks. *)
+let eval_pin_delays t ~slot ~fanout ~m ~c0 ~c1 ~(inputs : float array)
+    ~(outputs : float array) =
+  let l =
+    checked_layout "eval_pin_delays" t ~slot ~m ~c0 ~c1 ~inputs ~outputs
+      ~out_len:(m * 4)
+  in
+  let co = t.bt_co in
+  let n = l.Corners.l_n in
+  let tlo = l.Corners.l_t_lo and thi = l.Corners.l_t_hi in
+  let fd = float_of_int (fanout - l.Corners.l_ref_fanout) in
+  let ctl_is_fall =
+    match l.Corners.l_kind with Sweep.Nand -> true | Sweep.Nor -> false
+  in
+  (* edge group (to_ctl at 0, to_non at n) and load-slope offset (d_ctl
+     at +0, d_non at +2) of each input transition's response *)
+  let g_rise = if ctl_is_fall then n else 0 in
+  let g_fall = if ctl_is_fall then 0 else n in
+  let ld_rise = if ctl_is_fall then 2 else 0 in
+  let ld_fall = if ctl_is_fall then 0 else 2 in
+  for c = c0 to c1 - 1 do
+    let b = l.Corners.l_base + (c * l.Corners.l_stride) in
+    let lo = b + (24 * n) in
+    let ld_r = get co (lo + ld_rise) *. fd in
+    let ld_f = get co (lo + ld_fall) *. fd in
+    for i = 0 to m - 1 do
+      let ii = (((c - c0) * m) + i) * 8 in
+      let oi = (((c - c0) * m) + i) * 4 in
+      let o_r = b + ((g_rise + i) * 8) and o_f = b + ((g_fall + i) * 8) in
+      let r_lo = get inputs (ii + 2) and r_hi = get inputs (ii + 3) in
+      let f_lo = get inputs (ii + 6) and f_hi = get inputs (ii + 7) in
+      set outputs oi
+        (min1 co ~o:o_r ~lo:tlo ~hi:thi ~ivlo:r_lo ~ivhi:r_hi +. ld_r);
+      set outputs (oi + 1)
+        (max1 co ~o:o_r ~lo:tlo ~hi:thi ~ivlo:r_lo ~ivhi:r_hi +. ld_r);
+      set outputs (oi + 2)
+        (min1 co ~o:o_f ~lo:tlo ~hi:thi ~ivlo:f_lo ~ivhi:f_hi +. ld_f);
+      set outputs (oi + 3)
+        (max1 co ~o:o_f ~lo:tlo ~hi:thi ~ivlo:f_lo ~ivhi:f_hi +. ld_f)
+    done
   done

@@ -13,6 +13,11 @@
     {!Vshape} functions remain the closure walk of every remapped copy
     of the model, and the independent oracle of the tests.
 
+    {!eval_pin_delays} is the backward evaluator: the single-pin delay
+    bounds the required-time pass subtracts, from the same table blocks
+    and extremizers ({!Cellfn.min_delay_over} / {!Cellfn.max_delay_over}
+    bit for bit).
+
     Bit-identity contract: every float operation reproduces the scalar
     path literally (clamp order, extremum candidate order, strict
     comparisons, fold shapes up to min/max re-association), so corner
@@ -60,3 +65,30 @@ val eval_node :
 
     @raise Invalid_argument when [m] differs from the cell's fan-in
     count or the corner range is empty or out of bounds. *)
+
+val eval_pin_delays :
+  t ->
+  slot:int ->
+  fanout:int ->
+  m:int ->
+  c0:int ->
+  c1:int ->
+  inputs:float array ->
+  outputs:float array ->
+  unit
+(** [eval_pin_delays t ~slot ~fanout ~m ~c0 ~c1 ~inputs ~outputs]: for
+    corners [c0 .. c1-1] of one gate with [m] fan-ins, the bounds of
+    each pin's delay over that pin's transition-time window, load
+    included — the backward step of the required-time pass.
+
+    [inputs] is laid out as for {!eval_node}; only the transition-time
+    slots are read.  [outputs] receives four floats per corner [c] and
+    pin [i], starting at [((c - c0) * m + i) * 4]: the minimum and the
+    maximum delay of a rising input on that pin, then of a falling one.
+    Every primitive inverts, so the rising input's delay reaches the
+    output's fall and the falling input's its rise.  Each bound equals
+    [Cellfn.min_delay_over] / [Cellfn.max_delay_over] of the corner's
+    derated cell bit for bit.  Allocates nothing.
+
+    @raise Invalid_argument as {!eval_node}, or when [outputs] is
+    shorter than [(c1 - c0) * m * 4]. *)

@@ -102,39 +102,45 @@ let retype sw i kind =
     slot_of_gate (Corner_batch.table sw.sw_cb) kind
       (Netlist.fanin_count sw.sw_nl i)
 
-type scratch = { inp : float array; out : float array; acc : float array }
+type scratch = {
+  inp : float array;
+  out : float array;
+  acc : float array;
+  dly : float array;
+}
 
 (* one scratch per domain, grown on demand and never shrunk: every
    evaluation runs to completion on the domain that fetched it, so
    the lanes of a parallel level never share one *)
 let scratch_key =
   Domain.DLS.new_key (fun () ->
-      { inp = [||]; out = [||]; acc = Array.make 8 0. })
+      { inp = [||]; out = [||]; acc = Array.make 8 0.; dly = [||] })
 
 let scratch sw =
   let s = Domain.DLS.get scratch_key in
   let planes = Windows.planes sw.sw_w in
   let n_inp = planes * sw.sw_max_fanin * 8 and n_out = planes * 8 in
-  if Array.length s.inp >= n_inp && Array.length s.out >= n_out then s
+  let n_dly = planes * sw.sw_max_fanin * 4 in
+  if Array.length s.inp >= n_inp && Array.length s.out >= n_out
+     && Array.length s.dly >= n_dly
+  then s
   else begin
+    let grow a n = if Array.length a >= n then a else Array.make n 0. in
     let s =
-      {
-        inp = Array.make (max n_inp (Array.length s.inp)) 0.;
-        out = Array.make (max n_out (Array.length s.out)) 0.;
-        acc = s.acc;
-      }
+      { inp = grow s.inp n_inp; out = grow s.out n_out; acc = s.acc;
+        dly = grow s.dly n_dly }
     in
     Domain.DLS.set scratch_key s;
     s
   end
 
-let eval_gate sw sc i c0 c1 =
+(* pin-major gather of gate [i]'s fan-in windows into [sc.inp]: the
+   fanin lookup runs once per pin, not once per (pin × corner), and the
+   plane base is inlined arithmetic ([Windows.base] = ((plane·n)+node)·8) *)
+let[@inline] gather sw sc i c0 c1 =
   let nl = sw.sw_nl in
   let data = sw.sw_data and nw = sw.sw_nw and inp = sc.inp in
   let m = Netlist.fanin_count nl i in
-  (* pin-major gather: the fanin lookup runs once per pin, not once
-     per (pin × corner), and the plane base is inlined arithmetic
-     ([Windows.base] = ((plane·n)+node)·8) *)
   for p = 0 to m - 1 do
     let j = Netlist.fanin_nth nl i p in
     let d0 = p * 8 in
@@ -147,9 +153,13 @@ let eval_gate sw sc i c0 c1 =
       done
     done
   done;
+  m
+
+let eval_gate sw sc i c0 c1 =
+  let m = gather sw sc i c0 c1 in
   Corner_batch.eval_node sw.sw_cb ~slot:sw.sw_slots.(i)
-    ~fanout:(Netlist.load_of nl i) ~m ~c0 ~c1 ~inputs:inp ~outputs:sc.out
-    ~acc:sc.acc
+    ~fanout:(Netlist.load_of sw.sw_nl i) ~m ~c0 ~c1 ~inputs:sc.inp
+    ~outputs:sc.out ~acc:sc.acc
 
 let store sw ~plane i (src : float array) ~off =
   let dst = ((plane * sw.sw_nw) + i) * 8 in
@@ -205,3 +215,79 @@ let put_win (a : float array) ~off (w : Types.win) =
   a.(off + 1) <- Interval.hi w.Types.w_arr;
   a.(off + 2) <- Interval.lo w.Types.w_tt;
   a.(off + 3) <- Interval.hi w.Types.w_tt
+
+(* ---- required times: the backward step ---------------------------- *)
+
+type required = {
+  rq_nl : Netlist.t;
+  rq_planes : int;
+  rq_data : (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t;
+}
+
+(* Merge the window [lo, hi] a sink imposes into a line's slots at [a].
+   The line must satisfy every sink, so the earliest-allowed bound grows
+   to the max and the latest-allowed shrinks to the min; a crossed pair,
+   imposed or merged, collapses to [lo, lo] so the violation check
+   still fires through A_L > Q_L.  The tests' record-array oracle runs
+   the same [Float.max] / [Float.min] sequence, so the two agree bit for
+   bit. *)
+let[@inline] tighten
+    (q : (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t) a
+    lo hi =
+  let hi = if lo <= hi then hi else lo in
+  let lo = Float.max (Bigarray.Array1.unsafe_get q a) lo in
+  let hi = Float.min (Bigarray.Array1.unsafe_get q (a + 1)) hi in
+  Bigarray.Array1.unsafe_set q a lo;
+  Bigarray.Array1.unsafe_set q (a + 1) (if lo <= hi then hi else lo)
+
+let required sw ~clock_period =
+  let nl = sw.sw_nl and n = sw.sw_nw in
+  let planes = Windows.planes sw.sw_w in
+  let q =
+    Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout (planes * n * 4)
+  in
+  (* a line no PO depends on stays unconstrained *)
+  for s = 0 to (planes * n * 2) - 1 do
+    Bigarray.Array1.unsafe_set q (2 * s) neg_infinity;
+    Bigarray.Array1.unsafe_set q ((2 * s) + 1) infinity
+  done;
+  (* at a PO, A_S >= 0 (hold side) and A_L <= the clock period *)
+  List.iter
+    (fun po ->
+      for c = 0 to planes - 1 do
+        let a = ((c * n) + po) * 4 in
+        Bigarray.Array1.set q a 0.;
+        Bigarray.Array1.set q (a + 1) clock_period;
+        Bigarray.Array1.set q (a + 2) 0.;
+        Bigarray.Array1.set q (a + 3) clock_period
+      done)
+    (Netlist.outputs nl);
+  let sc = scratch sw in
+  let[@inline] get k = Bigarray.Array1.unsafe_get q k in
+  let order = Netlist.topo_order nl in
+  for k = Array.length order - 1 downto 0 do
+    let i = order.(k) in
+    if not (Netlist.is_pi nl i) then begin
+      let m = gather sw sc i 0 planes in
+      Corner_batch.eval_pin_delays sw.sw_cb ~slot:sw.sw_slots.(i)
+        ~fanout:(Netlist.load_of nl i) ~m ~c0:0 ~c1:planes ~inputs:sc.inp
+        ~outputs:sc.dly;
+      let dly = sc.dly in
+      for c = 0 to planes - 1 do
+        let qi = ((c * n) + i) * 4 in
+        for p = 0 to m - 1 do
+          let qj = ((c * n) + Netlist.fanin_nth nl i p) * 4 in
+          let d = ((c * m) + p) * 4 in
+          (* a rising input answers the output's fall requirement, a
+             falling input its rise requirement *)
+          tighten q qj
+            (get (qi + 2) -. Array.unsafe_get dly d)
+            (get (qi + 3) -. Array.unsafe_get dly (d + 1));
+          tighten q (qj + 2)
+            (get qi -. Array.unsafe_get dly (d + 2))
+            (get (qi + 1) -. Array.unsafe_get dly (d + 3))
+        done
+      done
+    end
+  done;
+  { rq_nl = nl; rq_planes = planes; rq_data = q }

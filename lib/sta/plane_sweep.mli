@@ -1,13 +1,18 @@
-(** The flat-kernel forward step: gather a gate's fan-in windows out of
-    a {!Windows} store, evaluate {!Ssd_core.Corner_batch.eval_node} over
-    a corner range, scatter the outputs back.
+(** The flat-kernel steps over a {!Windows} store.
 
-    This is the production evaluator of {!Ssd_core.Delay_model.proposed}
-    wherever a forward window pass runs: {!Sta.analyze_with} and
-    {!Engine} at K = 1 over a nominal corner table (plane 0), and
-    {!Corner_sta} over K planes.  Every caller runs the same gather,
-    kernel and scatter code, so the same fan-in floats give the same
-    window floats whatever the schedule. *)
+    Forward: gather a gate's fan-in windows out of the store, evaluate
+    {!Ssd_core.Corner_batch.eval_node} over a corner range, scatter the
+    outputs back.  This is the production evaluator of
+    {!Ssd_core.Delay_model.proposed} wherever a forward window pass
+    runs: {!Sta.analyze_with} and {!Engine} at K = 1 over a nominal
+    corner table (plane 0), and {!Corner_sta} over K planes.  Every
+    caller runs the same gather, kernel and scatter code, so the same
+    fan-in floats give the same window floats whatever the schedule.
+
+    Backward ({!required}): required times in reverse topological order
+    into a packed {!required} store, from the same gather and the
+    {!Ssd_core.Corner_batch.eval_pin_delays} bounds — the one
+    required-time path, which {!Sta.compute_required} runs at K = 1. *)
 
 exception Unsupported_gate of string
 (** Re-exported as {!Sta.Unsupported_gate}. *)
@@ -49,6 +54,7 @@ type scratch = private {
   inp : float array;  (** gathered fan-in windows *)
   out : float array;  (** kernel outputs, 8 floats per plane *)
   acc : float array;  (** the kernel's accumulator *)
+  dly : float array;  (** backward pin-delay bounds, 4 floats per pin per plane *)
 }
 
 val scratch : t -> scratch
@@ -86,3 +92,35 @@ val shift_arrivals : float array -> off:int -> float -> unit
 val put_win : float array -> off:int -> Ssd_core.Types.win -> unit
 (** Pack one transition's window as 4 floats at [off] ({!Windows} slot
     order). *)
+
+(** {1 Required times} *)
+
+type required = private {
+  rq_nl : Ssd_circuit.Netlist.t;  (** the netlist the times belong to *)
+  rq_planes : int;
+  rq_data :
+    (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t;
+      (** four slots per node per plane, plane-major like {!Windows}:
+          node [i] of plane [c] at [((c * n) + i) * 4], holding the
+          rise window's earliest- and latest-allowed arrival, then the
+          fall window's *)
+}
+(** A packed required-time store: 32 bytes per node per plane, off the
+    OCaml heap. *)
+
+val required : t -> clock_period:float -> required
+(** The backward pass over every plane of the sweep's store, which must
+    hold finished forward windows.  Each PO requires [[0, clock_period]]
+    on both transitions (hold side 0, setup side the period); every
+    other line starts unconstrained ([[-inf, inf]]).  Gates are visited
+    in reverse topological order; each fan-in pin's transition-time
+    window gives its delay bounds d_min, d_max
+    ({!Ssd_core.Corner_batch.eval_pin_delays}), the gate's requirement
+    [[q_lo, q_hi]] on the output transition that pin drives imposes
+    [[q_lo - d_min, q_hi - d_max]] on the pin's line, and that window
+    is merged into the line's slots: earliest-allowed bounds by
+    [Float.max], latest-allowed by [Float.min], a crossed pair collapsed
+    to [[lo, lo]].  Plane [c] equals the record-array walk over
+    [Corners.library table c] bit for bit.  The period is not checked
+    here ({!Sta.compute_required} validates it).  Allocates the store
+    and nothing per node. *)

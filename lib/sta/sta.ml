@@ -3,16 +3,12 @@ module Charlib = Ssd_cell.Charlib
 module Sweep = Ssd_cell.Sweep
 module Types = Ssd_core.Types
 module Delay_model = Ssd_core.Delay_model
-module Cellfn = Ssd_core.Cellfn
 module Netlist = Ssd_circuit.Netlist
 module Obs = Ssd_obs.Obs
 
 type line_timing = { rise : Types.win; fall : Types.win }
 
-type required = {
-  q_rise : Interval.t;
-  q_fall : Interval.t;
-}
+type required = Plane_sweep.required
 
 type pi_spec = Run_opts.pi_spec = {
   pi_arrival : Interval.t;
@@ -26,6 +22,9 @@ type t = {
   st_library : Charlib.t;
   st_model : Delay_model.t;
   st_timing : Windows.t;
+  st_sweep : Plane_sweep.t option;
+      (* the forward pass's resolved table slots, when it ran the flat
+         kernel; the backward pass reuses them *)
 }
 
 exception Unsupported_gate = Plane_sweep.Unsupported_gate
@@ -143,11 +142,16 @@ let analyze_with ?(extra_delay = fun _ -> 0.) ?(pi_override = fun _ -> None)
     in
     Windows.set timing i ~rise:lt.rise ~fall:lt.fall
   in
+  (* the flat kernel at K = 1 is the production evaluator of the
+     proposed model; every other model takes the closure walk *)
+  let sweep =
+    if model == Delay_model.proposed then
+      Some (Plane_sweep.nominal library timing nl)
+    else None
+  in
   let step =
-    if model == Delay_model.proposed then begin
-      (* the flat kernel at K = 1, the production evaluator of the
-         proposed model; every other model takes the closure walk *)
-      let sw = Plane_sweep.nominal library timing nl in
+    match sweep with
+    | Some sw ->
       fun i ->
         if Netlist.is_pi nl i then closure_step i
         else begin
@@ -156,8 +160,7 @@ let analyze_with ?(extra_delay = fun _ -> 0.) ?(pi_override = fun _ -> None)
           Plane_sweep.shift_arrivals sc.Plane_sweep.out ~off:0 (extra_of i);
           Plane_sweep.scatter sw sc i 0 1
         end
-    end
-    else closure_step
+    | None -> closure_step
   in
   let eval i =
     if not (Netlist.is_pi nl i) then Obs.incr c_gates;
@@ -207,7 +210,7 @@ let analyze_with ?(extra_delay = fun _ -> 0.) ?(pi_override = fun _ -> None)
           done
         end);
   { st_netlist = nl; st_library = library; st_model = model;
-    st_timing = timing }
+    st_timing = timing; st_sweep = sweep }
 
 let netlist t = t.st_netlist
 let library t = t.st_library
@@ -244,103 +247,74 @@ let po_window t = po_window_of t.st_netlist t.st_timing ~plane:0
 let min_delay t = Interval.lo (po_window t)
 let max_delay t = Interval.hi (po_window t)
 
-(* Backward required-time propagation.  For each gate, a required window on
-   an output transition imposes windows on the input transitions that can
-   cause it, offset by the pin delay bounds over the input's transition-time
-   window. *)
-let compute_required t ~clock_period =
-  let nl = t.st_netlist in
-  let n = Netlist.size nl in
-  let top = Interval.make 0. clock_period in
-  let none = Interval.make neg_infinity infinity in
-  let q = Array.make n { q_rise = none; q_fall = none } in
-  let is_po =
-    let arr = Array.make n false in
-    List.iter (fun i -> arr.(i) <- true) (Netlist.outputs nl);
-    arr
+let validate_clock_period p =
+  let bad why =
+    Error (Printf.sprintf "%g is %s; the period must be finite and >= 0" p why)
   in
-  for i = 0 to n - 1 do
-    if is_po.(i) then q.(i) <- { q_rise = top; q_fall = top }
-  done;
-  let tighten idx ~rise iv =
-    let cur = q.(idx) in
-    let merge a b =
-      (* the line must satisfy every sink: latest-allowed shrinks to the
-         min, earliest-allowed grows to the max *)
-      let lo = Float.max (Interval.lo a) (Interval.lo b) in
-      let hi = Float.min (Interval.hi a) (Interval.hi b) in
-      (* a crossed requirement stays representable as an empty-ish window:
-         collapse to [lo, lo] so violation checks still fire via A_L > Q_L *)
-      if lo <= hi then Interval.make lo hi else Interval.make lo lo
-    in
-    if rise then q.(idx) <- { cur with q_rise = merge cur.q_rise iv }
-    else q.(idx) <- { cur with q_fall = merge cur.q_fall iv }
-  in
-  (* walk gates in reverse topological order *)
-  let order = Netlist.topo_order nl in
-  for k = Array.length order - 1 downto 0 do
-    let i = order.(k) in
-    if not (Netlist.is_pi nl i) then begin
-      let kind = Netlist.gate_kind nl i in
-      let n_in = Netlist.fanin_count nl i in
-      let cell = cell_of_gate t.st_library kind n_in in
-      let load = Netlist.load_of nl i in
-      let ctl_in_is_fall =
-        match cell.Charlib.kind with Sweep.Nand -> true | Sweep.Nor -> false
-      in
-      let qi = q.(i) in
-      for pos = 0 to n_in - 1 do
-        let j = Netlist.fanin_nth nl i pos in
-        let in_lt = timing t j in
-        let propagate resp ~out_iv ~in_rise =
-          let tt_win =
-            if in_rise then in_lt.rise.Types.w_tt else in_lt.fall.Types.w_tt
-          in
-          let _, d_min = Cellfn.min_delay_over cell ~fanout:load resp ~pos tt_win in
-          let _, d_max = Cellfn.max_delay_over cell ~fanout:load resp ~pos tt_win in
-          let lo = Interval.lo out_iv -. d_min in
-          let hi = Interval.hi out_iv -. d_max in
-          let iv = if lo <= hi then Interval.make lo hi else Interval.make lo lo in
-          tighten j ~rise:in_rise iv
-        in
-        (* to-controlling response *)
-        let ctl_out = if ctl_in_is_fall then qi.q_rise else qi.q_fall in
-        propagate Cellfn.Ctl ~out_iv:ctl_out ~in_rise:(not ctl_in_is_fall);
-        (* to-non-controlling response *)
-        let non_out = if ctl_in_is_fall then qi.q_fall else qi.q_rise in
-        propagate Cellfn.Non ~out_iv:non_out ~in_rise:ctl_in_is_fall
-      done
-    end
-  done;
-  q
+  if Float.is_nan p then bad "not a number"
+  else if not (Float.is_finite p) then bad "not finite"
+  else if p < 0. then bad "negative"
+  else Ok p
 
-let violations t required =
+(* The backward pass is the flat step at K = 1 over the forward pass's
+   own table slots; a closure-walk model's pass resolved none, so they
+   are built here over the same library.  The bounds depend only on the
+   library's pin fits, never on the model. *)
+let compute_required t ~clock_period =
+  (match validate_clock_period clock_period with
+  | Ok _ -> ()
+  | Error m -> invalid_arg ("Sta.compute_required: clock period " ^ m));
+  let sw =
+    match t.st_sweep with
+    | Some sw -> sw
+    | None -> Plane_sweep.nominal t.st_library t.st_timing t.st_netlist
+  in
+  Plane_sweep.required sw ~clock_period
+
+let required_window ?(plane = 0) (r : required) i ~rise =
+  let n = Netlist.size r.Plane_sweep.rq_nl in
+  if plane < 0 || plane >= r.Plane_sweep.rq_planes || i < 0 || i >= n then
+    invalid_arg
+      (Printf.sprintf "Sta.required_window: node %d / plane %d out of range" i
+         plane);
+  let a = (((plane * n) + i) * 4) + if rise then 0 else 2 in
+  let q = r.Plane_sweep.rq_data in
+  Interval.make (Bigarray.Array1.get q a) (Bigarray.Array1.get q (a + 1))
+
+(* Read straight from the packed slots (arrival at +0/+1 of each 4-slot
+   transition half of a window, required at +0/+1 of each 2-slot half);
+   a message is formatted only for a violating line. *)
+let violations t (r : required) =
   let nl = t.st_netlist in
+  if r.Plane_sweep.rq_nl != nl then
+    invalid_arg "Sta.violations: required times of another netlist";
+  let w = Windows.data t.st_timing and q = r.Plane_sweep.rq_data in
   let issues = ref [] in
-  for i = Netlist.size nl - 1 downto 0 do
-    let lt = timing t i in
-    let r = required.(i) in
-    let check label (w : Types.win) q =
-      if Interval.hi w.Types.w_arr > Interval.hi q +. 1e-15 then
+  let check i label wa qa =
+    let q_hi = Bigarray.Array1.unsafe_get q (qa + 1) in
+    if Float.is_finite q_hi then begin
+      let q_lo = Bigarray.Array1.unsafe_get q qa in
+      let a_lo = Bigarray.Array1.unsafe_get w wa in
+      let a_hi = Bigarray.Array1.unsafe_get w (wa + 1) in
+      if a_hi > q_hi +. 1e-15 then
         issues :=
           ( i,
             Printf.sprintf "%s %s: arrives by %.3f ns but required by %.3f ns"
-              (Netlist.signal_name nl i) label
-              (Interval.hi w.Types.w_arr *. 1e9)
-              (Interval.hi q *. 1e9) )
+              (Netlist.signal_name nl i) label (a_hi *. 1e9) (q_hi *. 1e9) )
           :: !issues
-      else if Interval.lo w.Types.w_arr < Interval.lo q -. 1e-15 then
+      else if a_lo < q_lo -. 1e-15 then
         issues :=
           ( i,
             Printf.sprintf
               "%s %s: can arrive at %.3f ns but not allowed before %.3f ns"
-              (Netlist.signal_name nl i) label
-              (Interval.lo w.Types.w_arr *. 1e9)
-              (Interval.lo q *. 1e9) )
+              (Netlist.signal_name nl i) label (a_lo *. 1e9) (q_lo *. 1e9) )
           :: !issues
-    in
-    if Float.is_finite (Interval.hi r.q_rise) then check "rise" lt.rise r.q_rise;
-    if Float.is_finite (Interval.hi r.q_fall) then check "fall" lt.fall r.q_fall
+    end
+  in
+  for i = Netlist.size nl - 1 downto 0 do
+    let wa = Windows.base t.st_timing ~plane:0 i in
+    check i "rise" wa (i * 4);
+    check i "fall" (wa + 4) ((i * 4) + 2)
   done;
   !issues
 

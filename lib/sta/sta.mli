@@ -11,17 +11,23 @@
     value) runs the flat {!Ssd_core.Corner_batch} kernel at K = 1
     ({!Plane_sweep}); every other model, including cell-remapped copies
     of the proposed one, runs the closure walk ({!eval_node} over the
-    model's {!Ssd_core.Delay_model.windowing}). *)
+    model's {!Ssd_core.Delay_model.windowing}).
+
+    The backward pass has one evaluator: {!compute_required} runs the
+    flat {!Plane_sweep.required} step at K = 1 for every model, over the
+    forward pass's own table slots when it ran the flat kernel.  Its
+    bounds use each pin's single-input delay over the pin's
+    transition-time window, not the simultaneous-switching V.  A
+    record-array walk of the same rule is the tests' oracle. *)
 
 type line_timing = {
   rise : Ssd_core.Types.win;
   fall : Ssd_core.Types.win;
 }
 
-type required = {
-  q_rise : Ssd_util.Interval.t;
-  q_fall : Ssd_util.Interval.t;
-}
+type required = Plane_sweep.required
+(** Required windows of every node, packed: see {!Plane_sweep.required}
+    for the slot layout, {!required_window} to read one. *)
 
 type pi_spec = Run_opts.pi_spec = {
   pi_arrival : Ssd_util.Interval.t;
@@ -32,6 +38,9 @@ val default_pi_spec : pi_spec
 (** Arrival fixed at t = 0; transition time window [0.15 ns, 0.5 ns]. *)
 
 type t
+(** A finished forward pass: the netlist, library, model and packed
+    windows, plus the flat kernel's resolved table slots when the pass
+    ran it (the backward pass reuses them). *)
 
 exception Unsupported_gate of string
 (** Raised when the netlist contains a gate the characterized library
@@ -154,12 +163,33 @@ val po_window : t -> Ssd_util.Interval.t
 val min_delay : t -> float
 val max_delay : t -> float
 
-val compute_required : t -> clock_period:float -> required array
-(** Backward pass: required windows per node, [A_S >= Q_S] (hold side,
-    here 0) and [A_L <= Q_L] (setup side, the clock period) at the POs. *)
+val validate_clock_period : float -> (float, string) result
+(** [Ok p] for a finite [p >= 0.] ([0.] and [-0.] included); otherwise
+    an error naming the value ([nan], [inf], [-inf] or the negative
+    number) — the rule {!compute_required} enforces and the CLI's
+    [--clock] checks before any analysis. *)
 
-val violations : t -> required array -> (int * string) list
+val compute_required : t -> clock_period:float -> required
+(** Backward pass: required windows per node, [A_S >= Q_S] (hold side,
+    here 0) and [A_L <= Q_L] (setup side, the clock period) at the POs;
+    see {!Plane_sweep.required} for the propagation rule.  Allocates
+    the 32-byte-per-node store and nothing per node.
+    @raise Invalid_argument naming the period when it fails
+    {!validate_clock_period}, before any work. *)
+
+val required_window : ?plane:int -> required -> int -> rise:bool -> Ssd_util.Interval.t
+(** The required window of node [i]'s rise ([rise:true]) or fall
+    transition in [plane] (default 0; a store from {!compute_required}
+    has one), materialized from the packed slots bit for bit.
+    @raise Invalid_argument on an out-of-range node or plane. *)
+
+val violations : t -> required -> (int * string) list
 (** Lines whose arrival window leaves its required window, with a
-    human-readable description. *)
+    human-readable description, in ascending node order (the fall check
+    of a node before its rise check).  A line is checked only where its
+    latest-allowed bound is finite; each side allows 1e-15 s of slack.
+    Reads the packed slots and formats a string only for a violating
+    line.  @raise Invalid_argument when [required] belongs to another
+    netlist (physically) than [t]. *)
 
 val summary : t -> string

@@ -51,3 +51,29 @@ val engine_reference : library:Ssd_cell.Charlib.t -> Ssd_sta.Engine.t -> Ssd_sta
 (** {!Ssd_sta.Engine.reanalyze} of the session's current edited state
     ([library] is the session's), with {!reference_model} standing in
     for the proposed model. *)
+
+(** {1 The required-time oracle}
+
+    {!Ssd_sta.Sta.compute_required} runs the flat backward step
+    ({!Ssd_sta.Plane_sweep.required}).  Below is the same rule as a
+    record-array walk: per node a record of two boxed
+    intervals, and per pin and response two scalar
+    {!Ssd_core.Cellfn} corner searches over the cell the library maps
+    the gate to. *)
+
+type required = {
+  q_rise : Ssd_util.Interval.t;
+  q_fall : Ssd_util.Interval.t;
+}
+
+val compute_required : Ssd_sta.Sta.t -> clock_period:float -> required array
+(** Required windows per node, over [Sta.library t] and the pass's
+    transition-time windows.  No check of the period: a negative or NaN
+    one raises from [Interval.make]. *)
+
+val violations : Ssd_sta.Sta.t -> required array -> (int * string) list
+(** The record-array {!Ssd_sta.Sta.violations}: same order, same text. *)
+
+val required_beq : ?plane:int -> Ssd_sta.Sta.required -> required array -> bool
+(** Every slot of [plane] (default 0) of a packed store equals the
+    oracle's bounds bit for bit. *)

@@ -283,6 +283,89 @@ let test_bench_comments_and_case () =
   in
   Alcotest.(check int) "parsed gates" 1 (Netlist.gate_count nl)
 
+(* [parse_file] reads line by line; the result must be [parse_string]'s
+   on the same text, errors included *)
+let same_netlist a b =
+  Netlist.name a = Netlist.name b
+  && Netlist.size a = Netlist.size b
+  && Netlist.outputs a = Netlist.outputs b
+  && List.for_all
+       (fun i ->
+         Netlist.signal_name a i = Netlist.signal_name b i
+         && Netlist.node a i = Netlist.node b i)
+       (List.init (Netlist.size a) Fun.id)
+
+let parse_outcome parse =
+  match parse () with
+  | nl -> Ok nl
+  | exception Ck.Bench_io.Parse_error { line; message } -> Error (line, message)
+
+let test_bench_parse_file_streams () =
+  let crlf text = String.concat "\r\n" (String.split_on_char '\n' text) in
+  let no_final_newline text = String.sub text 0 (String.length text - 1) in
+  let c17 = Ck.Bench_io.to_string (Ck.Benchmarks.c17 ()) in
+  let layered =
+    Ck.Bench_io.to_string
+      (Ck.Generator.generate
+         {
+           Ck.Generator.default_params with
+           Ck.Generator.g_name = "layered";
+           n_inputs = 24;
+           n_outputs = 12;
+           n_gates = 600;
+           locality = 48;
+           seed = 7L;
+           shape = Ck.Generator.Layered { layers = 12 };
+         })
+  in
+  let dup = "INPUT(a)\nINPUT(b)\nOUTPUT(z)\nz = NAND(a, b)\nz = NOT(a)\n" in
+  let bad_gate = "INPUT(a)\n# note\nOUTPUT(z)\nz = FROB(a)" in
+  (* ids run PIs first, so a gate redefined by a later INPUT is the
+     second definition *)
+  let pi_after_gate = "INPUT(a)\nOUTPUT(z)\nx = NOT(a)\nINPUT(x)\nz = NOT(x)\n" in
+  (* the first undefined fan-in in gate order, then pin order *)
+  let two_ghosts =
+    "INPUT(a)\nOUTPUT(z)\ny = NAND(a, ghost2)\nz = NAND(ghost1, y)\n"
+  in
+  (* duplicates are reported before any fan-in is resolved *)
+  let dup_after_ghost =
+    "INPUT(a)\nOUTPUT(z)\ny = NAND(a, ghost)\nz = NOT(a)\nz = NOT(y)\n"
+  in
+  let cases =
+    [ ("c17", c17, None); ("c17 CRLF", crlf c17, None);
+      ("c17 without final newline", no_final_newline c17, None);
+      ("layered", layered, None); ("layered CRLF", crlf layered, None);
+      ("duplicate definition", dup, Some 5);
+      ("duplicate definition CRLF", crlf dup, Some 5);
+      ("unknown gate on an unterminated last line", bad_gate, Some 4);
+      ("unknown gate CRLF", crlf bad_gate, Some 4);
+      ("INPUT after a gate of the same name", pi_after_gate, Some 3);
+      ("first undefined fan-in", two_ghosts, Some 3);
+      ("duplicate before undefined", dup_after_ghost, Some 5) ]
+  in
+  List.iter
+    (fun (label, text, error_line) ->
+      let path = Filename.temp_file "bench_io" ".bench" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove path)
+        (fun () ->
+          Out_channel.with_open_bin path (fun oc -> output_string oc text);
+          let name = Filename.remove_extension (Filename.basename path) in
+          let from_file = parse_outcome (fun () -> Ck.Bench_io.parse_file path)
+          and from_text =
+            parse_outcome (fun () -> Ck.Bench_io.parse_string ~name text)
+          in
+          match (from_file, from_text, error_line) with
+          | Ok a, Ok b, None ->
+            Alcotest.(check bool) (label ^ ": same netlist") true
+              (same_netlist a b)
+          | Error (l1, m1), Error (l2, m2), Some line ->
+            Alcotest.(check (pair int string)) (label ^ ": same error")
+              (l2, m2) (l1, m1);
+            Alcotest.(check int) (label ^ ": error line") line l1
+          | _ -> Alcotest.failf "%s: outcomes differ" label))
+    cases
+
 (* ---------- Logic ---------- *)
 
 let test_logic_c17_vectors () =
@@ -464,6 +547,8 @@ let suites =
         Alcotest.test_case "duplicate definition" `Quick
           test_bench_duplicate_definition;
         Alcotest.test_case "comments/case" `Quick test_bench_comments_and_case;
+        Alcotest.test_case "parse_file streams like parse_string" `Quick
+          test_bench_parse_file_streams;
       ] );
     ( "circuit.logic",
       [

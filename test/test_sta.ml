@@ -176,7 +176,240 @@ let test_sta_required_monotone_backward () =
   let po = List.hd (Ck.Netlist.outputs nl) in
   let pi = List.hd (Ck.Netlist.inputs nl) in
   Alcotest.(check bool) "requirements tighten backward" true
-    (Interval.hi q.(pi).Sta.q_rise <= Interval.hi q.(po).Sta.q_rise +. 1e-15)
+    (Interval.hi (Sta.required_window q pi ~rise:true)
+    <= Interval.hi (Sta.required_window q po ~rise:true) +. 1e-15)
+
+(* the packed store against the record-array oracle on one pass: every
+   slot bitwise, and the same violation list *)
+let required_matches t ~clock_period =
+  let oracle = compute_required t ~clock_period in
+  let packed = Sta.compute_required t ~clock_period in
+  required_beq packed oracle
+  && Sta.violations t packed = violations t oracle
+
+let contains ~sub s =
+  let n = String.length sub in
+  let rec at k = k + n <= String.length s && (String.sub s k n = sub || at (k + 1)) in
+  at 0
+
+let hold_side (_, msg) = contains ~sub:"not allowed before" msg
+
+let layered_prim ~seed ~gates =
+  Ck.Decompose.to_primitive
+    (Ck.Generator.generate
+       {
+         Ck.Generator.default_params with
+         Ck.Generator.g_name = "req";
+         n_inputs = 16;
+         n_outputs = 8;
+         n_gates = gates;
+         locality = 32;
+         seed = Int64.of_int seed;
+         shape = Ck.Generator.Layered { layers = 12 };
+       })
+
+(* every hook of the forward pass, every model path and both lane
+   counts: the backward step reads only the finished windows, so it must
+   match the oracle on each *)
+let prop_required_matches_oracle =
+  QCheck.Test.make
+    ~name:
+      "packed required == record-array oracle (pi_spec, extra_delay, \
+       pi_override, clock; jobs 1, 4; c17, c880s, layered)"
+    ~count:6
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Rng.create (Int64.of_int seed) in
+      let lib = Lazy.force lib in
+      let nl =
+        match seed mod 3 with
+        | 0 -> c17_prim ()
+        | 1 ->
+          Ck.Decompose.to_primitive (Option.get (Ck.Benchmarks.by_name "c880s"))
+        | _ -> layered_prim ~seed:(seed + 5) ~gates:(200 + Rng.int rng 200)
+      in
+      let spec () =
+        let a = Rng.float_range rng (-0.5e-9) 0.2e-9 in
+        let t = Rng.float_range rng 0.05e-9 0.3e-9 in
+        {
+          Sta.pi_arrival = Interval.make a (a +. Rng.float_range rng 0. 0.2e-9);
+          pi_tt = Interval.make t (t +. Rng.float_range rng 0. 0.3e-9);
+        }
+      in
+      let pi_spec = spec () in
+      let n = Ck.Netlist.size nl in
+      let extras =
+        Array.init n (fun _ ->
+            match Rng.int rng 6 with
+            | 0 -> Rng.float_range rng 5e-12 150e-12
+            | 1 -> -.Rng.float_range rng 5e-12 50e-12
+            | 2 -> -.Rng.float_range rng 0.2e-9 1e-9
+            | 3 -> -0.
+            | _ -> 0.)
+      in
+      let overrides =
+        Array.init n (fun i ->
+            if Ck.Netlist.is_pi nl i && Rng.bool rng then Some (spec ())
+            else None)
+      in
+      let extra_delay i = extras.(i) and pi_override i = overrides.(i) in
+      List.for_all
+        (fun (jobs, model) ->
+          let t =
+            Sta.analyze_with ~extra_delay ~pi_override
+              (RO.make ~jobs ~pi_spec ()) ~library:lib ~model nl
+          in
+          let top = Sta.max_delay t in
+          List.for_all
+            (fun f -> required_matches t ~clock_period:(Float.max 0. (f *. top)))
+            [ 0.; 0.5; 1.; 1.5 ])
+        [ (1, DM.proposed); (4, DM.proposed); (1, reference_model);
+          (1, DM.pin_to_pin) ])
+
+(* negative PI arrivals and extra delays push windows before t = 0, so
+   the earliest-allowed side fires too; the property above draws such
+   cases, this one pins that they are checked *)
+let test_required_hold_side () =
+  let lib = Lazy.force lib in
+  List.iter
+    (fun nl ->
+      let pi_spec =
+        { Sta.pi_arrival = Interval.make (-0.6e-9) (-0.5e-9);
+          pi_tt = Interval.make 0.15e-9 0.3e-9 }
+      in
+      let po = List.hd (Ck.Netlist.outputs nl) in
+      let t =
+        Sta.analyze_with
+          ~extra_delay:(fun i -> if i = po then -1e-9 else 0.)
+          (RO.make ~pi_spec ()) ~library:lib ~model:DM.proposed nl
+      in
+      let clock = Sta.max_delay t in
+      let v = Sta.violations t (Sta.compute_required t ~clock_period:clock) in
+      Alcotest.(check bool) "hold-side violations reported" true
+        (List.exists hold_side v);
+      Alcotest.(check bool) "same as the oracle" true
+        (required_matches t ~clock_period:clock))
+    [ c17_prim (); layered_prim ~seed:11 ~gates:300 ]
+
+(* every plane of a K-corner store against the oracle over that corner's
+   derated library *)
+let test_required_corner_planes () =
+  let module CS = Ssd_sta.Corner_sta in
+  let module Corners = Ssd_cell.Corners in
+  let module PS = Ssd_sta.Plane_sweep in
+  let lib = Lazy.force lib in
+  List.iter
+    (fun nl ->
+      let table = Corners.build ~specs:(Corners.default_specs 4) lib in
+      let ct = CS.analyze ~table nl in
+      let sw =
+        PS.make ~cb:(Ssd_core.Corner_batch.create table) (CS.windows ct) nl
+      in
+      for c = 0 to 3 do
+        let sta =
+          analyze_reference RO.default ~library:(Corners.library table c) nl
+        in
+        Alcotest.(check bool)
+          (Printf.sprintf "plane %d forward" c) true
+          (CS.plane_matches ct ~corner:c sta);
+        List.iter
+          (fun f ->
+            let clock_period = f *. CS.max_delay ct ~corner:c in
+            let packed = PS.required sw ~clock_period in
+            Alcotest.(check bool)
+              (Printf.sprintf "plane %d at %.2f × max" c f) true
+              (required_beq ~plane:c packed
+                 (compute_required sta ~clock_period)))
+          [ 0.5; 1.; 2. ]
+      done)
+    [ c17_prim ();
+      Ck.Decompose.to_primitive (Option.get (Ck.Benchmarks.by_name "c880s")) ]
+
+(* `ssd sta --clock`: the same rule at the input boundary, checked
+   before any analysis, with exit status 2 *)
+let test_cli_clock_boundary () =
+  let exe =
+    Filename.concat (Filename.dirname Sys.executable_name) "../bin/ssd.exe"
+  in
+  let run arg =
+    let err = Filename.temp_file "ssd_clock" ".err" in
+    let fd = Unix.openfile err [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+    let null = Unix.openfile Filename.null [ Unix.O_WRONLY ] 0 in
+    let env = Array.append [| "SSD_FAST=1" |] (Unix.environment ()) in
+    let pid =
+      Unix.create_process_env exe
+        [| exe; "sta"; "c17"; "--clock=" ^ arg |]
+        env Unix.stdin null fd
+    in
+    Unix.close fd;
+    Unix.close null;
+    let _, status = Unix.waitpid [] pid in
+    let text = In_channel.with_open_bin err In_channel.input_all in
+    Sys.remove err;
+    (status, text)
+  in
+  List.iter
+    (fun arg ->
+      match run arg with
+      | Unix.WEXITED 2, text
+        when String.starts_with ~prefix:"ssd: --clock: " text ->
+        ()
+      | Unix.WEXITED c, text ->
+        Alcotest.failf "--clock=%s: exit %d, stderr %S" arg c text
+      | _ -> Alcotest.failf "--clock=%s: killed" arg)
+    [ "-1"; "nan"; "inf"; "-inf"; "-1e-320" ];
+  List.iter
+    (fun arg ->
+      match run arg with
+      | Unix.WEXITED 0, "" -> ()
+      | _, text -> Alcotest.failf "--clock=%s rejected: %S" arg text)
+    [ "0"; "-0" ]
+
+(* A PI that is also a PO arrives at exactly t = 0 and is required in
+   [0, clock]: at clock 0 both bounds meet its window exactly, inside
+   the 1e-15 s slack on either side *)
+let test_violations_slack_boundary () =
+  let nl =
+    Ck.Bench_io.parse_string ~name:"edge"
+      "INPUT(a)\nINPUT(b)\nOUTPUT(a)\nOUTPUT(z)\nz = NAND(a, b)\n"
+  in
+  let pi_spec =
+    { Sta.pi_arrival = Interval.point 0.; pi_tt = Interval.point 0.2e-9 }
+  in
+  let t = analyze ~pi_spec DM.proposed nl in
+  let a = Option.get (Ck.Netlist.find nl "a") in
+  let v = Sta.violations t (Sta.compute_required t ~clock_period:0.) in
+  Alcotest.(check bool) "PO a meets both bounds" false
+    (List.exists (fun (i, _) -> i = a) v);
+  Alcotest.(check bool) "same as the oracle" true
+    (required_matches t ~clock_period:0.)
+
+let test_violations_rejects_other_netlist () =
+  let a = analyze DM.proposed (c17_prim ()) in
+  (* the same circuit, parsed again: another netlist value *)
+  let b = analyze DM.proposed (c17_prim ()) in
+  let q = Sta.compute_required a ~clock_period:(2. *. Sta.max_delay a) in
+  Alcotest.(check int) "own store accepted" 0 (List.length (Sta.violations a q));
+  match Sta.violations b q with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "a store of another netlist was accepted"
+
+let test_required_rejects_bad_clock () =
+  let t = analyze DM.proposed (c17_prim ()) in
+  List.iter
+    (fun p ->
+      match Sta.compute_required t ~clock_period:p with
+      | exception Invalid_argument msg ->
+        let name = Printf.sprintf "%g" p in
+        if not (contains ~sub:name msg) then
+          Alcotest.failf "message %S does not name %s" msg name
+      | _ -> Alcotest.failf "clock period %g accepted" p)
+    [ Float.nan; infinity; neg_infinity; -1e-9; -.Float.min_float ];
+  List.iter
+    (fun p ->
+      Alcotest.(check bool) (Printf.sprintf "%g accepted, oracle equal" p) true
+        (required_matches t ~clock_period:p))
+    [ 0.; -0. ]
 
 (* ---------- timing simulation ---------- *)
 
@@ -436,7 +669,20 @@ let test_allocation_guard () =
       let reference =
         words_per_node nl (fun () -> analyze_reference RO.default ~library:lib nl)
       in
-      check "closure reference (want >= 500)" (reference >= 500.) reference)
+      check "closure reference (want >= 500)" (reference >= 500.) reference;
+      (* the sign-off read at a clock with no violations *)
+      let t = Sta.analyze_with RO.default ~library:lib ~model:DM.proposed nl in
+      let clock_period = 2. *. Sta.max_delay t in
+      let signoff =
+        words_per_node nl (fun () ->
+            Sta.violations t (Sta.compute_required t ~clock_period))
+      in
+      check "required + violations (want <= 16)" (signoff <= 16.) signoff;
+      let oracle =
+        words_per_node nl (fun () ->
+            violations t (compute_required t ~clock_period))
+      in
+      check "record-array oracle (want >= 400)" (oracle >= 400.) oracle)
     [ "c880s"; "c7552s" ]
 
 let test_rejects_invalid_specs () =
@@ -508,7 +754,20 @@ let suites =
         Alcotest.test_case "violations" `Slow test_sta_required_and_violations;
         Alcotest.test_case "backward monotone" `Slow
           test_sta_required_monotone_backward;
+        Alcotest.test_case "hold side matches oracle" `Slow
+          test_required_hold_side;
+        Alcotest.test_case "K=4 planes match oracle" `Slow
+          test_required_corner_planes;
+        Alcotest.test_case "rejects bad clock periods" `Quick
+          test_required_rejects_bad_clock;
+        Alcotest.test_case "ssd sta --clock boundary" `Slow
+          test_cli_clock_boundary;
+        Alcotest.test_case "violations rejects another netlist" `Quick
+          test_violations_rejects_other_netlist;
+        Alcotest.test_case "violations at the slack boundary" `Quick
+          test_violations_slack_boundary;
       ] );
+    qsuite "sta.required.props" [ prop_required_matches_oracle ];
     ( "sta.tsim",
       [
         Alcotest.test_case "logic matches" `Slow test_tsim_logic_matches_boolean;

@@ -39,6 +39,19 @@ SSD_FAST=1 dune exec bin/ssd.exe -- mc c880s --samples 7 --batch 3 \
 SSD_FAST=1 dune exec bin/ssd.exe -- eco c880s tools/eco_smoke.eco \
   --check --jobs 2 >/dev/null
 
+# Sign-off read through the real binary: the required-time check of
+# c880s at an 8 ns clock must reproduce the checked-in report byte for
+# byte (summary, PO table and 821 violation lines), and a clock period
+# that is not a finite number >= 0 must be rejected before any analysis
+# with exit status 2.
+SSD_FAST=1 dune exec bin/ssd.exe -- sta c880s --clock 8 \
+  > "$TRACE_TMP/sta_clock_c880s.out"
+diff tools/sta_clock_c880s.golden "$TRACE_TMP/sta_clock_c880s.out"
+clock_status=0
+SSD_FAST=1 dune exec bin/ssd.exe -- sta c17 --clock=-1 >/dev/null 2>&1 \
+  || clock_status=$?
+test "$clock_status" -eq 2
+
 # Downsized scale + corners + Monte-Carlo runs (the 100k/40k-gate
 # experiments shrunk for CI — every bit-identity, footprint and speedup
 # assertion still runs), consolidated into one invocation so the report
