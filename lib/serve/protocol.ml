@@ -47,8 +47,7 @@ let parse_request ~max_bytes frame =
     Error
       ( Json.Null,
         Frame_too_large,
-        Printf.sprintf "frame is %d bytes, cap %d" (String.length frame)
-          max_bytes )
+        Printf.sprintf "frame exceeds the %d-byte cap" max_bytes )
   else
     match Json.parse frame with
     | Error msg -> Error (Json.Null, Bad_frame, msg)
@@ -56,28 +55,31 @@ let parse_request ~max_bytes frame =
       let id = Option.value ~default:Json.Null (Json.member "id" body) in
       match Json.member "v" body with
       | None -> Error (id, Bad_version, "request carries no \"v\" field")
-      | Some v when Json.int_value v <> Some version ->
-        Error
-          ( id,
-            Bad_version,
-            Printf.sprintf "unsupported protocol version %s (serve speaks %d)"
-              (Json.to_string v) version )
-      | Some _ -> (
-        match Json.member_string "op" body with
-        | Some op when op <> "" -> Ok { rq_id = id; rq_op = op; rq_body = body }
-        | Some _ -> Error (id, Bad_request, "\"op\" is empty")
-        | None -> Error (id, Bad_request, "request carries no \"op\" string")))
+      | Some v -> (
+        match Json.int_value v with
+        | Some n when n = version -> (
+          match Json.member_string "op" body with
+          | Some op when op <> "" ->
+            Ok { rq_id = id; rq_op = op; rq_body = body }
+          | Some _ -> Error (id, Bad_request, "\"op\" is empty")
+          | None -> Error (id, Bad_request, "request carries no \"op\" string"))
+        | _ ->
+          Error
+            ( id,
+              Bad_version,
+              Printf.sprintf "unsupported protocol version %s (serve speaks %d)"
+                (Json.to_string v) version )))
     | Ok _ -> Error (Json.Null, Bad_request, "request is not a JSON object")
 
 (* fixed field order: v, id, then ok/error — byte-stable for replay *)
-let ok_json ~id body =
-  Json.Obj
-    [ ("v", Json.Num (float_of_int version)); ("id", id); ("ok", body) ]
+let v_field = ("v", Json.Num (float_of_int version))
+
+let ok_json ~id body = Json.Obj [ v_field; ("id", id); ("ok", body) ]
 
 let error_json ~id code message =
   Json.Obj
     [
-      ("v", Json.Num (float_of_int version));
+      v_field;
       ("id", id);
       ( "error",
         Json.Obj

@@ -6,7 +6,8 @@
     newlines — {!Ssd_util.Json.to_string} never emits raw control
     characters), one response line per request, in request order.
     Frames larger than the server's admission cap are rejected with
-    {!Frame_too_large} without being parsed.
+    {!Frame_too_large} without being parsed; the transport keeps at
+    most cap + 1 bytes of such a line.
 
     {2 Envelopes}
 

@@ -494,6 +494,35 @@ let handle_control t (req : P.request) =
 (* ------------------------------------------------------------------ *)
 (* Batched dispatch                                                    *)
 
+(* What a frame asks for, in arrival order: a reply known at once (a
+   parse, envelope or shutdown error), an engine op on a named session,
+   or a lifecycle op. *)
+type step =
+  | Reply of Json.t
+  | Engine_op of string * P.request
+  | Control of P.request
+
+let step_of t frame =
+  match P.parse_request ~max_bytes:t.cfg.sv_max_frame_bytes frame with
+  | Error (id, c, m) -> Reply (error t ~id c m)
+  | Ok req ->
+    if t.st_shutdown then
+      Reply (error t ~id:req.rq_id P.Shutting_down "server is shutting down")
+    else if is_engine_op req.rq_op then
+      match Json.member_string "session" req.rq_body with
+      | None ->
+        Reply
+          (error t ~id:req.rq_id P.Bad_request
+             "request carries no \"session\" string")
+      | Some name -> Engine_op (name, req)
+    else Control req
+
+let engine_reply t name (req : P.request) =
+  match Session.find t.st_sessions name with
+  | Error e ->
+    error t ~id:req.rq_id P.Unknown_session (Session.error_message e)
+  | Ok s -> handle_engine t s req
+
 (* one thunk per distinct session; items stay in arrival order *)
 let run_engine_ops t (out : string array) items =
   let groups : (string, (int * P.request) list ref) Hashtbl.t =
@@ -501,115 +530,138 @@ let run_engine_ops t (out : string array) items =
   in
   let order = ref [] in
   List.iter
-    (fun ((_, req) as item) ->
-      let name =
-        Option.get (Json.member_string "session" req.P.rq_body)
-      in
+    (fun (i, name, req) ->
       match Hashtbl.find_opt groups name with
-      | Some l -> l := item :: !l
+      | Some l -> l := (i, req) :: !l
       | None ->
-        Hashtbl.add groups name (ref [ item ]);
+        Hashtbl.add groups name (ref [ (i, req) ]);
         order := name :: !order)
     items;
   let thunk name () =
-    let items = List.rev !(Hashtbl.find groups name) in
-    match Session.find t.st_sessions name with
-    | Error e ->
-      List.iter
-        (fun (i, (req : P.request)) ->
-          out.(i) <-
-            P.render
-              (error t ~id:req.rq_id P.Unknown_session
-                 (Session.error_message e)))
-        items
-    | Ok s ->
-      List.iter
-        (fun (i, req) -> out.(i) <- P.render (handle_engine t s req))
-        items
+    List.iter
+      (fun (i, req) -> out.(i) <- P.render (engine_reply t name req))
+      (List.rev !(Hashtbl.find groups name))
   in
   Session.run_batch t.st_sessions
     (Array.of_list (List.rev_map (fun n -> thunk n) !order))
 
-let record_pairs t frames resps =
-  match t.st_record with
-  | None -> ()
-  | Some oc ->
-    List.iter2
-      (fun req resp ->
-        output_string oc
-          (Json.to_string
-             (Json.Obj [ ("req", Json.Str req); ("resp", Json.Str resp) ]));
-        output_char oc '\n')
-      frames resps;
-    flush oc
+let record_pair oc req resp =
+  output_string oc
+    (Json.to_string
+       (Json.Obj [ ("req", Json.Str req); ("resp", Json.Str resp) ]));
+  output_char oc '\n'
+
+(* A frame that rides alone — every request of a closed-loop client —
+   is answered on the caller's domain, as a one-group batch would be,
+   without the grouping's table, arrays and thunks. *)
+let dispatch t frame =
+  Obs.incr t.c_batches;
+  Obs.observe t.h_batch 1.;
+  Obs.time t.tm_dispatch (fun () ->
+      Obs.incr t.c_requests;
+      Obs.add t.c_bytes_in (String.length frame);
+      let resp =
+        P.render
+          (match step_of t frame with
+          | Reply j -> j
+          | Engine_op (name, req) -> engine_reply t name req
+          | Control req -> handle_control t req)
+      in
+      Obs.add t.c_bytes_out (String.length resp + 1);
+      (match t.st_record with
+      | None -> ()
+      | Some oc ->
+        record_pair oc frame resp;
+        flush oc);
+      resp)
 
 let dispatch_batch t frames =
-  Obs.incr t.c_batches;
-  Obs.observe t.h_batch (float_of_int (List.length frames));
-  Obs.time t.tm_dispatch (fun () ->
-      let fr = Array.of_list frames in
-      let n = Array.length fr in
-      (* arrivals are counted before dispatch so a stats request inside
-         the batch sees the batch it rode in on *)
-      Obs.add t.c_requests n;
-      List.iter (fun f -> Obs.add t.c_bytes_in (String.length f)) frames;
-      let out = Array.make n "" in
-      let pending = ref [] in
-      let flush_pending () =
-        match List.rev !pending with
-        | [] -> ()
-        | items ->
-          pending := [];
-          run_engine_ops t out items
-      in
-      Array.iteri
-        (fun i frame ->
-          match P.parse_request ~max_bytes:t.cfg.sv_max_frame_bytes frame with
-          | Error (id, c, m) -> out.(i) <- P.render (error t ~id c m)
-          | Ok req ->
-            if t.st_shutdown then
-              out.(i) <-
-                P.render
-                  (error t ~id:req.rq_id P.Shutting_down
-                     "server is shutting down")
-            else if is_engine_op req.rq_op then
-              match Json.member_string "session" req.rq_body with
-              | None ->
-                out.(i) <-
-                  P.render
-                    (error t ~id:req.rq_id P.Bad_request
-                       "request carries no \"session\" string")
-              | Some _ -> pending := (i, req) :: !pending
-            else begin
+  match frames with
+  | [ frame ] -> [ dispatch t frame ]
+  | _ ->
+    Obs.incr t.c_batches;
+    Obs.observe t.h_batch (float_of_int (List.length frames));
+    Obs.time t.tm_dispatch (fun () ->
+        let fr = Array.of_list frames in
+        let n = Array.length fr in
+        (* arrivals are counted before dispatch so a stats request inside
+           the batch sees the batch it rode in on *)
+        Obs.add t.c_requests n;
+        List.iter (fun f -> Obs.add t.c_bytes_in (String.length f)) frames;
+        let out = Array.make n "" in
+        let pending = ref [] in
+        let flush_pending () =
+          match List.rev !pending with
+          | [] -> ()
+          | items ->
+            pending := [];
+            run_engine_ops t out items
+        in
+        Array.iteri
+          (fun i frame ->
+            match step_of t frame with
+            | Reply j -> out.(i) <- P.render j
+            | Engine_op (name, req) -> pending := (i, name, req) :: !pending
+            | Control req ->
               (* lifecycle ops are barriers: everything queued so far
                  must land before the session table changes *)
               flush_pending ();
-              out.(i) <- P.render (handle_control t req)
-            end)
-        fr;
-      flush_pending ();
-      let resps = Array.to_list out in
-      List.iter (fun r -> Obs.add t.c_bytes_out (String.length r + 1)) resps;
-      record_pairs t frames resps;
-      resps)
-
-let dispatch t frame =
-  match dispatch_batch t [ frame ] with
-  | [ r ] -> r
-  | _ -> assert false
+              out.(i) <- P.render (handle_control t req))
+          fr;
+        flush_pending ();
+        let resps = Array.to_list out in
+        List.iter (fun r -> Obs.add t.c_bytes_out (String.length r + 1)) resps;
+        (match t.st_record with
+        | None -> ()
+        | Some oc ->
+          List.iter2 (record_pair oc) frames resps;
+          flush oc);
+        resps)
 
 (* ------------------------------------------------------------------ *)
 (* Line framing over raw descriptors                                   *)
 
+(* Unconsumed input sits at [r_pos, r_len) of one growable buffer; no
+   newline lies in [r_pos, r_scan), so a long line is scanned once.  A
+   line longer than the frame cap is not buffered past [r_keep] bytes:
+   that prefix is set aside in [r_over] and the rest of the line is
+   dropped as it arrives, through its newline; the prefix then goes to
+   dispatch as the frame, which the cap check rejects. *)
 type reader = {
   r_fd : Unix.file_descr;
-  mutable r_pending : string;
-  r_bytes : Bytes.t;
+  r_keep : int;
+  mutable r_buf : Bytes.t;
+  mutable r_pos : int;
+  mutable r_len : int;
+  mutable r_scan : int;
+  mutable r_over : string option;
   mutable r_eof : bool;
 }
 
-let reader fd =
-  { r_fd = fd; r_pending = ""; r_bytes = Bytes.create 65536; r_eof = false }
+let chunk = 65536
+
+let reader ~max_frame_bytes fd =
+  (* clamped so a negative cap keeps one byte (still over it) and
+     [max_int] does not overflow *)
+  let keep = min (max_int - 1) (max 0 max_frame_bytes) + 1 in
+  { r_fd = fd; r_keep = keep; r_buf = Bytes.create (2 * chunk);
+    r_pos = 0; r_len = 0; r_scan = 0; r_over = None; r_eof = false }
+
+(* room for one more [chunk] after [r_len]: slide the unconsumed bytes
+   to the front, and grow only when they alone leave too little room *)
+let make_room r =
+  if Bytes.length r.r_buf - r.r_len < chunk then begin
+    let live = r.r_len - r.r_pos in
+    let buf =
+      if live + chunk <= Bytes.length r.r_buf then r.r_buf
+      else Bytes.create (2 * (live + chunk))
+    in
+    Bytes.blit r.r_buf r.r_pos buf 0 live;
+    r.r_buf <- buf;
+    r.r_scan <- r.r_scan - r.r_pos;
+    r.r_pos <- 0;
+    r.r_len <- live
+  end
 
 let read_more r ~block =
   if r.r_eof then false
@@ -623,35 +675,74 @@ let read_more r ~block =
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> false
     in
     if not ready then false
-    else
-      match Unix.read r.r_fd r.r_bytes 0 (Bytes.length r.r_bytes) with
+    else begin
+      make_room r;
+      match Unix.read r.r_fd r.r_buf r.r_len chunk with
       | 0 ->
         r.r_eof <- true;
         false
       | n ->
-        r.r_pending <- r.r_pending ^ Bytes.sub_string r.r_bytes 0 n;
+        r.r_len <- r.r_len + n;
         true
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> not block
+    end
+
+let rec find_newline b i stop =
+  if i >= stop then -1
+  else if Bytes.unsafe_get b i = '\n' then i
+  else find_newline b (i + 1) stop
+
+(* Consume [r_pos, stop) as one line; [stop] itself (its newline) too. *)
+let consume r stop =
+  r.r_pos <- stop + 1;
+  r.r_scan <- r.r_pos;
+  if r.r_pos >= r.r_len then begin
+    r.r_pos <- 0;
+    r.r_len <- 0;
+    r.r_scan <- 0
+  end
 
 let rec take_line r ~block =
-  match String.index_opt r.r_pending '\n' with
-  | Some i ->
-    let line = String.sub r.r_pending 0 i in
-    r.r_pending <-
-      String.sub r.r_pending (i + 1) (String.length r.r_pending - i - 1);
-    let line =
-      if line <> "" && line.[String.length line - 1] = '\r' then
-        String.sub line 0 (String.length line - 1)
-      else line
+  let nl = find_newline r.r_buf r.r_scan r.r_len in
+  match r.r_over with
+  | Some prefix when nl >= 0 ->
+    consume r nl;
+    r.r_over <- None;
+    Some prefix
+  | Some prefix ->
+    (* drop what arrived of the oversized line *)
+    r.r_pos <- 0;
+    r.r_len <- 0;
+    r.r_scan <- 0;
+    if read_more r ~block || (block && not r.r_eof) then take_line r ~block
+    else if r.r_eof then begin
+      r.r_over <- None;
+      Some prefix
+    end
+    else None
+  | None when nl >= 0 ->
+    let stop =
+      if nl > r.r_pos && Bytes.get r.r_buf (nl - 1) = '\r' then nl - 1 else nl
     in
+    let line = Bytes.sub_string r.r_buf r.r_pos (stop - r.r_pos) in
+    consume r nl;
     Some line
+  | None when r.r_len - r.r_pos > r.r_keep ->
+    (* with a CR, a line of [r_keep] bytes can still fit the cap; one
+       byte more cannot *)
+    r.r_over <- Some (Bytes.sub_string r.r_buf r.r_pos r.r_keep);
+    r.r_pos <- r.r_len;
+    r.r_scan <- r.r_len;
+    take_line r ~block
   | None ->
-    if read_more r ~block then take_line r ~block
-    else if block && not r.r_eof then take_line r ~block
-    else if r.r_eof && r.r_pending <> "" then begin
-      let l = r.r_pending in
-      r.r_pending <- "";
-      Some l
+    r.r_scan <- r.r_len;
+    if read_more r ~block || (block && not r.r_eof) then take_line r ~block
+    else if r.r_eof && r.r_len > r.r_pos then begin
+      let line = Bytes.sub_string r.r_buf r.r_pos (r.r_len - r.r_pos) in
+      r.r_pos <- 0;
+      r.r_len <- 0;
+      r.r_scan <- 0;
+      Some line
     end
     else None
 
@@ -659,45 +750,62 @@ let read_batch t r =
   match take_line r ~block:true with
   | None -> None
   | Some first ->
-    let acc = ref [ first ] in
-    let bytes = ref (String.length first) in
-    let count = ref 1 in
-    let rec drain () =
-      if
-        !count < t.cfg.sv_max_batch_requests
-        && !bytes < t.cfg.sv_max_batch_bytes
-      then
-        match take_line r ~block:false with
-        | Some l ->
-          acc := l :: !acc;
-          bytes := !bytes + String.length l;
-          incr count;
-          drain ()
-        | None -> ()
-    in
-    drain ();
+    let acc = ref [ first ] and bytes = ref (String.length first) in
+    let count = ref 1 and more = ref true in
+    while
+      !more
+      && !count < t.cfg.sv_max_batch_requests
+      && !bytes < t.cfg.sv_max_batch_bytes
+    do
+      match take_line r ~block:false with
+      | Some l ->
+        acc := l :: !acc;
+        bytes := !bytes + String.length l;
+        incr count
+      | None -> more := false
+    done;
     Some (List.rev !acc)
 
-let write_all fd s =
-  let b = Bytes.of_string s in
-  let len = Bytes.length b in
+(* Replies are copied into one reused byte buffer, a newline after
+   each, and written with as few calls as the descriptor allows. *)
+type writer = {
+  w_fd : Unix.file_descr;
+  mutable w_buf : Bytes.t;
+  mutable w_len : int;
+}
+
+let add_reply w s =
+  let len = String.length s in
+  if w.w_len + len + 1 > Bytes.length w.w_buf then begin
+    let buf = Bytes.create (2 * (w.w_len + len + 1)) in
+    Bytes.blit w.w_buf 0 buf 0 w.w_len;
+    w.w_buf <- buf
+  end;
+  Bytes.blit_string s 0 w.w_buf w.w_len len;
+  Bytes.set w.w_buf (w.w_len + len) '\n';
+  w.w_len <- w.w_len + len + 1
+
+let write_out w =
   let rec go off =
-    if off < len then
-      match Unix.write fd b off (len - off) with
+    if off < w.w_len then
+      match Unix.write w.w_fd w.w_buf off (w.w_len - off) with
       | n -> go (off + n)
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
   in
-  go 0
+  go 0;
+  w.w_len <- 0;
+  if Bytes.length w.w_buf > 16 * chunk then w.w_buf <- Bytes.create chunk
 
 let serve_fd t ~in_fd ~out_fd =
-  let r = reader in_fd in
+  let r = reader ~max_frame_bytes:t.cfg.sv_max_frame_bytes in_fd in
+  let w = { w_fd = out_fd; w_buf = Bytes.create chunk; w_len = 0 } in
   let rec loop () =
     if not t.st_shutdown then
       match read_batch t r with
       | None -> ()
       | Some frames ->
-        let resps = dispatch_batch t frames in
-        write_all out_fd (String.concat "" (List.map (fun x -> x ^ "\n") resps));
+        List.iter (add_reply w) (dispatch_batch t frames);
+        write_out w;
         loop ()
   in
   loop ()

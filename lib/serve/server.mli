@@ -79,8 +79,11 @@ val dispatch_batch : t -> string list -> string list
 val serve_fd : t -> in_fd:Unix.file_descr -> out_fd:Unix.file_descr -> unit
 (** Line-framed serve loop over raw descriptors: blocks for the first
     frame, then drains whatever further frames are already readable
-    (up to the batch caps) into one {!dispatch_batch}.  Returns on EOF
-    or after a [shutdown] request. *)
+    (up to the batch caps) into one {!dispatch_batch}.  A line is never
+    buffered past [sv_max_frame_bytes + 1] bytes: a longer one is cut
+    there, the rest of it is dropped through its newline, and the kept
+    prefix is dispatched (and answered [frame-too-large]).  Returns on
+    EOF or after a [shutdown] request. *)
 
 val serve_stdio : t -> unit
 (** {!serve_fd} over stdin/stdout — the test and bench transport. *)

@@ -13,11 +13,10 @@ type edit =
   | Set_extra_delay of { line : int; delta : float }
   | Set_model of Delay_model.t
 
-(* One journal entry: the previous value of a single overlay slot or
-   timing entry.  A frame (one edit's patch list) touches each location
-   at most once, so restoring a frame is order-insensitive. *)
+(* One frame's overlay patch: the previous value of the one overlay slot
+   (or the model) its edit overwrites.  Overwritten windows are journaled
+   apart, in the flat arrays of [t]. *)
 type patch =
-  | P_timing of int * Sta.line_timing
   | P_kind of int * Gate.kind option
   | P_extra of int * float
   | P_pi of int * Run_opts.pi_spec option
@@ -31,7 +30,7 @@ type stats = {
   cutoffs : int;
 }
 
-type checkpoint = { cp_depth : int }
+type checkpoint = int  (* the history depth it marks *)
 
 type t = {
   e_netlist : Netlist.t;
@@ -49,11 +48,29 @@ type t = {
   e_kind_ov : Gate.kind option array;
   e_extra : float array;
   e_pi_ov : Run_opts.pi_spec option array;
-  mutable e_journal : patch list list;  (* newest frame first *)
+  (* dirty marks: node [i] is dirty in the running propagation iff
+     [e_mark.(i) = e_epoch]; each propagation takes a fresh epoch, so no
+     pass ever clears the array *)
+  e_mark : int array;
+  mutable e_epoch : int;
+  (* the undo journal since the last commit, oldest frame first.  Window
+     entry [k] holds node [j_node.(k)]'s overwritten 8 floats at
+     [j_win.(8k ..)]; frame [f] owns entries [f_start.(f)] up to the next
+     frame's start (the last frame: up to [j_len]) and the overlay patch
+     [f_patch.(f)].  The arrays keep their capacity across commits. *)
+  mutable j_node : int array;
+  mutable j_win : float array;
+  mutable j_len : int;
+  mutable f_start : int array;
+  mutable f_patch : patch array;
   mutable e_depth : int;
   mutable e_base_depth : int;  (* journal reaches back to this depth *)
   mutable e_closed : bool;
-  mutable e_stats : stats;
+  mutable s_edits : int;
+  mutable s_reverts : int;
+  mutable s_recomputed : int;
+  mutable s_skipped : int;
+  mutable s_cutoffs : int;
   c_edits : Obs.counter;
   c_reverts : Obs.counter;
   c_recomputed : Obs.counter;
@@ -132,58 +149,111 @@ let eval_into t (sc : Plane_sweep.scratch) i =
   let extra = t.e_extra.(i) in
   if extra <> 0. then Plane_sweep.shift_arrivals out ~off:0 extra
 
+(* ---- the journal ---- *)
+
+(* a placeholder for released frame slots *)
+let no_patch = P_model Delay_model.proposed
+
+let frames t = t.e_depth - t.e_base_depth
+
+(* Save node [i]'s stored windows before they are overwritten. *)
+let journal_window t i =
+  let k = t.j_len in
+  if k = Array.length t.j_node then begin
+    let node = Array.make (2 * k) 0 and win = Array.make (16 * k) 0. in
+    Array.blit t.j_node 0 node 0 k;
+    Array.blit t.j_win 0 win 0 (8 * k);
+    t.j_node <- node;
+    t.j_win <- win
+  end;
+  t.j_node.(k) <- i;
+  Plane_sweep.load t.e_sweep ~plane:0 i t.j_win ~off:(8 * k);
+  t.j_len <- k + 1
+
+let push_frame t patch =
+  let f = frames t in
+  if f = Array.length t.f_start then begin
+    let start = Array.make (2 * f) 0 and pat = Array.make (2 * f) no_patch in
+    Array.blit t.f_start 0 start 0 f;
+    Array.blit t.f_patch 0 pat 0 f;
+    t.f_start <- start;
+    t.f_patch <- pat
+  end;
+  t.f_start.(f) <- t.j_len;
+  t.f_patch.(f) <- patch;
+  t.e_depth <- t.e_depth + 1
+
+(* Undo the newest frame: its windows by 8-float copies back into the
+   store, then its overlay slot.  A frame journals each node at most
+   once, so the copy order does not matter. *)
+let pop_frame t =
+  let f = frames t - 1 in
+  let start = t.f_start.(f) in
+  for k = t.j_len - 1 downto start do
+    Plane_sweep.store t.e_sweep ~plane:0 t.j_node.(k) t.j_win ~off:(8 * k)
+  done;
+  t.j_len <- start;
+  (match t.f_patch.(f) with
+  | P_kind (i, k) ->
+    t.e_kind_ov.(i) <- k;
+    Plane_sweep.retype t.e_sweep i (kind_of t i)
+  | P_extra (i, x) -> t.e_extra.(i) <- x
+  | P_pi (i, s) -> t.e_pi_ov.(i) <- s
+  | P_model m -> t.e_model <- m);
+  t.f_patch.(f) <- no_patch;
+  t.e_depth <- t.e_depth - 1
+
 (* Re-evaluate the dirty part of [nodes] (a topologically ordered slice —
    a fanout cone, or the whole netlist for a model retarget) in order.
-   A node is dirty when it is a root of the edit or some fan-in's windows
-   changed; a recomputed node whose windows come back bit-identical is a
-   cutoff — it does not dirty its own fanout, which is what keeps a
-   single-line edit local even inside a wide cone. *)
-let propagate t ~is_root ~root_eval ~nodes ~frame =
-  let nl = t.e_netlist in
-  (* push-based dirtying: a node is visited dirty when it is a root or a
-     changed node marked it through its fanout edges, so a clean cone
-     member costs one flag read instead of a fan-in scan *)
-  let dirty = Array.make (Netlist.size nl) false in
-  Array.iter (fun i -> if is_root i then dirty.(i) <- true) nodes;
-  let recomputed = ref 0 and skipped = ref 0 and cutoffs = ref 0 in
+   The caller stamps the edit's roots with a fresh [e_epoch]; a changed
+   node stamps its fanout, so a clean cone member costs one mark read
+   instead of a fan-in scan.  A recomputed node whose windows come back
+   bit-identical is a cutoff — it does not dirty its own fanout, which is
+   what keeps a single-line edit local even inside a wide cone.  With
+   [translate], the root's new windows are its stored ones shifted by
+   its extra delay: a line that carried no extra delay stores exactly
+   the kernel output, so this is the expression the kernel would
+   compute, without paying its corner searches. *)
+let propagate t nodes ~root ~translate =
+  let nl = t.e_netlist and marks = t.e_mark and epoch = t.e_epoch in
   let sc = Plane_sweep.scratch t.e_sweep in
   let out = sc.Plane_sweep.out in
-  Array.iter
-    (fun i ->
-      if dirty.(i) then begin
-        (match root_eval with
-        | Some f when is_root i -> f out
-        | _ -> eval_into t sc i);
-        incr recomputed;
-        (* the cutoff test compares against the packed slots bitwise,
-           without materializing the stored windows *)
-        if Plane_sweep.stored_equal t.e_sweep ~plane:0 i out ~off:0 then
-          incr cutoffs
-        else begin
-          frame := P_timing (i, get t i) :: !frame;
-          Plane_sweep.store t.e_sweep ~plane:0 i out ~off:0;
-          Netlist.iter_fanout nl i ~f:(fun j -> dirty.(j) <- true)
-        end
+  let recomputed = ref 0 and cutoffs = ref 0 in
+  for k = 0 to Array.length nodes - 1 do
+    let i = nodes.(k) in
+    if marks.(i) = epoch then begin
+      if translate && i = root then begin
+        Plane_sweep.load t.e_sweep ~plane:0 i out ~off:0;
+        Plane_sweep.shift_arrivals out ~off:0 t.e_extra.(i)
       end
-      else incr skipped)
-    nodes;
+      else eval_into t sc i;
+      incr recomputed;
+      if Plane_sweep.stored_equal t.e_sweep ~plane:0 i out ~off:0 then
+        incr cutoffs
+      else begin
+        journal_window t i;
+        Plane_sweep.store t.e_sweep ~plane:0 i out ~off:0;
+        for p = 0 to Netlist.fanout_count nl i - 1 do
+          marks.(Netlist.fanout_nth nl i p) <- epoch
+        done
+      end
+    end
+  done;
+  let skipped = Array.length nodes - !recomputed in
   Obs.add t.c_recomputed !recomputed;
-  Obs.add t.c_skipped !skipped;
+  Obs.add t.c_skipped skipped;
   Obs.add t.c_cutoffs !cutoffs;
-  t.e_stats <-
-    {
-      t.e_stats with
-      nodes_recomputed = t.e_stats.nodes_recomputed + !recomputed;
-      nodes_skipped = t.e_stats.nodes_skipped + !skipped;
-      cutoffs = t.e_stats.cutoffs + !cutoffs;
-    }
+  t.s_recomputed <- t.s_recomputed + !recomputed;
+  t.s_skipped <- t.s_skipped + skipped;
+  t.s_cutoffs <- t.s_cutoffs + !cutoffs
 
-let propagate_cone t ~root_eval ~root ~frame =
-  let cone = Netlist.fanout_cone t.e_netlist root in
-  Obs.add t.c_cone (Array.length cone.Netlist.cone_nodes);
-  Obs.observe t.h_cone (float_of_int (Array.length cone.Netlist.cone_nodes));
-  propagate t ~is_root:(fun i -> i = root) ~root_eval
-    ~nodes:cone.Netlist.cone_nodes ~frame
+let propagate_cone t root ~translate =
+  let nodes = (Netlist.fanout_cone t.e_netlist root).Netlist.cone_nodes in
+  Obs.add t.c_cone (Array.length nodes);
+  Obs.observe t.h_cone (float_of_int (Array.length nodes));
+  t.e_epoch <- t.e_epoch + 1;
+  t.e_mark.(root) <- t.e_epoch;
+  propagate t nodes ~root ~translate
 
 let create ?(opts = Run_opts.default) ~library ~model nl =
   ignore (Sta.windowing_of model : Delay_model.windowing);
@@ -209,13 +279,21 @@ let create ?(opts = Run_opts.default) ~library ~model nl =
       e_kind_ov = Array.make n None;
       e_extra = Array.make n 0.;
       e_pi_ov = Array.make n None;
-      e_journal = [];
+      e_mark = Array.make n 0;
+      e_epoch = 0;
+      j_node = Array.make 64 0;
+      j_win = Array.make (8 * 64) 0.;
+      j_len = 0;
+      f_start = Array.make 16 0;
+      f_patch = Array.make 16 no_patch;
       e_depth = 0;
       e_base_depth = 0;
       e_closed = false;
-      e_stats =
-        { edits = 0; reverts = 0; nodes_recomputed = 0; nodes_skipped = 0;
-          cutoffs = 0 };
+      s_edits = 0;
+      s_reverts = 0;
+      s_recomputed = 0;
+      s_skipped = 0;
+      s_cutoffs = 0;
       c_edits = Obs.counter obs "engine.edits";
       c_reverts = Obs.counter obs "engine.reverts";
       c_recomputed = Obs.counter obs "engine.nodes_recomputed";
@@ -250,11 +328,11 @@ let with_engine ?opts ~library ~model nl f =
   let t = create ?opts ~library ~model nl in
   Fun.protect ~finally:(fun () -> close t) (fun () -> f t)
 
-let edit_name = function
-  | Set_pi_spec _ -> "set_pi_spec"
-  | Swap_gate _ -> "swap_gate"
-  | Set_extra_delay _ -> "set_extra_delay"
-  | Set_model _ -> "set_model"
+let edit_event = function
+  | Set_pi_spec _ -> "engine.edit.set_pi_spec"
+  | Swap_gate _ -> "engine.edit.swap_gate"
+  | Set_extra_delay _ -> "engine.edit.set_extra_delay"
+  | Set_model _ -> "engine.edit.set_model"
 
 (* ---- serializable edit codec ----
 
@@ -453,140 +531,132 @@ let script_op_of_line nl raw =
   | [ "commit" ] -> Ok (Some S_commit)
   | cmd :: _ -> err "unknown or malformed directive %S" cmd
 
+let bad fmt = Printf.ksprintf invalid_arg ("Engine.apply: " ^^ fmt)
+
+let check_range nl what i =
+  let n = Netlist.size nl in
+  if i < 0 || i >= n then bad "%s id %d out of range [0, %d)" what i n
+
+(* Reject an edit that cannot apply, before anything is mutated. *)
+let validate t edit =
+  let nl = t.e_netlist in
+  match edit with
+  | Set_pi_spec { pi; spec } -> (
+    check_range nl "PI" pi;
+    if not (Netlist.is_pi nl pi) then
+      bad "%s is a gate output, not a primary input"
+        (Netlist.signal_name nl pi);
+    match Run_opts.validate_pi_spec spec with
+    | Ok _ -> ()
+    | Error m -> bad "PI spec for %s: %s" (Netlist.signal_name nl pi) m)
+  | Swap_gate { node; kind } ->
+    check_range nl "gate" node;
+    if Netlist.is_pi nl node then
+      bad "%s is a primary input, not a gate" (Netlist.signal_name nl node);
+    let arity = Netlist.fanin_count nl node in
+    (match kind with
+    | Gate.Not when arity <> 1 ->
+      bad "cannot swap %d-input gate %s to NOT" arity
+        (Netlist.signal_name nl node)
+    | Gate.Not | Gate.Nand | Gate.Nor -> ()
+    | Gate.And | Gate.Or | Gate.Xor | Gate.Xnor | Gate.Buf ->
+      bad "%s is not a primitive kind (NAND/NOR/NOT)" (Gate.to_string kind));
+    (* reject uncharacterized arities up front *)
+    ignore (Sta.cell_of_gate t.e_library kind arity : Charlib.cell)
+  | Set_extra_delay { line; delta } ->
+    check_range nl "line" line;
+    if not (Float.is_finite delta) then
+      bad "extra delay %g on %s is not finite" delta
+        (Netlist.signal_name nl line)
+  | Set_model model -> ignore (Sta.windowing_of model : Delay_model.windowing)
+
+(* The overlay slot (or model) an edit overwrites, as it is now. *)
+let patch_of t = function
+  | Set_pi_spec { pi; _ } -> P_pi (pi, t.e_pi_ov.(pi))
+  | Swap_gate { node; _ } -> P_kind (node, t.e_kind_ov.(node))
+  | Set_extra_delay { line; _ } -> P_extra (line, t.e_extra.(line))
+  | Set_model _ -> P_model t.e_model
+
+let mutate t = function
+  | Set_pi_spec { pi; spec } ->
+    t.e_pi_ov.(pi) <- Some spec;
+    propagate_cone t pi ~translate:false
+  | Swap_gate { node; kind } ->
+    t.e_kind_ov.(node) <- Some kind;
+    Plane_sweep.retype t.e_sweep node kind;
+    propagate_cone t node ~translate:false
+  | Set_extra_delay { line; delta } ->
+    let old = t.e_extra.(line) in
+    t.e_extra.(line) <- delta;
+    propagate_cone t line ~translate:(old = 0.)
+  | Set_model model ->
+    t.e_model <- model;
+    t.e_epoch <- t.e_epoch + 1;
+    Array.fill t.e_mark 0 (Array.length t.e_mark) t.e_epoch;
+    propagate t (Netlist.topo_order t.e_netlist) ~root:(-1) ~translate:false
+
+(* One journaled edit.  The frame is pushed before anything is mutated,
+   so an edit whose propagation raises (a model's window function, say)
+   is undone from its own partial frame and leaves no trace. *)
+let run t edit =
+  push_frame t (patch_of t edit);
+  match mutate t edit with
+  | () -> ()
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    pop_frame t;
+    Printexc.raise_with_backtrace e bt
+
 let apply t edit =
   check_open t "Engine.apply";
-  let nl = t.e_netlist in
-  let n = Netlist.size nl in
-  let bad fmt = Printf.ksprintf invalid_arg ("Engine.apply: " ^^ fmt) in
-  let check_range what i =
-    if i < 0 || i >= n then bad "%s id %d out of range [0, %d)" what i n
-  in
-  (* validate fully before mutating anything: a rejected edit leaves the
-     engine exactly as it was *)
-  let run =
-    match edit with
-    | Set_pi_spec { pi; spec } ->
-      check_range "PI" pi;
-      (match Netlist.node nl pi with
-      | Netlist.Pi -> ()
-      | Netlist.Gate _ ->
-        bad "%s is a gate output, not a primary input"
-          (Netlist.signal_name nl pi));
-      (match Run_opts.validate_pi_spec spec with
-      | Ok _ -> ()
-      | Error m -> bad "PI spec for %s: %s" (Netlist.signal_name nl pi) m);
-      fun frame ->
-        frame := P_pi (pi, t.e_pi_ov.(pi)) :: !frame;
-        t.e_pi_ov.(pi) <- Some spec;
-        propagate_cone t ~root_eval:None ~root:pi ~frame
-    | Swap_gate { node; kind } ->
-      check_range "gate" node;
-      let arity =
-        match Netlist.node nl node with
-        | Netlist.Pi ->
-          bad "%s is a primary input, not a gate" (Netlist.signal_name nl node)
-        | Netlist.Gate { fanin; _ } -> Array.length fanin
-      in
-      (match kind with
-      | Gate.Not when arity <> 1 ->
-        bad "cannot swap %d-input gate %s to NOT" arity
-          (Netlist.signal_name nl node)
-      | Gate.Not | Gate.Nand | Gate.Nor -> ()
-      | Gate.And | Gate.Or | Gate.Xor | Gate.Xnor | Gate.Buf ->
-        bad "%s is not a primitive kind (NAND/NOR/NOT)" (Gate.to_string kind));
-      (* reject uncharacterized arities up front *)
-      ignore (Sta.cell_of_gate t.e_library kind arity : Charlib.cell);
-      fun frame ->
-        frame := P_kind (node, t.e_kind_ov.(node)) :: !frame;
-        t.e_kind_ov.(node) <- Some kind;
-        Plane_sweep.retype t.e_sweep node kind;
-        propagate_cone t ~root_eval:None ~root:node ~frame
-    | Set_extra_delay { line; delta } ->
-      check_range "line" line;
-      if not (Float.is_finite delta) then
-        bad "extra delay %g on %s is not finite" delta
-          (Netlist.signal_name nl line);
-      fun frame ->
-        let old = t.e_extra.(line) in
-        frame := P_extra (line, old) :: !frame;
-        t.e_extra.(line) <- delta;
-        (* a line that carried no extra delay stores exactly the kernel
-           output, so the root's new windows are a pure translation of
-           the stored ones — same expression the kernel would compute,
-           without paying its corner searches *)
-        let root_eval =
-          if old = 0. then
-            Some
-              (fun out ->
-                Plane_sweep.load t.e_sweep ~plane:0 line out ~off:0;
-                Plane_sweep.shift_arrivals out ~off:0 delta)
-          else None
-        in
-        propagate_cone t ~root_eval ~root:line ~frame
-    | Set_model model ->
-      ignore (Sta.windowing_of model : Delay_model.windowing);
-      fun frame ->
-        frame := P_model t.e_model :: !frame;
-        t.e_model <- model;
-        propagate t ~is_root:(fun _ -> true) ~root_eval:None ~nodes:(Netlist.topo_order nl)
-          ~frame
-  in
-  let frame = ref [] in
+  validate t edit;
   let obs = t.e_opts.Run_opts.obs in
-  let t0 = if Obs.enabled obs then Obs.now () else 0. in
-  Obs.span obs
-    ~event:("engine.edit." ^ edit_name edit)
-    t.tm_edit
-    (fun () -> run frame);
-  if Obs.enabled obs then
-    Obs.observe t.h_edit_us ((Obs.now () -. t0) *. 1e6);
-  t.e_journal <- !frame :: t.e_journal;
-  t.e_depth <- t.e_depth + 1;
+  if Obs.enabled obs then begin
+    let t0 = Obs.now () in
+    Obs.span obs ~event:(edit_event edit) t.tm_edit (fun () -> run t edit);
+    Obs.observe t.h_edit_us ((Obs.now () -. t0) *. 1e6)
+  end
+  else run t edit;
   Obs.incr t.c_edits;
-  t.e_stats <- { t.e_stats with edits = t.e_stats.edits + 1 }
+  t.s_edits <- t.s_edits + 1
 
 let checkpoint t =
   check_open t "Engine.checkpoint";
-  { cp_depth = t.e_depth }
-
-let restore t = function
-  | P_timing (i, v) -> Windows.set t.e_timing i ~rise:v.Sta.rise ~fall:v.Sta.fall
-  | P_kind (i, k) ->
-    t.e_kind_ov.(i) <- k;
-    Plane_sweep.retype t.e_sweep i (kind_of t i)
-  | P_extra (i, x) -> t.e_extra.(i) <- x
-  | P_pi (i, s) -> t.e_pi_ov.(i) <- s
-  | P_model m -> t.e_model <- m
+  t.e_depth
 
 let revert t cp =
   check_open t "Engine.revert";
-  if cp.cp_depth > t.e_depth then
+  if cp > t.e_depth then
     invalid_arg
       "Engine.revert: checkpoint is ahead of this engine's history (taken \
        on another engine, or already reverted past)";
-  if cp.cp_depth < t.e_base_depth then
+  if cp < t.e_base_depth then
     invalid_arg "Engine.revert: checkpoint precedes the last Engine.commit";
-  while t.e_depth > cp.cp_depth do
-    match t.e_journal with
-    | [] -> assert false
-    | frame :: rest ->
-      List.iter (restore t) frame;
-      t.e_journal <- rest;
-      t.e_depth <- t.e_depth - 1;
-      Obs.incr t.c_reverts;
-      t.e_stats <- { t.e_stats with reverts = t.e_stats.reverts + 1 }
+  while t.e_depth > cp do
+    pop_frame t;
+    Obs.incr t.c_reverts;
+    t.s_reverts <- t.s_reverts + 1
   done
 
 let commit t =
   check_open t "Engine.commit";
-  t.e_journal <- [];
+  Array.fill t.f_patch 0 (frames t) no_patch;
+  t.j_len <- 0;
   t.e_base_depth <- t.e_depth
 
 let netlist t = t.e_netlist
 let model t = t.e_model
 let opts t = t.e_opts
 let depth t = t.e_depth
-let stats t = t.e_stats
+
+let stats t =
+  {
+    edits = t.s_edits;
+    reverts = t.s_reverts;
+    nodes_recomputed = t.s_recomputed;
+    nodes_skipped = t.s_skipped;
+    cutoffs = t.s_cutoffs;
+  }
 
 let cutoff_ratio s =
   if s.nodes_recomputed = 0 then 0.
@@ -625,7 +695,7 @@ let reanalyze t =
 
 let summary t =
   let w = po_window t in
-  let s = t.e_stats in
+  let s = stats t in
   Printf.sprintf
     "%s [%s]: PO delay window [%.3f ns, %.3f ns] after %d edit(s) (%d \
      nodes recomputed, %d skipped, %.0f%% cutoff)"

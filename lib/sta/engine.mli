@@ -27,11 +27,15 @@
 
     {2 History}
 
-    Every {!apply} pushes an undo frame (previous overlay slots and
-    overwritten windows); {!checkpoint} marks a depth and {!revert}
-    restores to it in O(windows changed since) without recomputation.
-    {!commit} discards accumulated history — bounding memory in
-    long-running sessions — after which earlier checkpoints are invalid. *)
+    Every {!apply} pushes an undo frame (the previous overlay slot and
+    the overwritten windows, kept in flat arrays that the session reuses
+    across edits); {!checkpoint} marks a depth and {!revert} restores to
+    it in O(windows changed since) without recomputation.  {!commit}
+    discards accumulated history — bounding memory in long-running
+    sessions — after which earlier checkpoints are invalid.  A steady
+    edit/revert loop allocates no dirty marks and no journal entries:
+    the marks are one epoch-stamped array made at {!create}, and the
+    journal keeps its capacity. *)
 
 type t
 (** A timing session.  Not thread-safe: drive each engine from one
@@ -145,7 +149,10 @@ val apply : t -> edit -> unit
     {!Run_opts.validate_pi_spec} in {!Set_pi_spec}, a non-gate or
     non-primitive kind in {!Swap_gate}, a non-finite delta;
     {!Sta.Unsupported_gate} on an uncharacterized arity) leaves the
-    engine untouched. *)
+    engine untouched.  So does an edit whose propagation raises (a
+    model's window function, say): its frame is pushed before anything
+    changes, and the windows, overlay slot or model it had overwritten
+    are restored from it before the exception is re-raised. *)
 
 val checkpoint : t -> checkpoint
 (** Mark the current history depth. *)

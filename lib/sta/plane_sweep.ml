@@ -178,16 +178,20 @@ let scatter sw sc i c0 c1 =
     store sw ~plane:c i sc.out ~off:((c - c0) * 8)
   done
 
-let beq a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+(* inlined so the compared floats are never boxed *)
+let[@inline] beq a b =
+  Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 
 let stored_equal sw ~plane i (src : float array) ~off =
   let b = ((plane * sw.sw_nw) + i) * 8 in
-  let rec go f =
-    f >= 8
-    || (beq (Bigarray.Array1.unsafe_get sw.sw_data (b + f)) src.(off + f)
-       && go (f + 1))
-  in
-  go 0
+  let f = ref 0 in
+  while
+    !f < 8
+    && beq (Bigarray.Array1.unsafe_get sw.sw_data (b + !f)) src.(off + !f)
+  do
+    incr f
+  done;
+  !f = 8
 
 let eval_range sw sc ~pi_win i c0 c1 =
   if Netlist.is_pi sw.sw_nl i then

@@ -48,9 +48,7 @@ let create ?(max_sessions = 64) ?(jobs = 1) ?(opts = Run_opts.default)
 
 let max_sessions t = t.m_max
 
-let locked m f =
-  Mutex.lock m;
-  Fun.protect ~finally:(fun () -> Mutex.unlock m) f
+let locked = Mutex.protect
 
 let count t = locked t.m_mutex (fun () -> List.length t.m_sessions)
 let names t = locked t.m_mutex (fun () -> List.map fst t.m_sessions)

@@ -224,23 +224,36 @@ let windows t = t.st_timing
    folded in [Netlist.outputs] order: [Interval.hull]'s [Float.min] /
    [Float.max] sequence, read straight from the packed slots (rise
    arrival at +0/+1, fall arrival at +4/+5) without materializing a
-   window. *)
+   window.  The fold is a loop over float refs, which stay unboxed; a
+   recursive fold would box its accumulators at every PO. *)
 let po_window_of nl w ~plane =
   if plane < 0 || plane >= Windows.planes w then
     invalid_arg
       (Printf.sprintf "Sta.po_window_of: plane %d out of range [0, %d)" plane
          (Windows.planes w));
   let d = Windows.data w in
-  let slot i k = Bigarray.Array1.get d (Windows.base w ~plane i + k) in
-  let lo i = Float.min (slot i 0) (slot i 4)
-  and hi i = Float.max (slot i 1) (slot i 5) in
-  let rec fold l h = function
-    | [] -> Interval.make l h
-    | i :: rest -> fold (Float.min l (lo i)) (Float.max h (hi i)) rest
-  in
   match Netlist.outputs nl with
   | [] -> invalid_arg "Sta.po_window_of: netlist has no outputs"
-  | first :: rest -> fold (lo first) (hi first) rest
+  | pos ->
+    (* [Float.min infinity x] is [x] bit for bit, NaN and -0. included *)
+    let lo = ref infinity and hi = ref neg_infinity in
+    let rest = ref pos and more = ref true in
+    while !more do
+      match !rest with
+      | [] -> more := false
+      | i :: tl ->
+        let b = Windows.base w ~plane i in
+        lo :=
+          Float.min !lo
+            (Float.min (Bigarray.Array1.get d b)
+               (Bigarray.Array1.get d (b + 4)));
+        hi :=
+          Float.max !hi
+            (Float.max (Bigarray.Array1.get d (b + 1))
+               (Bigarray.Array1.get d (b + 5)));
+        rest := tl
+    done;
+    Interval.make !lo !hi
 
 let po_window t = po_window_of t.st_netlist t.st_timing ~plane:0
 

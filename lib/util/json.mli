@@ -17,8 +17,12 @@ type t =
 
 val to_string : t -> string
 (** Compact serialization.  Strings are escaped per RFC 8259; integral
-    numbers print without a decimal point; non-finite numbers (which JSON
-    cannot represent) print as [null]. *)
+    numbers below 1e15 in magnitude print as [Printf "%.0f"] would,
+    every other finite number as [Printf "%.17g"] would (so it reads
+    back bit for bit), and non-finite numbers (which JSON cannot
+    represent) print as [null].  Renders into a per-domain scratch
+    buffer: the result string is the only allocation besides the
+    number strings. *)
 
 val parse : string -> (t, string) result
 (** Parse one JSON document; [Error] carries a message with the byte

@@ -354,6 +354,139 @@ let test_jobs_open_no_pool () =
     "no par.* instrument" []
     (List.filter (String.starts_with ~prefix:"par.") names)
 
+(* A model whose window transfer functions raise on their [k]-th call
+   (both transitions counted): an edit that fails half-way through its
+   propagation. *)
+let flaky_model k =
+  let calls = ref 0 in
+  let w = Option.get DM.proposed.DM.windowing in
+  let tick () =
+    incr calls;
+    if !calls = k then failwith "flaky window function"
+  in
+  {
+    DM.proposed with
+    DM.name = "flaky";
+    windowing =
+      Some
+        {
+          DM.ctl_window =
+            (fun cell ~fanout wins ->
+              tick ();
+              w.DM.ctl_window cell ~fanout wins);
+          non_window =
+            (fun cell ~fanout wins ->
+              tick ();
+              w.DM.non_window cell ~fanout wins);
+        };
+  }
+
+let test_failed_edit_rolls_back () =
+  (* a model switch that raises half-way has overwritten about half the
+     windows; the engine must undo them from the edit's own frame, so the
+     session is left exactly as the call found it and later edits (and a
+     batch rollback's revert) start from a consistent state *)
+  let nl =
+    Ck.Decompose.to_primitive (Option.get (Ck.Benchmarks.by_name "c880s"))
+  in
+  let n = Ck.Netlist.size nl in
+  let gate = List.nth (two_input_gates nl) 11 in
+  let pi = List.hd (Ck.Netlist.inputs nl) in
+  E.with_engine ~library:(Lazy.force lib) ~model:DM.pin_to_pin nl (fun eng ->
+      E.apply eng (E.Set_extra_delay { line = gate; delta = 25e-12 });
+      E.apply eng (E.Swap_gate { node = gate; kind = Ck.Gate.Nor });
+      E.apply eng
+        (E.Set_pi_spec
+           {
+             pi;
+             spec =
+               {
+                 RO.pi_arrival = Interval.make 0. 0.1e-9;
+                 pi_tt = Interval.make 0.15e-9 0.3e-9;
+               };
+           });
+      let windows () = Array.init n (E.timing eng) in
+      let kinds () =
+        let ed = E.edited_netlist eng in
+        List.map (Ck.Netlist.gate_kind ed)
+          (List.filter
+             (fun i -> not (Ck.Netlist.is_pi ed i))
+             (List.init n Fun.id))
+      in
+      let extras () = Array.init n (E.extra_delay_of eng) in
+      let specs () = List.map (E.pi_spec_of eng) (Ck.Netlist.inputs nl) in
+      let before = windows () and kinds0 = kinds () and extras0 = extras () in
+      let specs0 = specs () and depth0 = E.depth eng in
+      let flaky = flaky_model (Ck.Netlist.gate_count nl) in
+      (match E.apply eng (E.Set_model flaky) with
+      | () -> Alcotest.fail "the flaky model did not raise"
+      | exception Failure _ -> ());
+      Alcotest.(check bool) "windows restored" true
+        (Array.for_all2 lt_beq (windows ()) before);
+      Alcotest.(check bool) "model restored" true (E.model eng == DM.pin_to_pin);
+      Alcotest.(check bool) "kind overlays" true (kinds () = kinds0);
+      Alcotest.(check bool) "extra-delay overlays" true
+        (Array.for_all2 beq (extras ()) extras0);
+      Alcotest.(check bool) "PI overlays" true (specs () = specs0);
+      Alcotest.(check int) "depth" depth0 (E.depth eng);
+      let cp = E.checkpoint eng in
+      E.apply eng (E.Set_model DM.proposed);
+      E.apply eng (E.Set_extra_delay { line = gate; delta = -10e-12 });
+      Alcotest.(check bool) "a later edit matches the reference" true
+        (engine_matches eng);
+      E.revert eng cp;
+      Alcotest.(check bool) "revert lands on the pre-failure windows" true
+        (Array.for_all2 lt_beq (windows ()) before))
+
+let test_edit_allocation_guard () =
+  (* 1,000 victim Set_extra_delay + revert cycles on c7552s (4,574
+     nodes).  OCaml 5 aggregates the major-heap counters lazily, so each
+     reading follows a [Gc.full_major].  Blocks over 256 words skip the
+     minor heap, so [major_words - promoted_words] counts them.  With a
+     netlist-sized dirty array and a journal of window records per edit,
+     this loop allocated 765 minor and 4,575 direct-major words per
+     cycle; with the epoch-stamped marks and the flat journal it
+     allocates about 29 minor words and none direct.  The bounds: an
+     eighth of the node count direct, half the former figure minor. *)
+  let nl =
+    Ck.Decompose.to_primitive (Option.get (Ck.Benchmarks.by_name "c7552s"))
+  in
+  let n = Ck.Netlist.size nl in
+  let victims =
+    Ssd_atpg.Fault.extract ~count:64 ~seed:99L nl
+    |> List.map (fun s -> s.Ssd_atpg.Fault.victim)
+    |> Array.of_list
+  in
+  E.with_engine ~library:(Lazy.force lib) ~model:DM.proposed nl (fun eng ->
+      let cycle k =
+        let cp = E.checkpoint eng in
+        E.apply eng
+          (E.Set_extra_delay
+             { line = victims.(k mod Array.length victims); delta = 50e-12 });
+        E.revert eng cp
+      in
+      (* warm: every victim's cone cached, the journal at its size *)
+      Array.iteri (fun k _ -> cycle k) victims;
+      let counters () =
+        Gc.full_major ();
+        let s = Gc.quick_stat () in
+        (Gc.minor_words (), s.Gc.major_words -. s.Gc.promoted_words)
+      in
+      let cycles = 1000 in
+      let minor0, direct0 = counters () in
+      for k = 0 to cycles - 1 do
+        cycle k
+      done;
+      let minor1, direct1 = counters () in
+      let per x0 x1 = (x1 -. x0) /. float_of_int cycles in
+      let minor = per minor0 minor1 and direct = per direct0 direct1 in
+      if direct >= float_of_int n /. 8. then
+        Alcotest.failf "%.1f direct major words per cycle (bound %d)" direct
+          (n / 8);
+      if minor > 765. /. 2. then
+        Alcotest.failf "%.1f minor words per cycle (bound %.1f)" minor
+          (765. /. 2.))
+
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
 let suites =
@@ -369,6 +502,10 @@ let suites =
           test_jobs_open_no_pool;
         Alcotest.test_case "tsim window containment, input 274715" `Quick
           test_tsim_window_regression_274715;
+        Alcotest.test_case "failed edit rolls back" `Quick
+          test_failed_edit_rolls_back;
+        Alcotest.test_case "edit allocation guard" `Quick
+          test_edit_allocation_guard;
       ] );
     qsuite "engine.props"
       [ prop_engine_bit_identical; prop_faulty_tsim_within_faulty_windows ];

@@ -104,6 +104,74 @@ let test_oversized_frame () =
         "small frame still fine" None
         (code_of (Server.dispatch sv "{\"v\":1,\"op\":\"ping\"}")))
 
+(* [Server.serve_fd] over two pipes: [chunks] are written from another
+   domain, one [Unix.write] loop each, and the reply lines are read back
+   concurrently, so neither side can fill a pipe and stall. *)
+let serve_pipe sv chunks =
+  let in_r, in_w = Unix.pipe ~cloexec:true () in
+  let out_r, out_w = Unix.pipe ~cloexec:true () in
+  let writer =
+    Domain.spawn (fun () ->
+        List.iter
+          (fun c ->
+            let b = Bytes.of_string c in
+            let off = ref 0 in
+            while !off < Bytes.length b do
+              off := !off + Unix.write in_w b !off (Bytes.length b - !off)
+            done)
+          chunks;
+        Unix.close in_w)
+  in
+  let reader =
+    Domain.spawn (fun () ->
+        let ic = Unix.in_channel_of_descr out_r in
+        let all = In_channel.input_all ic in
+        close_in ic;
+        all)
+  in
+  Server.serve_fd sv ~in_fd:in_r ~out_fd:out_w;
+  Unix.close out_w;
+  Unix.close in_r;
+  Domain.join writer;
+  match List.rev (String.split_on_char '\n' (Domain.join reader)) with
+  | "" :: lines -> List.rev lines
+  | lines -> List.rev lines
+
+let ping id = Printf.sprintf "{\"v\":1,\"id\":%d,\"op\":\"ping\"}" id
+let pong id = Printf.sprintf "{\"v\":1,\"id\":%d,\"ok\":{\"pong\":true}}" id
+
+let test_transport_framing () =
+  let too_large =
+    "{\"v\":1,\"id\":null,\"error\":{\"code\":\"frame-too-large\",\
+     \"message\":\"frame exceeds the 1048576-byte cap\"}}"
+  in
+  let big =
+    Printf.sprintf "{\"v\":1,\"id\":9,\"op\":\"ping\",\"pad\":\"%s\"}"
+      (String.make (4 lsl 20) 'x')
+  in
+  let check name chunks want =
+    with_server (fun sv ->
+        Alcotest.(check (list string)) name want (serve_pipe sv chunks))
+  in
+  (* the 4 MiB line is kept only up to the cap, then dropped through its
+     newline; the server answers it once and serves on *)
+  check "4 MiB frame, then ping" [ big ^ "\n" ^ ping 1 ^ "\n" ]
+    [ too_large; pong 1 ];
+  check "4 MiB frame in pieces, then ping"
+    [ String.sub big 0 1000; String.sub big 1000 (String.length big - 1000);
+      "\n" ^ ping 1 ^ "\n" ]
+    [ too_large; pong 1 ];
+  check "oversized unterminated last line" [ ping 1 ^ "\n" ^ big ]
+    [ pong 1; too_large ];
+  (* several frames in one write, CRLF, a blank line, a frame split
+     across writes and an unterminated last line frame as before *)
+  with_server (fun ref_sv ->
+      check "mixed framing"
+        [ ping 1 ^ "\r\n" ^ ping 2 ^ "\n\n" ^ String.sub (ping 3) 0 9;
+          String.sub (ping 3) 9 (String.length (ping 3) - 9) ^ "\n" ^ ping 4 ]
+        (List.map (Server.dispatch ref_sv)
+           [ ping 1; ping 2; ""; ping 3; ping 4 ]))
+
 let test_code_round_trip () =
   List.iter
     (fun c ->
@@ -515,6 +583,8 @@ let suites =
           test_code_round_trip;
         Alcotest.test_case "shutdown rejects later frames" `Quick
           test_shutdown_drains;
+        Alcotest.test_case "stdio framing and the frame cap" `Quick
+          test_transport_framing;
       ] );
     ( "serve.session",
       [

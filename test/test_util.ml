@@ -430,6 +430,82 @@ let test_json_parse_errors () =
     check_float "neg frac" (-0.25) c
   | _ -> Alcotest.fail "expected number list"
 
+(* The number rule as it read through [Printf]: the printer must give
+   the same bytes by its own route. *)
+let printf_number x =
+  if not (Float.is_finite x) then "null"
+  else if Float.is_integer x && Float.abs x < 1e15 then Printf.sprintf "%.0f" x
+  else Printf.sprintf "%.17g" x
+
+let prop_json_number_codec =
+  QCheck.Test.make ~name:"numbers print as Printf %.17g / %.0f" ~count:2000
+    QCheck.(oneof [ map Int64.float_of_bits int64; float ])
+    (fun x -> String.equal (Json.to_string (Json.Num x)) (printf_number x))
+
+let test_json_number_edges () =
+  List.iter
+    (fun x ->
+      Alcotest.(check string)
+        (Printf.sprintf "%h" x) (printf_number x)
+        (Json.to_string (Json.Num x)))
+    [
+      0.; -0.; 4.9e-324; -4.9e-324; 2.2250738585072009e-308; Float.min_float;
+      1e15 -. 1.; -.(1e15 -. 1.); 1e15; -1e15; 1e15 +. 1.; max_float;
+      -.max_float; 0.1; 1e-10; 2.6139334358223329e-10; nan; infinity;
+      neg_infinity;
+    ];
+  Alcotest.(check (list string))
+    "pinned" [ "-0"; "999999999999999"; "1000000000000000"; "null" ]
+    (List.map
+       (fun x -> Json.to_string (Json.Num x))
+       [ -0.; 1e15 -. 1.; 1e15; nan ])
+
+let rec show_json = function
+  | Json.Str s -> Printf.sprintf "Str %S" s
+  | Json.Obj fs ->
+    "Obj ["
+    ^ String.concat "; "
+        (List.map (fun (k, v) -> Printf.sprintf "(%S, %s)" k (show_json v)) fs)
+    ^ "]"
+  | Json.List xs -> "List [" ^ String.concat "; " (List.map show_json xs) ^ "]"
+  | j -> Json.to_string j
+
+let test_json_string_parse () =
+  (* values and error offsets as the Buffer-per-string parser gave them *)
+  List.iter
+    (fun (text, want) ->
+      let got =
+        match Json.parse text with
+        | Ok v -> "Ok " ^ show_json v
+        | Error m -> "Error " ^ m
+      in
+      Alcotest.(check string) text want got)
+    [
+      ({|"plain ascii, no escapes"|}, {|Ok Str "plain ascii, no escapes"|});
+      ( "\"caf\xc3\xa9 \xf0\x9f\x98\x80\"",
+        {|Ok Str "caf\195\169 \240\159\152\128"|} );
+      ({|"a\"b\\c\/d\b\f\n\r\t"|}, {|Ok Str "a\"b\\c/d\b\012\n\r\t"|});
+      ({|"lone \ud800 surrogate"|}, {|Ok Str "lone \237\160\128 surrogate"|});
+      ({|"\ud800A"|}, {|Ok Str "\237\160\128A"|});
+      ( "\"raw \001 control\tand\nnewline\"",
+        {|Ok Str "raw \001 control\tand\nnewline"|} );
+      ( {|{"kAy":"v\\w","x":["\"",""]}|},
+        {|Ok Obj [("kAy", Str "v\\w"); ("x", List [Str "\""; Str ""])]|} );
+      ({|"unterminated|}, "Error unterminated string at offset 13");
+      ({|"bad \x escape"|}, "Error unknown escape at offset 6");
+      ({|"\u12"|}, {|Error bad \u escape at offset 3|});
+      ({|"\u00zz"|}, {|Error bad \u escape at offset 3|});
+      ({|"abc\|}, "Error unterminated escape at offset 5");
+      ({|"\ud800\u12"|}, {|Error bad \u escape at offset 9|});
+    ]
+
+let prop_json_string_round_trip =
+  QCheck.Test.make ~name:"any string round-trips through print and parse"
+    ~count:500 QCheck.string (fun s ->
+      Json.parse (Json.to_string (Json.Str s)) = Ok (Json.Str s)
+      && Json.parse (Json.to_string (Json.Obj [ (s, Json.List [ Json.Str s ]) ]))
+         = Ok (Json.Obj [ (s, Json.List [ Json.Str s ]) ]))
+
 (* ---------- Texttab ---------- *)
 
 let test_texttab () =
@@ -504,6 +580,10 @@ let suites =
         Alcotest.test_case "print" `Quick test_json_print;
         Alcotest.test_case "roundtrip" `Quick test_json_roundtrip;
         Alcotest.test_case "parse errors" `Quick test_json_parse_errors;
+        Alcotest.test_case "number edges" `Quick test_json_number_edges;
+        Alcotest.test_case "string parse pins" `Quick test_json_string_parse;
+        QCheck_alcotest.to_alcotest prop_json_number_codec;
+        QCheck_alcotest.to_alcotest prop_json_string_round_trip;
       ] );
     ("util.texttab", [ Alcotest.test_case "render" `Quick test_texttab ]);
   ]

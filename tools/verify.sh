@@ -52,19 +52,6 @@ SSD_FAST=1 dune exec bin/ssd.exe -- sta c17 --clock=-1 >/dev/null 2>&1 \
   || clock_status=$?
 test "$clock_status" -eq 2
 
-# Downsized scale + corners + Monte-Carlo runs (the 100k/40k-gate
-# experiments shrunk for CI — every bit-identity, footprint and speedup
-# assertion still runs), consolidated into one invocation so the report
-# lands in BENCH_9.json and is gated against the checked-in smoke
-# baseline.  The baseline carries only machine-independent metrics
-# (sizes, allocation footprints); the loose 400% gate still catches
-# order-of-magnitude footprint regressions on any CI machine.
-SSD_FAST=1 SSD_SCALE_GATES=5000 SSD_CORNERS=4000 SSD_MC=600 \
-SSD_SERVE_REQS=8000 \
-  dune exec bench/main.exe -- scale corners mc serve \
-  --json BENCH_9.json \
-  --baseline bench/BENCH_smoke_baseline.json --gate 400
-
 # Serve smoke: a live `ssd serve --stdio` session fed the canned request
 # script must reproduce the checked-in transcript byte for byte — this
 # exercises the real transport (framing, batching reader, EOF handling)
@@ -79,6 +66,30 @@ SSD_FAST=1 dune exec bin/ssd.exe -- serve --stdio \
   < tools/serve_smoke.req > /dev/null
 SSD_FAST=1 dune exec bin/ssd.exe -- serve \
   --replay "$TRACE_TMP/serve_smoke.log" --check
+
+# Frame cap through the real transport: a 2 MiB single-line frame is
+# answered with frame-too-large once the reader has kept the cap's worth
+# of it and dropped the rest through its newline, and the server then
+# answers the next frame.
+{ head -c 2097152 /dev/zero | tr '\0' x; printf '\n{"v":1,"id":2,"op":"ping"}\n'; } \
+  | SSD_FAST=1 dune exec bin/ssd.exe -- serve --stdio \
+  > "$TRACE_TMP/big_frame.out"
+test "$(wc -l < "$TRACE_TMP/big_frame.out")" -eq 2
+sed -n 1p "$TRACE_TMP/big_frame.out" | grep -q '"code":"frame-too-large"'
+test "$(sed -n 2p "$TRACE_TMP/big_frame.out")" = '{"v":1,"id":2,"ok":{"pong":true}}'
+
+# Downsized scale + corners + Monte-Carlo runs (the 100k/40k-gate
+# experiments shrunk for CI — every bit-identity, footprint and speedup
+# assertion still runs), consolidated into one invocation so the report
+# lands in BENCH_9.json and is gated against the checked-in smoke
+# baseline.  The baseline carries only machine-independent metrics
+# (sizes, allocation footprints); the loose 400% gate still catches
+# order-of-magnitude footprint regressions on any CI machine.
+SSD_FAST=1 SSD_SCALE_GATES=5000 SSD_CORNERS=4000 SSD_MC=600 \
+SSD_SERVE_REQS=8000 \
+  dune exec bench/main.exe -- scale corners mc serve \
+  --json BENCH_9.json \
+  --baseline bench/BENCH_smoke_baseline.json --gate 400
 
 if command -v odoc >/dev/null 2>&1; then
   dune build @doc @doc-private
