@@ -742,20 +742,20 @@ let eco () =
   note "all %d edits bit-identical to full re-analysis; all reverts \
         restore the base windows exactly" (List.length victims);
   let s = E.stats eng in
-  note "engine work: %d nodes recomputed, %d skipped, %d cutoffs (%.0f%% \
-        of recomputed)" s.E.nodes_recomputed s.E.nodes_skipped s.E.cutoffs
+  note "engine work: %d nodes recomputed, %d cutoffs (%.0f%% of \
+        recomputed)" s.E.nodes_recomputed s.E.cutoffs
     (100. *. E.cutoff_ratio s);
   (* timing: mean per-edit cycle (apply + revert; the revert restores
-     journaled windows without recomputation, so the cycle pays one cone
+     journaled windows without recomputation, so the cycle pays one
      propagation) vs one full Sta.analyze_with.  The asserted workload is the
      engine's production one — single-line extra delays at extracted
      crosstalk fault sites, exactly what Fault_sim's window screen
-     replays per fault; those victims sit deep in the circuit, where
-     cone restriction pays most.  The uniform sweep over every gate
+     replays per fault; those victims sit deep in the circuit, where an
+     edit's frontier stays smallest.  The uniform sweep over every gate
      output is reported alongside: it includes the near-PI lines whose
-     cones span most of the circuit, so its mean is pinned near the
-     eval-count ceiling (total gates / mean cone size) rather than the
-     10x contract. *)
+     changes reach most of the circuit, so its mean is pinned near the
+     eval-count ceiling (total gates / mean nodes recomputed per edit)
+     rather than the 10x contract. *)
   let time f =
     let best = ref infinity in
     for _ = 1 to 5 do
@@ -810,9 +810,9 @@ let eco () =
       Printf.sprintf "%.1f" (t_uniform *. 1e6);
       Printf.sprintf "%.2fx" (t_full /. t_uniform) ];
   Texttab.print t;
-  note "an edit re-times only the victim's fanout cone and stops early";
-  note "behind bit-identical windows; a revert replays the undo journal";
-  note "without touching the kernel at all.";
+  note "an edit re-times only the nodes its dirty frontier reaches, which";
+  note "stops behind bit-identical windows; a revert replays the undo";
+  note "journal without touching the kernel at all.";
   E.close eng;
   if t_full /. t_site < 10. then begin
     Printf.eprintf "eco: fault-site edit speedup %.2fx below the 10x target\n"
@@ -870,6 +870,11 @@ let corners () =
           "speedup"; "target"; "vs production"; "identical" ]
   in
   corner_metrics := [ ("gates", float_of_int (Ck.Netlist.gate_count nl)) ];
+  (* the K/2 law below assumes the corner axis spreads across cores, so
+     the batched sweep runs at the recommended lane count; it is
+     bit-identical at any lane count *)
+  let cores = Ssd_sta.Par.default_jobs () in
+  let lanes = RO.make ~jobs:cores () in
   List.iter
     (fun k ->
       let table = Corners.build ~specs:(Corners.default_specs k) lib in
@@ -878,7 +883,7 @@ let corners () =
          derated library, bit for bit on every node.  The scalar side is
          the closure walk: a production [Sta.analyze_with] of the
          proposed model is the batched kernel itself at K = 1 *)
-      let batched = CS.analyze ~table nl in
+      let batched = CS.analyze ~opts:lanes ~table nl in
       let run_scalar c =
         analyze_reference RO.default ~library:(Corners.library table c) nl
       in
@@ -896,12 +901,12 @@ let corners () =
           "corners: K=%d batched plane differs from its scalar analysis\n" k;
         exit 1
       end;
-      (* wall clock: all K corners as one batched sweep vs K full scalar
-         analyses, both sequential *)
+      (* wall clock: all K corners as one batched sweep on [cores] lanes
+         vs K full scalar analyses on one *)
       let t_scalar =
         time (fun () -> for c = 0 to k - 1 do ignore (run_scalar c) done)
       in
-      let t_batched = time (fun () -> CS.analyze ~table nl) in
+      let t_batched = time (fun () -> CS.analyze ~opts:lanes ~table nl) in
       let speedup = t_scalar /. t_batched in
       (* ungated: what one K-plane sweep buys over K single-corner
          production passes *)
@@ -914,7 +919,6 @@ let corners () =
          and one coefficient stream per node, no per-corner dispatch or
          allocation — measured 4-5x), so the floor is clamped to 3x per
          available core.  K=4 demands the full 2x law everywhere. *)
-      let cores = Domain.recommended_domain_count () in
       let target =
         Float.min (float_of_int k /. 2.) (3. *. float_of_int cores)
       in
@@ -946,9 +950,12 @@ let corners () =
   note "the batched sweep walks the netlist once, resolves each gate's";
   note "table slot once, and evaluates all K corners of a node from one";
   note "contiguous coefficient block with no per-corner allocation.";
-  note "K scalar = K closure-walk analyses (the gated oracle side);";
-  note "K production = K Sta.analyze_with passes, each the same kernel at";
-  note "K = 1 (ungated: what batching buys over single-corner passes).";
+  note "batched = one K-plane sweep on %d lane(s), the recommended count;"
+    cores;
+  note "K scalar = K closure-walk analyses on one lane (the gated oracle";
+  note "side); K production = K one-lane Sta.analyze_with passes, each the";
+  note "same kernel at K = 1 (ungated: what batching buys over";
+  note "single-corner passes).";
   (* Monte-Carlo: >= 64 sampled corners through the chunked batched
      kernel (the mc experiment benchmarks it against the scalar oracle) *)
   let samples = 64 in

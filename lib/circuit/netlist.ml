@@ -218,6 +218,7 @@ let iter_fanout t i ~f =
   done
 
 let level_count t = Array.length t.level_off - 1
+let level_start t l = t.level_off.(l)
 let level_width t l = t.level_off.(l + 1) - t.level_off.(l)
 let level_node t l k = t.level_dat.(t.level_off.(l) + k)
 

@@ -75,6 +75,12 @@ val iter_fanout : t -> int -> f:(int -> unit) -> unit
 val level_count : t -> int
 (** Number of logic levels, [depth + 1]. *)
 
+val level_start : t -> int -> int
+(** Where level [l] starts in the level-major node order (the level
+    CSR): its nodes are positions [level_start t l] up to
+    [level_start t (l + 1) - 1], and [level_start t (level_count t)] is
+    the node count. *)
+
 val level_width : t -> int -> int
 (** Node count of one level. *)
 

@@ -17,7 +17,8 @@ external monotonic_ns : unit -> (int64[@unboxed])
   = "ssd_obs_monotonic_ns" "ssd_obs_monotonic_ns_unboxed"
 [@@noalloc]
 
-let now () = Int64.to_float (monotonic_ns ()) *. 1e-9
+let[@inline] now () = Int64.to_float (monotonic_ns ()) *. 1e-9
+let[@inline] now_ns () = Int64.to_int (monotonic_ns ())
 
 type counter =
   | C_off
@@ -34,14 +35,18 @@ type timer =
       t_calls : int Atomic.t array;
     }
 
+(* A histogram keeps running totals, nothing per sample.  Every caller
+   observes one histogram from one domain at a time, so one lock keeps
+   it exact at no contention. *)
 type histogram =
   | H_off
   | H_on of {
       h_name : string;
-      h_bins : int;
-      h_lo : float option;
-      h_hi : float option;
-      h_shards : float list Atomic.t array;
+      h_lo : float;
+      h_span : float;  (* hi - lo, > 0 *)
+      h_lock : Mutex.t;
+      h_counts : int array;  (* per bin; they sum to the sample count *)
+      h_acc : float array;  (* sum, min, max *)
     }
 
 type event = {
@@ -55,19 +60,6 @@ type event = {
   ev_minor_words : float;
   ev_self_minor_words : float;
   ev_promoted_words : float;
-}
-
-(* An open span.  Frames live on the recording domain's stack, so only
-   that domain ever reads or writes them — no atomics needed. *)
-type frame = {
-  fr_id : int;
-  fr_parent : int;  (* -1 for a root span *)
-  fr_name : string;
-  mutable fr_t0 : float;
-  mutable fr_minor0 : float;
-  mutable fr_promoted0 : float;
-  mutable fr_child_ns : int;
-  mutable fr_child_minor : float;
 }
 
 type metric =
@@ -84,15 +76,63 @@ type state = {
   mutable s_tracks : (int * string) list;
   s_events : event list Atomic.t;
   s_next_span : int Atomic.t;
-  s_stack : frame list ref Domain.DLS.key;
-      (* open-span stack, per domain (DLS, not the shard array: shards
-         may collide mod [shard_count], which is harmless for atomic
-         counters but would race the stack) *)
 }
 
 type t = Off | On of state
 
 let disabled = Off
+
+(* fills the sink slot of a closed frame, so no closed sink stays
+   reachable from a stack *)
+let no_sink =
+  {
+    s_epoch = 0.;
+    s_trace = false;
+    s_mutex = Mutex.create ();
+    s_metrics = [];
+    s_tracks = [];
+    s_events = Atomic.make [];
+    s_next_span = Atomic.make 0;
+  }
+
+(* One open span.  Every field is an int or a pointer, so reusing a
+   frame allocates nothing.  The id and the Gc readings are kept only
+   when the sink traces: timers need just the clock. *)
+type frame = {
+  mutable fr_sink : state;
+  mutable fr_t0_ns : int;
+  mutable fr_child_ns : int;
+  mutable fr_id : int;
+  mutable fr_minor0 : int;
+  mutable fr_promoted0 : int;
+  mutable fr_child_minor : int;
+}
+
+(* One domain's open spans, of every sink, indexed by nesting depth (0
+   outermost).  A span's parent is the nearest enclosing span of the
+   same sink, so each sink sees its own stack.  One stack per domain
+   (DLS, not the shard array: shards may collide mod [shard_count],
+   which is harmless for atomic counters but would race the stack),
+   shared by all sinks, so a session's sink leaves nothing behind on
+   the domains it ran on.  Only the recording domain touches it, so no
+   atomics are needed; the frames are reused and the array doubles, so
+   only a deeper nesting than ever before allocates. *)
+type frames = { mutable fs_depth : int; mutable fs_stack : frame array }
+
+let new_frame _ =
+  {
+    fr_sink = no_sink;
+    fr_t0_ns = 0;
+    fr_child_ns = 0;
+    fr_id = 0;
+    fr_minor0 = 0;
+    fr_promoted0 = 0;
+    fr_child_minor = 0;
+  }
+
+let frames_key =
+  Domain.DLS.new_key (fun () ->
+      { fs_depth = 0; fs_stack = Array.init 8 new_frame })
 
 let create ?(trace = false) () =
   On
@@ -104,7 +144,6 @@ let create ?(trace = false) () =
       s_tracks = [];
       s_events = Atomic.make [];
       s_next_span = Atomic.make 0;
-      s_stack = Domain.DLS.new_key (fun () -> ref []);
     }
 
 let enabled = function Off -> false | On _ -> true
@@ -214,19 +253,25 @@ let timer_ns = function T_off -> 0 | T_on t -> sum_shards t.t_ns
 let timer_self_ns = function T_off -> 0 | T_on t -> sum_shards t.t_self_ns
 let timer_calls = function T_off -> 0 | T_on t -> sum_shards t.t_calls
 
-let ns_of_s dt = int_of_float (dt *. 1e9)
-
 let time tm f =
   match tm with
   | T_off -> f ()
-  | T_on _ ->
-    let t0 = now () in
-    Fun.protect ~finally:(fun () -> add_ns tm (ns_of_s (now () -. t0))) f
+  | T_on _ -> (
+    let t0 = now_ns () in
+    match f () with
+    | v ->
+      add_ns tm (now_ns () - t0);
+      v
+    | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      add_ns tm (now_ns () - t0);
+      Printexc.raise_with_backtrace e bt)
 
 (* ---- histograms ---- *)
 
-let histogram ?(bins = 20) ?lo ?hi t name =
+let histogram ?(bins = 20) ~lo ~hi t name =
   if bins <= 0 then invalid_arg "Obs.histogram: bins <= 0";
+  if not (hi > lo) then invalid_arg "Obs.histogram: hi <= lo";
   match t with
   | Off -> H_off
   | On s -> (
@@ -236,37 +281,50 @@ let histogram ?(bins = 20) ?lo ?hi t name =
             (H_on
                {
                  h_name = name;
-                 h_bins = bins;
                  h_lo = lo;
-                 h_hi = hi;
-                 h_shards = Array.init shard_count (fun _ -> Atomic.make []);
+                 h_span = hi -. lo;
+                 h_lock = Mutex.create ();
+                 h_counts = Array.make bins 0;
+                 h_acc = [| 0.; infinity; neg_infinity |];
                }))
     with
     | Histogram h -> h
     | _ -> invalid_arg ("Obs.histogram: " ^ name ^ " is not a histogram"))
 
-let rec push_sample a x =
-  let cur = Atomic.get a in
-  if not (Atomic.compare_and_set a cur (x :: cur)) then push_sample a x
-
 let observe h x =
   match h with
   | H_off -> ()
-  | H_on h -> push_sample h.h_shards.(shard_index ()) x
-
-let samples = function
-  | H_off -> []
   | H_on h ->
-    Array.fold_left (fun acc a -> List.rev_append (Atomic.get a) acc) []
-      h.h_shards
+    let i =
+      Stats.bin_index ~lo:h.h_lo ~span:h.h_span
+        ~bins:(Array.length h.h_counts) x
+    in
+    Mutex.lock h.h_lock;
+    h.h_counts.(i) <- h.h_counts.(i) + 1;
+    let acc = h.h_acc in
+    acc.(0) <- acc.(0) +. x;
+    if x < acc.(1) then acc.(1) <- x;
+    if x > acc.(2) then acc.(2) <- x;
+    Mutex.unlock h.h_lock
 
-let histogram_count h = List.length (samples h)
+(* A copy of the per-bin counts and [| sum; min; max |]. *)
+let hist_contents = function
+  | H_off -> ([||], [| 0.; infinity; neg_infinity |])
+  | H_on h ->
+    Mutex.lock h.h_lock;
+    let v = (Array.copy h.h_counts, Array.copy h.h_acc) in
+    Mutex.unlock h.h_lock;
+    v
 
-let histogram_rows h =
+let total counts = Array.fold_left ( + ) 0 counts
+
+let rows_of h counts =
   match h with
   | H_off -> []
-  | H_on r ->
-    Stats.histogram ?lo:r.h_lo ?hi:r.h_hi ~bins:r.h_bins (samples h)
+  | H_on r -> Stats.bin_rows ~lo:r.h_lo ~span:r.h_span counts
+
+let histogram_count h = total (fst (hist_contents h))
+let histogram_rows h = rows_of h (fst (hist_contents h))
 
 (* ---- spans and trace events ---- *)
 
@@ -276,80 +334,91 @@ let rec push_event a ev =
 
 let timer_name = function T_off -> "" | T_on t -> t.t_name
 
-(* The span stack runs whenever the sink is enabled — self-time in the
+(* Close the span at depth [d]: credit its timer, charge its duration
+   (and, tracing, its allocation) to its parent and record its event.
+   Setting the depth to [d] also drops any inner span whose close was
+   skipped.  Tracing, the Gc counters are read before the event is
+   built, so a span's own bookkeeping words stay out of its GC delta. *)
+let close_span s fs d ?event tm =
+  let stack = fs.fs_stack in
+  let fr = stack.(d) in
+  let t1 = now_ns () in
+  let dur_ns = t1 - fr.fr_t0_ns in
+  let self_ns =
+    if fr.fr_child_ns > dur_ns then 0 else dur_ns - fr.fr_child_ns
+  in
+  fs.fs_depth <- d;
+  fr.fr_sink <- no_sink;
+  let p = ref (d - 1) in
+  while !p >= 0 && stack.(!p).fr_sink != s do
+    decr p
+  done;
+  let p = !p in
+  credit_span tm ~total_ns:dur_ns ~self_ns;
+  if p >= 0 then stack.(p).fr_child_ns <- stack.(p).fr_child_ns + dur_ns;
+  if s.s_trace then begin
+    let minor = int_of_float (Gc.minor_words ()) - fr.fr_minor0 in
+    let promoted =
+      int_of_float (Gc.quick_stat ()).Gc.promoted_words - fr.fr_promoted0
+    in
+    let self_minor = minor - fr.fr_child_minor in
+    if p >= 0 then
+      stack.(p).fr_child_minor <- stack.(p).fr_child_minor + minor;
+    push_event s.s_events
+      {
+        ev_name = (match event with Some e -> e | None -> timer_name tm);
+        ev_id = fr.fr_id;
+        ev_parent = (if p >= 0 then stack.(p).fr_id else -1);
+        ev_tid = (Domain.self () :> int);
+        ev_ts = (float_of_int fr.fr_t0_ns *. 1e-9) -. s.s_epoch;
+        ev_dur = float_of_int dur_ns *. 1e-9;
+        ev_self = float_of_int self_ns *. 1e-9;
+        ev_minor_words = float_of_int minor;
+        ev_self_minor_words =
+          float_of_int (if self_minor > 0 then self_minor else 0);
+        ev_promoted_words = float_of_int promoted;
+      }
+  end
+
+(* The span stack runs whenever the sink is enabled — self time in the
    timers needs the parent/child links even when tracing (event
-   recording) is off.  Gc counters are read after the frame is pushed
-   and re-read before any event allocation, so the span's own
-   bookkeeping words are excluded from its GC delta. *)
+   recording) is off.  Off the trace, a span reads the clock twice and
+   allocates nothing. *)
 let span t ?event tm f =
   match t with
   | Off -> f ()
-  | On s ->
-    let stack = Domain.DLS.get s.s_stack in
-    let parent_id = match !stack with [] -> -1 | p :: _ -> p.fr_id in
-    let name = match event with Some e -> e | None -> timer_name tm in
-    let fr =
-      {
-        fr_id = Atomic.fetch_and_add s.s_next_span 1;
-        fr_parent = parent_id;
-        fr_name = name;
-        fr_t0 = 0.;
-        fr_minor0 = 0.;
-        fr_promoted0 = 0.;
-        fr_child_ns = 0;
-        fr_child_minor = 0.;
-      }
-    in
-    stack := fr :: !stack;
-    (* Gc.minor_words, not Gc.counters: on OCaml 5.x the latter reads
-       per-domain counters that are only refreshed at GC events and so
-       misses allocation since the last collection.  Promoted words only
-       advance at minor collections, so the quick_stat value is exact. *)
-    fr.fr_minor0 <- Gc.minor_words ();
-    fr.fr_promoted0 <- (Gc.quick_stat ()).Gc.promoted_words;
-    fr.fr_t0 <- now ();
-    let finish () =
-      let t1 = now () in
-      let minor1 = Gc.minor_words () in
-      let promoted1 = (Gc.quick_stat ()).Gc.promoted_words in
-      (match !stack with
-      | top :: rest when top == fr -> stack := rest
-      | other ->
-        (* unbalanced close (an inner finish was skipped); drop to fr *)
-        let rec drop = function
-          | top :: rest when top == fr -> rest
-          | _ :: rest -> drop rest
-          | [] -> []
-        in
-        stack := drop other);
-      let dur = t1 -. fr.fr_t0 in
-      let dur_ns = ns_of_s dur in
-      let self_ns = if fr.fr_child_ns > dur_ns then 0 else dur_ns - fr.fr_child_ns in
-      let minor = minor1 -. fr.fr_minor0 in
-      let promoted = promoted1 -. fr.fr_promoted0 in
-      let self_minor = Float.max 0. (minor -. fr.fr_child_minor) in
-      credit_span tm ~total_ns:dur_ns ~self_ns;
-      (match !stack with
-      | p :: _ when p.fr_id = fr.fr_parent ->
-        p.fr_child_ns <- p.fr_child_ns + dur_ns;
-        p.fr_child_minor <- p.fr_child_minor +. minor
-      | _ -> ());
-      if s.s_trace then
-        push_event s.s_events
-          {
-            ev_name = name;
-            ev_id = fr.fr_id;
-            ev_parent = fr.fr_parent;
-            ev_tid = (Domain.self () :> int);
-            ev_ts = fr.fr_t0 -. s.s_epoch;
-            ev_dur = dur;
-            ev_self = float_of_int self_ns *. 1e-9;
-            ev_minor_words = minor;
-            ev_self_minor_words = self_minor;
-            ev_promoted_words = promoted;
-          }
-    in
-    Fun.protect ~finally:finish f
+  | On s -> (
+    let fs = Domain.DLS.get frames_key in
+    let d = fs.fs_depth in
+    if d = Array.length fs.fs_stack then begin
+      let old = fs.fs_stack in
+      fs.fs_stack <-
+        Array.init (2 * d) (fun i -> if i < d then old.(i) else new_frame i)
+    end;
+    let fr = fs.fs_stack.(d) in
+    fs.fs_depth <- d + 1;
+    fr.fr_sink <- s;
+    fr.fr_child_ns <- 0;
+    if s.s_trace then begin
+      fr.fr_id <- Atomic.fetch_and_add s.s_next_span 1;
+      fr.fr_child_minor <- 0;
+      (* Gc.minor_words, not Gc.counters: on OCaml 5.x the latter reads
+         per-domain counters that are only refreshed at GC events and so
+         misses allocation since the last collection.  Promoted words
+         only advance at minor collections, so the quick_stat value is
+         exact; it is read first, so its record is not charged. *)
+      fr.fr_promoted0 <- int_of_float (Gc.quick_stat ()).Gc.promoted_words;
+      fr.fr_minor0 <- int_of_float (Gc.minor_words ())
+    end;
+    fr.fr_t0_ns <- now_ns ();
+    match f () with
+    | v ->
+      close_span s fs d ?event tm;
+      v
+    | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      close_span s fs d ?event tm;
+      Printexc.raise_with_backtrace e bt)
 
 let trace_events = function
   | Off -> []
@@ -499,13 +568,13 @@ let snapshot t =
         List.filter_map
           (function
             | n, Histogram h ->
-              let xs = samples h in
+              let counts, acc = hist_contents h in
               Some
                 ( n,
                   {
-                    hs_count = List.length xs;
-                    hs_sum = List.fold_left ( +. ) 0. xs;
-                    hs_rows = histogram_rows h;
+                    hs_count = total counts;
+                    hs_sum = acc.(0);
+                    hs_rows = rows_of h counts;
                   } )
             | _ -> None)
           ms;
@@ -761,21 +830,19 @@ let report t =
       in
       List.iter
         (fun (n, h) ->
-          let xs = samples h in
-          let lo, hi =
-            match Stats.min_max xs with Some r -> r | None -> (0., 0.)
-          in
+          let counts, acc = hist_contents h in
+          let k = total counts in
+          (* an empty histogram reads 0 throughout *)
+          let stat x = Printf.sprintf "%.4g" (if k = 0 then 0. else x) in
           Texttab.add_row tb
             [
               n;
-              string_of_int (List.length xs);
-              Printf.sprintf "%.4g" (Stats.mean xs);
-              Printf.sprintf "%.4g" lo;
-              Printf.sprintf "%.4g" hi;
+              string_of_int k;
+              stat (acc.(0) /. float_of_int k);
+              stat acc.(1);
+              stat acc.(2);
               String.concat "/"
-                (List.map
-                   (fun (_, _, c) -> string_of_int c)
-                   (histogram_rows h));
+                (Array.to_list (Array.map string_of_int counts));
             ])
         hs;
       Buffer.add_string buf (Texttab.render tb);

@@ -7,24 +7,29 @@
     A sink is either {!disabled} — every instrument made from it is a
     shared immediate no-op whose operations cost one branch, allocate
     nothing and change no state — or enabled, in which case each
-    instrument shards its state per domain: an update touches only the
-    shard indexed by the running domain's id (an uncontended atomic),
-    so instrumented code inside the {!Ssd_sta.Par} pool never takes a
-    lock on the hot path and never perturbs the engines' bit-identical
-    results.  Aggregation happens on read ({!counter_value},
-    {!report}, {!snapshot}, …), which sums the shards; atomic updates
-    make the aggregate exact for any lane count.
+    counter and timer shards its state per domain: an update touches
+    only the shard indexed by the running domain's id (an uncontended
+    atomic), so instrumented code inside the {!Ssd_sta.Par} pool never
+    waits on another lane and never perturbs the engines'
+    bit-identical results.  Aggregation happens on read
+    ({!counter_value}, {!report}, {!snapshot}, …), which sums the
+    shards; atomic updates make the aggregate exact for any lane count.
+    A histogram takes one sample per edit, dispatch, level or barrier,
+    always from one domain at a time, so it is one set of totals under
+    one lock.
 
     {2 Spans}
 
     Span bookkeeping (per STA level, per pool job, per MC chunk — not
     per gate) maintains a per-domain stack of open spans: each span
-    knows its parent, splits its duration into total vs self (total
-    minus directly-enclosed child spans), and carries GC allocation
-    deltas ([Gc.counters] minor/promoted words) so allocation is
-    attributed to the phase that caused it.  Self time feeds the span's
-    timer ({!timer_self_ns}); when the sink is tracing, one event per
-    span lands on a lock-free list.  Instrument {e creation} takes a
+    knows its parent and splits its duration into total vs self (total
+    minus directly-enclosed child spans).  Self time feeds the span's
+    timer ({!timer_self_ns}).  The stack is preallocated per domain, so
+    on a sink that does not trace a span only reads the clock and
+    allocates nothing.  When the sink is tracing, each span also
+    carries GC allocation deltas (minor/promoted words), so allocation
+    is attributed to the phase that caused it, and one event per span
+    lands on a lock-free list.  Instrument {e creation} takes a
     registry mutex and belongs in setup code, not inner loops.
 
     All clock reads use a monotonic source ({!now}, backed by
@@ -112,28 +117,35 @@ val timer_calls : timer -> int
 
 type histogram
 
-val histogram : ?bins:int -> ?lo:float -> ?hi:float -> t -> string -> histogram
-(** [bins] defaults to 20.  [lo]/[hi] pin the bin range (recommended:
-    fixed edges are what let observations from different lanes merge —
-    see {!Ssd_util.Stats.histogram}); either defaults to the observed
-    data extreme at render time. *)
+val histogram : ?bins:int -> lo:float -> hi:float -> t -> string -> histogram
+(** [bins] equal bins (default 20) over the fixed range [[lo, hi]];
+    out-of-range samples count in the edge bins.  The histogram keeps
+    per-bin counts and a running count, sum, minimum and maximum, never
+    the samples, so its size does not grow with use.  Fixed edges are
+    also what let several sessions' snapshots merge bin by bin.
+    @raise Invalid_argument on [bins <= 0] or [hi <= lo], also for the
+    disabled sink. *)
 
 val observe : histogram -> float -> unit
-(** Record one sample (lock-free push onto the domain's shard). *)
+(** Record one sample: one bin count and the running totals, under the
+    histogram's lock, so concurrent observers stay exact. *)
 
 val histogram_count : histogram -> int
 val histogram_rows : histogram -> (float * float * int) list
-(** Merged samples binned through {!Ssd_util.Stats.histogram}. *)
+(** The bin counts as rows, equal to
+    [Ssd_util.Stats.histogram ~lo ~hi ~bins] over the same samples. *)
 
 (** {2 Spans} *)
 
 val span : t -> ?event:string -> timer -> (unit -> 'a) -> 'a
 (** Run the thunk as a span: it is pushed on the current domain's span
-    stack (so nested spans know their parent), its total duration and
-    self time are credited to the timer, its GC allocation delta is
-    measured, and when the sink is tracing an event named [event]
-    (default: the timer's name) is recorded on the current domain's
-    track.  On the disabled sink this is exactly [f ()]. *)
+    stack (so nested spans know their parent), and its total duration
+    and self time are credited to the timer (also on exception).  When
+    the sink is tracing, its GC allocation delta is measured and an
+    event named [event] (default: the timer's name) is recorded on the
+    current domain's track.  On the disabled sink this is exactly
+    [f ()]; on an enabled sink that does not trace it allocates
+    nothing beyond what the thunk does. *)
 
 type event = {
   ev_name : string;

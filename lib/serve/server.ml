@@ -71,7 +71,11 @@ let create cfg =
     c_batches = Obs.counter o "serve.batches";
     c_bytes_in = Obs.counter o "serve.bytes_in";
     c_bytes_out = Obs.counter o "serve.bytes_out";
-    h_batch = Obs.histogram o "serve.batch_size";
+    (* a batch holds at least one frame *)
+    h_batch =
+      Obs.histogram ~lo:0.
+        ~hi:(float_of_int (max 1 cfg.sv_max_batch_requests))
+        o "serve.batch_size";
     tm_dispatch = Obs.timer o "serve.dispatch";
   }
 

@@ -26,7 +26,6 @@ type stats = {
   edits : int;
   reverts : int;
   nodes_recomputed : int;
-  nodes_skipped : int;
   cutoffs : int;
 }
 
@@ -53,6 +52,14 @@ type t = {
      pass ever clears the array *)
   e_mark : int array;
   mutable e_epoch : int;
+  (* the dirty frontier, bucketed by logic level and laid out like the
+     netlist's level CSR: level [l]'s bucket is
+     [b_nodes.(Netlist.level_start nl l ..)] with [b_fill.(l)] entries.
+     A node is pushed only when it is first marked, so a bucket never
+     outgrows its level's width.  Every fill count is 0 between
+     propagations. *)
+  b_nodes : int array;
+  b_fill : int array;
   (* the undo journal since the last commit, oldest frame first.  Window
      entry [k] holds node [j_node.(k)]'s overwritten 8 floats at
      [j_win.(8k ..)]; frame [f] owns entries [f_start.(f)] up to the next
@@ -69,17 +76,14 @@ type t = {
   mutable s_edits : int;
   mutable s_reverts : int;
   mutable s_recomputed : int;
-  mutable s_skipped : int;
   mutable s_cutoffs : int;
   c_edits : Obs.counter;
   c_reverts : Obs.counter;
   c_recomputed : Obs.counter;
-  c_skipped : Obs.counter;
   c_cutoffs : Obs.counter;
-  c_cone : Obs.counter;
   tm_edit : Obs.timer;
-  h_cone : Obs.histogram;     (* dirty-cone sizes, in nodes *)
-  h_edit_us : Obs.histogram;  (* per-edit latency, in us *)
+  h_recomputed : Obs.histogram;  (* nodes recomputed per edit *)
+  h_edit_us : Obs.histogram;     (* per-edit latency, in us *)
 }
 
 let check_open t ctx =
@@ -203,57 +207,93 @@ let pop_frame t =
   t.f_patch.(f) <- no_patch;
   t.e_depth <- t.e_depth - 1
 
-(* Re-evaluate the dirty part of [nodes] (a topologically ordered slice —
-   a fanout cone, or the whole netlist for a model retarget) in order.
-   The caller stamps the edit's roots with a fresh [e_epoch]; a changed
-   node stamps its fanout, so a clean cone member costs one mark read
-   instead of a fan-in scan.  A recomputed node whose windows come back
-   bit-identical is a cutoff — it does not dirty its own fanout, which is
-   what keeps a single-line edit local even inside a wide cone.  With
-   [translate], the root's new windows are its stored ones shifted by
-   its extra delay: a line that carried no extra delay stores exactly
+(* Put node [i] on the frontier; returns its level. *)
+let push t i =
+  let nl = t.e_netlist in
+  let l = Netlist.level nl i in
+  let k = t.b_fill.(l) in
+  t.b_nodes.(Netlist.level_start nl l + k) <- i;
+  t.b_fill.(l) <- k + 1;
+  l
+
+(* Drain the frontier, levels [lo] up to [hi] (the highest seeded level)
+   in increasing order, recomputing every node on it.  A node's fan-ins
+   sit on lower levels, so they are final when its level drains.  A
+   recomputed node whose windows come back bit-identical is a cutoff;
+   any other pushes its fanouts that no earlier node has marked, which
+   may raise [hi].  So an edit visits exactly the nodes it recomputes.
+   With [translate], the root's new windows are its stored ones shifted
+   by its extra delay: a line that carried no extra delay stores exactly
    the kernel output, so this is the expression the kernel would
-   compute, without paying its corner searches. *)
-let propagate t nodes ~root ~translate =
+   compute, without paying its corner searches.  The frontier is left
+   empty, also when an evaluation raises. *)
+let propagate t ~lo ~hi ~root ~translate =
   let nl = t.e_netlist and marks = t.e_mark and epoch = t.e_epoch in
   let sc = Plane_sweep.scratch t.e_sweep in
   let out = sc.Plane_sweep.out in
   let recomputed = ref 0 and cutoffs = ref 0 in
-  for k = 0 to Array.length nodes - 1 do
-    let i = nodes.(k) in
-    if marks.(i) = epoch then begin
-      if translate && i = root then begin
-        Plane_sweep.load t.e_sweep ~plane:0 i out ~off:0;
-        Plane_sweep.shift_arrivals out ~off:0 t.e_extra.(i)
-      end
-      else eval_into t sc i;
-      incr recomputed;
-      if Plane_sweep.stored_equal t.e_sweep ~plane:0 i out ~off:0 then
-        incr cutoffs
-      else begin
-        journal_window t i;
-        Plane_sweep.store t.e_sweep ~plane:0 i out ~off:0;
-        for p = 0 to Netlist.fanout_count nl i - 1 do
-          marks.(Netlist.fanout_nth nl i p) <- epoch
-        done
-      end
-    end
-  done;
-  let skipped = Array.length nodes - !recomputed in
+  let l = ref lo and hi = ref hi in
+  (try
+     while !l <= !hi do
+       (* pushes go to higher levels, so this bucket's fill is fixed *)
+       let base = Netlist.level_start nl !l in
+       for k = base to base + t.b_fill.(!l) - 1 do
+         let i = t.b_nodes.(k) in
+         if translate && i = root then begin
+           Plane_sweep.load t.e_sweep ~plane:0 i out ~off:0;
+           Plane_sweep.shift_arrivals out ~off:0 t.e_extra.(i)
+         end
+         else eval_into t sc i;
+         incr recomputed;
+         if Plane_sweep.stored_equal t.e_sweep ~plane:0 i out ~off:0 then
+           incr cutoffs
+         else begin
+           journal_window t i;
+           Plane_sweep.store t.e_sweep ~plane:0 i out ~off:0;
+           for p = 0 to Netlist.fanout_count nl i - 1 do
+             let j = Netlist.fanout_nth nl i p in
+             if marks.(j) <> epoch then begin
+               marks.(j) <- epoch;
+               let lj = push t j in
+               if lj > !hi then hi := lj
+             end
+           done
+         end
+       done;
+       t.b_fill.(!l) <- 0;
+       incr l
+     done
+   with e ->
+     let bt = Printexc.get_raw_backtrace () in
+     Array.fill t.b_fill 0 (Array.length t.b_fill) 0;
+     Printexc.raise_with_backtrace e bt);
   Obs.add t.c_recomputed !recomputed;
-  Obs.add t.c_skipped skipped;
   Obs.add t.c_cutoffs !cutoffs;
+  Obs.observe t.h_recomputed (float_of_int !recomputed);
   t.s_recomputed <- t.s_recomputed + !recomputed;
-  t.s_skipped <- t.s_skipped + skipped;
   t.s_cutoffs <- t.s_cutoffs + !cutoffs
 
-let propagate_cone t root ~translate =
-  let nodes = (Netlist.fanout_cone t.e_netlist root).Netlist.cone_nodes in
-  Obs.add t.c_cone (Array.length nodes);
-  Obs.observe t.h_cone (float_of_int (Array.length nodes));
+(* An edit of one line: the frontier starts at the line itself. *)
+let propagate_from t root ~translate =
   t.e_epoch <- t.e_epoch + 1;
   t.e_mark.(root) <- t.e_epoch;
-  propagate t nodes ~root ~translate
+  let l = push t root in
+  propagate t ~lo:l ~hi:l ~root ~translate
+
+(* A model retarget: every node is marked and on the frontier. *)
+let propagate_all t =
+  let nl = t.e_netlist in
+  t.e_epoch <- t.e_epoch + 1;
+  Array.fill t.e_mark 0 (Array.length t.e_mark) t.e_epoch;
+  let levels = Netlist.level_count nl in
+  for l = 0 to levels - 1 do
+    let w = Netlist.level_width nl l in
+    for k = 0 to w - 1 do
+      t.b_nodes.(Netlist.level_start nl l + k) <- Netlist.level_node nl l k
+    done;
+    t.b_fill.(l) <- w
+  done;
+  propagate t ~lo:0 ~hi:(levels - 1) ~root:(-1) ~translate:false
 
 let create ?(opts = Run_opts.default) ~library ~model nl =
   ignore (Sta.windowing_of model : Delay_model.windowing);
@@ -281,6 +321,8 @@ let create ?(opts = Run_opts.default) ~library ~model nl =
       e_pi_ov = Array.make n None;
       e_mark = Array.make n 0;
       e_epoch = 0;
+      b_nodes = Array.make n 0;
+      b_fill = Array.make (Netlist.level_count nl) 0;
       j_node = Array.make 64 0;
       j_win = Array.make (8 * 64) 0.;
       j_len = 0;
@@ -292,22 +334,19 @@ let create ?(opts = Run_opts.default) ~library ~model nl =
       s_edits = 0;
       s_reverts = 0;
       s_recomputed = 0;
-      s_skipped = 0;
       s_cutoffs = 0;
       c_edits = Obs.counter obs "engine.edits";
       c_reverts = Obs.counter obs "engine.reverts";
       c_recomputed = Obs.counter obs "engine.nodes_recomputed";
-      c_skipped = Obs.counter obs "engine.nodes_skipped";
       c_cutoffs = Obs.counter obs "engine.cutoffs";
-      c_cone = Obs.counter obs "engine.cone_nodes";
       tm_edit = Obs.timer obs "engine.edit";
-      (* fixed edges so several sessions' snapshots merge bin-wise; cone
-         sizes are bounded by the netlist, latencies clip into the top
+      (* fixed edges so several sessions' snapshots merge bin-wise; an
+         edit recomputes at most the netlist, latencies clip into the top
          bin beyond 10 ms *)
-      h_cone =
+      h_recomputed =
         Obs.histogram ~bins:20 ~lo:0.
           ~hi:(float_of_int (max 16 n))
-          obs "engine.cone_size";
+          obs "engine.nodes_recomputed_per_edit";
       h_edit_us =
         Obs.histogram ~bins:20 ~lo:0. ~hi:10_000. obs "engine.edit_us";
     }
@@ -580,20 +619,18 @@ let patch_of t = function
 let mutate t = function
   | Set_pi_spec { pi; spec } ->
     t.e_pi_ov.(pi) <- Some spec;
-    propagate_cone t pi ~translate:false
+    propagate_from t pi ~translate:false
   | Swap_gate { node; kind } ->
     t.e_kind_ov.(node) <- Some kind;
     Plane_sweep.retype t.e_sweep node kind;
-    propagate_cone t node ~translate:false
+    propagate_from t node ~translate:false
   | Set_extra_delay { line; delta } ->
     let old = t.e_extra.(line) in
     t.e_extra.(line) <- delta;
-    propagate_cone t line ~translate:(old = 0.)
+    propagate_from t line ~translate:(old = 0.)
   | Set_model model ->
     t.e_model <- model;
-    t.e_epoch <- t.e_epoch + 1;
-    Array.fill t.e_mark 0 (Array.length t.e_mark) t.e_epoch;
-    propagate t (Netlist.topo_order t.e_netlist) ~root:(-1) ~translate:false
+    propagate_all t
 
 (* One journaled edit.  The frame is pushed before anything is mutated,
    so an edit whose propagation raises (a model's window function, say)
@@ -654,7 +691,6 @@ let stats t =
     edits = t.s_edits;
     reverts = t.s_reverts;
     nodes_recomputed = t.s_recomputed;
-    nodes_skipped = t.s_skipped;
     cutoffs = t.s_cutoffs;
   }
 
@@ -698,9 +734,9 @@ let summary t =
   let s = stats t in
   Printf.sprintf
     "%s [%s]: PO delay window [%.3f ns, %.3f ns] after %d edit(s) (%d \
-     nodes recomputed, %d skipped, %.0f%% cutoff)"
+     nodes recomputed, %.0f%% cutoff)"
     (Netlist.stats t.e_netlist)
     t.e_model.Delay_model.name
     (Interval.lo w *. 1e9) (Interval.hi w *. 1e9)
-    s.edits s.nodes_recomputed s.nodes_skipped
+    s.edits s.nodes_recomputed
     (100. *. cutoff_ratio s)

@@ -4,26 +4,27 @@
     created with a full {!Sta}-equivalent forward pass, it then serves
     window queries and accepts {e edits} — per-PI spec changes, gate kind
     swaps, per-line extra delays (the crosstalk-fault primitive) and
-    delay-model retargets — re-propagating only the edited line's
-    transitive fanout cone ({!Ssd_circuit.Netlist.fanout_cone}) with an
-    early cutoff wherever a recomputed node's rise/fall windows come back
-    bit-identical.
+    delay-model retargets — re-propagating a dirty frontier that starts
+    at the edited line and drains level by level.  A recomputed node
+    whose rise/fall windows come back bit-identical is a cutoff and does
+    not dirty its fanout, so an edit visits only the nodes it recomputes
+    and never walks (or caches) the line's whole fanout cone.
 
     {2 Contract}
 
     After any sequence of edits the engine's windows are bit-identical to
     a fresh {!Sta.analyze_with} of the edited circuit ({!reanalyze} runs
     exactly that reference analysis).  This holds because the per-node
-    evaluation is a pure function of the fan-in windows: a node outside
-    every dirty cone — or cut off behind bit-identical recomputed
-    windows — already holds the value the full pass would recompute.
+    evaluation is a pure function of the fan-in windows: a node the
+    frontier never reached has no fan-in whose windows changed, so it
+    already holds the value the full pass would recompute.
     The evaluator is {!Sta.analyze_with}'s: the flat
     {!Ssd_core.Corner_batch} kernel at K = 1 for
     {!Ssd_core.Delay_model.proposed} (through a per-node table slot,
     refreshed on {!Swap_gate}), {!Sta.gate_windows} over the cell of the
     node's current kind for every other model; {!Set_model} switches
     between them.  Every propagation is one sequential walk in
-    topological order, whatever [opts.jobs] says.
+    increasing level order, whatever [opts.jobs] says.
 
     {2 History}
 
@@ -33,9 +34,10 @@
     it in O(windows changed since) without recomputation.  {!commit}
     discards accumulated history — bounding memory in long-running
     sessions — after which earlier checkpoints are invalid.  A steady
-    edit/revert loop allocates no dirty marks and no journal entries:
-    the marks are one epoch-stamped array made at {!create}, and the
-    journal keeps its capacity. *)
+    edit/revert loop allocates no dirty marks, no frontier and no
+    journal entries: the marks (one epoch-stamped array) and the
+    frontier (one node-count array bucketed by level) are made at
+    {!create}, and the journal keeps its capacity. *)
 
 type t
 (** A timing session.  Not thread-safe: drive each engine from one
@@ -104,9 +106,9 @@ type checkpoint
 type stats = {
   edits : int;  (** edits applied (reverted ones included) *)
   reverts : int;  (** frames undone by {!revert} *)
-  nodes_recomputed : int;  (** kernel evaluations paid across all edits *)
-  nodes_skipped : int;
-      (** cone members never re-evaluated because no fan-in changed *)
+  nodes_recomputed : int;
+      (** kernel evaluations paid across all edits: the nodes their
+          frontiers visited *)
   cutoffs : int;
       (** recomputed nodes whose windows came back bit-identical *)
 }
@@ -121,9 +123,10 @@ val create :
   t
 (** Open a session: one full forward pass under [opts] (default
     {!Run_opts.default}).  [opts.obs] receives per-edit spans
-    ([engine.edit.<kind>]) and the [engine.*] counters.  [opts.jobs] is
-    ignored: the dirty nodes of one cone level are too few to pay a
-    level barrier, so fanning them across domains made edits slower in
+    ([engine.edit.<kind>]), the [engine.*] counters and two per-edit
+    histograms: [engine.nodes_recomputed_per_edit] and
+    [engine.edit_us].  [opts.jobs] is ignored: the dirty nodes of one
+    level are too few to pay a level barrier, so fanning them across domains made edits slower in
     29 of 30 measured cases, and only {!Set_model}, a whole-netlist
     recompute, got faster (EXPERIMENTS.md, "ECO engine lanes").
     @raise Sta.Unsupported_gate or [Invalid_argument] as
@@ -143,7 +146,7 @@ val with_engine :
 (** {!create}, run, then {!close} (also on exception). *)
 
 val apply : t -> edit -> unit
-(** Apply one edit and re-propagate its dirty cone.  Atomic: the edit is
+(** Apply one edit and re-propagate its dirty frontier.  Atomic: the edit is
     validated first, and a rejected edit ([Invalid_argument] on an
     out-of-range id, a non-PI or a spec failing
     {!Run_opts.validate_pi_spec} in {!Set_pi_spec}, a non-gate or

@@ -67,6 +67,17 @@ let pct_errors ~reference values =
 let mean_abs_pct_error ~reference values = mean (pct_errors ~reference values)
 let max_abs_pct_error ~reference values = max_abs (pct_errors ~reference values)
 
+let bin_index ~lo ~span ~bins x =
+  let i = int_of_float (float_of_int bins *. (x -. lo) /. span) in
+  if i >= bins then bins - 1 else if i < 0 then 0 else i
+
+let bin_rows ~lo ~span counts =
+  let bins = Array.length counts in
+  List.init bins (fun i ->
+      let w = span /. float_of_int bins in
+      (lo +. (w *. float_of_int i), lo +. (w *. float_of_int (i + 1)),
+       counts.(i)))
+
 let histogram ?lo ?hi ~bins xs =
   if bins <= 0 then invalid_arg "Stats.histogram: bins <= 0";
   (match (lo, hi) with
@@ -91,11 +102,7 @@ let histogram ?lo ?hi ~bins xs =
     let counts = Array.make bins 0 in
     List.iter
       (fun x ->
-        let i = int_of_float (float_of_int bins *. (x -. lo) /. span) in
-        let i = if i >= bins then bins - 1 else if i < 0 then 0 else i in
+        let i = bin_index ~lo ~span ~bins x in
         counts.(i) <- counts.(i) + 1)
       xs;
-    List.init bins (fun i ->
-        let w = span /. float_of_int bins in
-        (lo +. (w *. float_of_int i), lo +. (w *. float_of_int (i + 1)),
-         counts.(i)))
+    bin_rows ~lo ~span counts

@@ -31,3 +31,14 @@ val histogram :
     by adding counts bin-by-bin; out-of-range samples land in the edge
     bins.  With both ends pinned, empty input yields [bins] zero-count
     rows.  @raise Invalid_argument on [bins <= 0] or [hi <= lo]. *)
+
+val bin_index : lo:float -> span:float -> bins:int -> float -> int
+(** The bin {!histogram} puts a sample in, over [bins] equal bins of
+    the range [lo, lo + span] ([span > 0]); out-of-range samples clamp
+    to the edge bins. *)
+
+val bin_rows : lo:float -> span:float -> int array -> (float * float * int) list
+(** The [(lo, hi, count)] rows of {!histogram} for per-bin counts over
+    the range [lo, lo + span] — with {!bin_index}, how a histogram kept
+    as running counts renders exactly like {!histogram} over the same
+    samples. *)

@@ -113,6 +113,15 @@ let test_netlist_levels () =
   let check_partition nl =
     let lv = Netlist.levels nl in
     Alcotest.(check int) "group count" (Netlist.depth nl + 1) (Array.length lv);
+    (* the level CSR: each level starts where the levels below it end *)
+    let start = ref 0 in
+    Array.iteri
+      (fun l group ->
+        Alcotest.(check int) "level start" !start (Netlist.level_start nl l);
+        start := !start + Array.length group)
+      lv;
+    Alcotest.(check int) "last start is the node count" (Netlist.size nl)
+      (Netlist.level_start nl (Netlist.level_count nl));
     (* a partition of all node ids, each in its own level's group *)
     let seen = Array.make (Netlist.size nl) false in
     Array.iteri

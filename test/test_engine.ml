@@ -465,7 +465,7 @@ let test_edit_allocation_guard () =
              { line = victims.(k mod Array.length victims); delta = 50e-12 });
         E.revert eng cp
       in
-      (* warm: every victim's cone cached, the journal at its size *)
+      (* warm: the journal at its size *)
       Array.iteri (fun k _ -> cycle k) victims;
       let counters () =
         Gc.full_major ();
@@ -487,6 +487,80 @@ let test_edit_allocation_guard () =
         Alcotest.failf "%.1f minor words per cycle (bound %.1f)" minor
           (765. /. 2.))
 
+let test_edits_build_no_cone () =
+  (* an edit visits only the nodes it recomputes, through the
+     level-bucketed frontier made at create: one Set_extra_delay and its
+     revert on every line of c7552s caches no fanout cone on the netlist *)
+  let nl =
+    Ck.Decompose.to_primitive (Option.get (Ck.Benchmarks.by_name "c7552s"))
+  in
+  E.with_engine ~library:(Lazy.force lib) ~model:DM.proposed nl (fun eng ->
+      for line = 0 to Ck.Netlist.size nl - 1 do
+        let cp = E.checkpoint eng in
+        E.apply eng (E.Set_extra_delay { line; delta = 40e-12 });
+        E.revert eng cp
+      done;
+      Alcotest.(check int) "cone cache bytes" 0
+        (Ck.Netlist.cone_cache_bytes nl);
+      let reference = E.reanalyze eng in
+      for i = 0 to Ck.Netlist.size nl - 1 do
+        if not (lt_beq (E.timing eng i) (Sta.timing reference i)) then
+          Alcotest.failf "line %d differs from E.reanalyze" i
+      done)
+
+let test_raising_edit_leaves_frontier_empty () =
+  (* a window function that raises inside a single-line edit stops the
+     drain with nodes still bucketed on higher levels; the frontier must
+     come back empty, so every later propagation visits exactly what a
+     twin engine that never raised visits: same windows (equal to the
+     closure-walk reference), same recomputed and cutoff counts *)
+  let nl =
+    Ck.Decompose.to_primitive (Option.get (Ck.Benchmarks.by_name "c880s"))
+  in
+  let library = Lazy.force lib in
+  let pi = List.hd (Ck.Netlist.inputs nl) in
+  (* the opening pass makes two window calls per gate; the edit raises
+     on its fifth call *)
+  let flaky = flaky_model ((2 * Ck.Netlist.gate_count nl) + 5) in
+  let steady = flaky_model 0 (* never raises *) in
+  let eng = E.create ~library ~model:flaky nl in
+  let twin = E.create ~library ~model:steady nl in
+  let spec =
+    {
+      RO.pi_arrival = Interval.make 0. 0.15e-9;
+      pi_tt = Interval.make 0.1e-9 0.35e-9;
+    }
+  in
+  (match E.apply eng (E.Set_pi_spec { pi; spec }) with
+  | () -> Alcotest.fail "the flaky model did not raise"
+  | exception Failure _ -> ());
+  let gates = two_input_gates nl in
+  let edits =
+    [
+      E.Set_pi_spec { pi; spec };
+      E.Set_extra_delay { line = List.nth gates 3; delta = 30e-12 };
+      E.Set_model DM.proposed;
+      E.Set_extra_delay { line = pi; delta = 45e-12 };
+      E.Swap_gate { node = List.nth gates 9; kind = Ck.Gate.Nor };
+      E.Set_extra_delay { line = List.nth gates 3; delta = 0. };
+    ]
+  in
+  List.iteri
+    (fun k edit ->
+      E.apply eng edit;
+      E.apply twin edit;
+      let se = E.stats eng and st = E.stats twin in
+      Alcotest.(check (pair int int))
+        (Printf.sprintf "edit %d: recomputed and cutoffs as the twin" k)
+        (st.E.nodes_recomputed, st.E.cutoffs)
+        (se.E.nodes_recomputed, se.E.cutoffs);
+      Alcotest.(check bool)
+        (Printf.sprintf "edit %d equals the reference" k)
+        true (engine_matches eng))
+    edits;
+  E.close eng;
+  E.close twin
+
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
 let suites =
@@ -506,6 +580,10 @@ let suites =
           test_failed_edit_rolls_back;
         Alcotest.test_case "edit allocation guard" `Quick
           test_edit_allocation_guard;
+        Alcotest.test_case "edits build no fanout cone" `Quick
+          test_edits_build_no_cone;
+        Alcotest.test_case "a raising edit leaves the frontier empty" `Quick
+          test_raising_edit_leaves_frontier_empty;
       ] );
     qsuite "engine.props"
       [ prop_engine_bit_identical; prop_faulty_tsim_within_faulty_windows ];

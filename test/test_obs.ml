@@ -85,6 +85,49 @@ let test_histogram_parallel () =
     (fun (_, _, c) -> Alcotest.(check int) "uniform bins" (n / 4) c)
     (Obs.histogram_rows h)
 
+(* a histogram keeps fixed-edge counts and running totals, never the
+   samples: 100k observations leave everything the sink reaches the
+   same size *)
+let test_histogram_bounded () =
+  let obs = Obs.create () in
+  let h = Obs.histogram ~bins:20 ~lo:0. ~hi:100. obs "bounded" in
+  Obs.observe h 1.;
+  let words () = Obj.reachable_words (Obj.repr obs) in
+  let w0 = words () in
+  for i = 1 to 100_000 do
+    Obs.observe h (float_of_int (i mod 150))
+  done;
+  let grown = words () - w0 in
+  Alcotest.(check int) "count" 100_001 (Obs.histogram_count h);
+  if grown <> 0 then
+    Alcotest.failf "the sink grew by %d words over 100k observations" grown;
+  List.iter
+    (fun sink ->
+      Alcotest.check_raises "hi <= lo rejected at creation"
+        (Invalid_argument "Obs.histogram: hi <= lo") (fun () ->
+          ignore (Obs.histogram ~lo:1. ~hi:1. sink "bad")))
+    [ obs; Obs.disabled ]
+
+(* with fixed edges the rows are Stats.histogram's over the same samples
+   (out-of-range ones in the edge bins), and on one domain the running
+   sum is the samples' left fold *)
+let prop_histogram_matches_stats =
+  QCheck.Test.make ~name:"histogram rows equal Stats.histogram" ~count:200
+    QCheck.(
+      triple (int_range 1 12)
+        (pair (float_range (-50.) 50.) (float_range 1e-3 100.))
+        (small_list (float_range (-200.) 200.)))
+    (fun (bins, (lo, width), xs) ->
+      let hi = lo +. width in
+      let obs = Obs.create () in
+      let h = Obs.histogram ~bins ~lo ~hi obs "h" in
+      List.iter (Obs.observe h) xs;
+      let hs = List.assoc "h" (Obs.snapshot obs).Obs.sn_histograms in
+      Obs.histogram_rows h = Ssd_util.Stats.histogram ~lo ~hi ~bins xs
+      && hs.Obs.hs_rows = Obs.histogram_rows h
+      && hs.Obs.hs_count = List.length xs
+      && beq hs.Obs.hs_sum (List.fold_left ( +. ) 0. xs))
+
 (* ---------- disabled sink ---------- *)
 
 let test_disabled_sink_free () =
@@ -92,11 +135,12 @@ let test_disabled_sink_free () =
   Alcotest.(check bool) "disabled" false (Obs.enabled obs);
   let c = Obs.counter obs "x" in
   let tm = Obs.timer obs "y" in
-  let h = Obs.histogram obs "z" in
+  let h = Obs.histogram ~lo:0. ~hi:1. obs "z" in
   (* no-op instruments are physically shared: creation allocates nothing *)
   Alcotest.(check bool) "counter shared" true (c == Obs.counter obs "other");
   Alcotest.(check bool) "timer shared" true (tm == Obs.timer obs "other");
-  Alcotest.(check bool) "histogram shared" true (h == Obs.histogram obs "w");
+  Alcotest.(check bool) "histogram shared" true
+    (h == Obs.histogram ~lo:0. ~hi:1. obs "w");
   (* updates do not allocate: minor words stay flat across 10k calls *)
   let m0 = Gc.minor_words () in
   for _ = 1 to 10_000 do
@@ -345,6 +389,51 @@ let test_span_hierarchy () =
       (Obs.timer_self_ns tm <= Obs.timer_ns tm)
   | l -> Alcotest.failf "want 1 root span, got %d roots" (List.length l)
 
+(* spans of two sinks nested on one domain: each sink's forest links a
+   span to its nearest enclosing span of the same sink *)
+let test_span_sinks_apart () =
+  let a = Obs.create ~trace:true () and b = Obs.create ~trace:true () in
+  let ta = Obs.timer a "a" and tb = Obs.timer b "b" in
+  Obs.span a ~event:"outer" ta (fun () ->
+      Obs.span b ~event:"mid" tb (fun () ->
+          Obs.span a ~event:"deep" ta (fun () -> ())));
+  let rec shape (n : Obs.span_node) =
+    n.Obs.sp_name ^ "(" ^ String.concat "," (List.map shape n.Obs.sp_children)
+    ^ ")"
+  in
+  let forest o = List.map shape (Obs.snapshot o).Obs.sn_spans in
+  Alcotest.(check (list string)) "sink a" [ "outer(deep())" ] (forest a);
+  Alcotest.(check (list string)) "sink b" [ "mid()" ] (forest b)
+
+(* on an enabled sink that does not trace, a span and [Obs.time]
+   allocate no more than their thunk's closure: the frame stack is
+   preallocated per domain and no Gc record is read *)
+let test_span_allocation_free () =
+  let obs = Obs.create () in
+  let tm = Obs.timer obs "quiet" in
+  let hits = ref 0 in
+  let call = Sys.opaque_identity (fun f -> f ()) in
+  let n = 10_000 in
+  let per_call body =
+    body ();
+    let m0 = Gc.minor_words () in
+    for _ = 1 to n do
+      body ()
+    done;
+    (Gc.minor_words () -. m0) /. float_of_int n
+  in
+  let closure = per_call (fun () -> call (fun () -> incr hits)) in
+  let span = per_call (fun () -> Obs.span obs tm (fun () -> incr hits)) in
+  let timed = per_call (fun () -> Obs.time tm (fun () -> incr hits)) in
+  Alcotest.(check int) "every thunk ran" (3 * (n + 1)) !hits;
+  Alcotest.(check int) "every call timed" (2 * (n + 1)) (Obs.timer_calls tm);
+  List.iter
+    (fun (what, words) ->
+      if words > closure then
+        Alcotest.failf "%s: %.2f words per call, the closure alone %.2f" what
+          words closure)
+    [ ("span", span); ("time", timed) ]
+
 (* span forests produced under the worker pool are structurally valid
    at every lane count: intervals nest, tracks agree, self and child
    times decompose the total, GC attribution is non-negative *)
@@ -535,6 +624,9 @@ let suites =
           test_timer_and_histogram;
         Alcotest.test_case "parallel histogram" `Quick
           test_histogram_parallel;
+        Alcotest.test_case "histogram keeps no samples" `Quick
+          test_histogram_bounded;
+        QCheck_alcotest.to_alcotest prop_histogram_matches_stats;
         Alcotest.test_case "monotonic clock" `Quick test_monotonic_now;
         Alcotest.test_case "gauge basics" `Quick test_gauge_basics;
       ] );
@@ -548,6 +640,10 @@ let suites =
       [
         Alcotest.test_case "hierarchy, self time, GC attribution" `Quick
           test_span_hierarchy;
+        Alcotest.test_case "no allocation off the trace" `Quick
+          test_span_allocation_free;
+        Alcotest.test_case "sinks keep their own stacks" `Quick
+          test_span_sinks_apart;
         QCheck_alcotest.to_alcotest prop_span_forest_valid_under_pool;
       ] );
     ( "obs.snapshot",
