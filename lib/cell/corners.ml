@@ -192,8 +192,12 @@ type table = {
   t_layouts : layout array;
   t_coeffs : coeffs;
   t_cells : Charlib.cell array;  (* nominal cells, aligned with layouts *)
-  t_index : (Sweep.gate_kind * int, int) Hashtbl.t;
+  t_slots : int option array array;
+      (* [kind_row kind] then arity: the first cell of that shape, as a
+         shared [Some], so a lookup allocates nothing *)
 }
+
+let kind_row = function Sweep.Nand -> 0 | Sweep.Nor -> 1
 
 let layout_of_cell ~base (c : Charlib.cell) =
   let n = c.Charlib.n in
@@ -336,11 +340,12 @@ let build ?specs (lib : Charlib.t) =
         fill_corner coeffs l ~corner specs.(corner) cells.(ci)
       done)
     layouts;
-  let index = Hashtbl.create 16 in
+  let max_n = Array.fold_left (fun m c -> max m c.Charlib.n) 0 cells in
+  let slots = Array.init 2 (fun _ -> Array.make (max_n + 1) None) in
   Array.iteri
     (fun ci (c : Charlib.cell) ->
-      if not (Hashtbl.mem index (c.Charlib.kind, c.Charlib.n)) then
-        Hashtbl.add index (c.Charlib.kind, c.Charlib.n) ci)
+      let row = slots.(kind_row c.Charlib.kind) in
+      if row.(c.Charlib.n) = None then row.(c.Charlib.n) <- Some ci)
     cells;
   {
     t_specs = specs;
@@ -349,7 +354,7 @@ let build ?specs (lib : Charlib.t) =
     t_layouts = layouts;
     t_coeffs = coeffs;
     t_cells = cells;
-    t_index = index;
+    t_slots = slots;
   }
 
 let k t = Array.length t.t_specs
@@ -368,7 +373,9 @@ let coeffs t = t.t_coeffs
 let layouts t = t.t_layouts
 let layout t i = t.t_layouts.(i)
 
-let cell_slot t kind n = Hashtbl.find_opt t.t_index (kind, n)
+let cell_slot t kind n =
+  let row = t.t_slots.(kind_row kind) in
+  if n < 0 || n >= Array.length row then None else row.(n)
 
 let remap t corner (cell : Charlib.cell) =
   Charlib.find (library t corner) cell.Charlib.kind cell.Charlib.n

@@ -123,7 +123,10 @@ val layouts : table -> layout array
 val layout : table -> int -> layout
 
 val cell_slot : table -> Sweep.gate_kind -> int -> int option
-(** Layout index for a (kind, n) cell shape, if packed. *)
+(** Layout index for a (kind, n) cell shape, if packed: the first such
+    cell of the library.  An array lookup by kind and arity that
+    returns a shared option, so it allocates nothing (every analysis
+    pass resolves one slot per gate). *)
 
 val remap : table -> int -> Charlib.cell -> Charlib.cell
 (** [remap t corner cell] is the corner-derated twin of [cell].

@@ -108,15 +108,21 @@ let parse_line acc lineno raw =
 
 (* Ids: PIs in order, then gates in order.  A name defined twice is
    reported at its second definition in id order, before any fan-in is
-   resolved; an undefined fan-in at its gate, in gate then pin order. *)
+   resolved; an undefined fan-in at its gate, in gate then pin order.
+   The fan-ins are then node ids, rewritten in place, and the intern
+   table, re-keyed to node ids, becomes the netlist's name table: once
+   every fan-in is defined, every interned name is a signal. *)
 let finish ~name acc =
   let npi = acc.pi_line.len and ngates = acc.gate_line.len in
-  let names = acc.names.data in
+  let n = npi + ngates in
+  let interned = acc.names.data in
   let id_of = Array.make acc.names.len (-1) in
+  let names = Array.make n "" in
   let define id lineno k =
     if id_of.(k) >= 0 then
-      fail lineno "signal %S is defined more than once" names.(k);
-    id_of.(k) <- id
+      fail lineno "signal %S is defined more than once" interned.(k);
+    id_of.(k) <- id;
+    names.(id) <- interned.(k)
   in
   for p = 0 to npi - 1 do
     define p acc.pi_line.data.(p) acc.pi_name.data.(p)
@@ -124,23 +130,24 @@ let finish ~name acc =
   for g = 0 to ngates - 1 do
     define (npi + g) acc.gate_line.data.(g) acc.gate_name.data.(g)
   done;
-  let gate g =
+  let fanins = acc.fanins.data in
+  let kinds = Array.make n (-1) and fanin_off = Array.make (n + 1) 0 in
+  for g = 0 to ngates - 1 do
     let first = if g = 0 then 0 else acc.gate_end.data.(g - 1) in
-    let fanin = Array.make (acc.gate_end.data.(g) - first) 0 in
-    for p = 0 to Array.length fanin - 1 do
-      let k = acc.fanins.data.(first + p) in
+    for p = first to acc.gate_end.data.(g) - 1 do
+      let k = fanins.(p) in
       if id_of.(k) < 0 then
-        fail acc.gate_line.data.(g) "undefined signal %S" names.(k);
-      fanin.(p) <- id_of.(k)
+        fail acc.gate_line.data.(g) "undefined signal %S" interned.(k);
+      fanins.(p) <- id_of.(k)
     done;
-    ( names.(acc.gate_name.data.(g)),
-      Netlist.Gate { kind = Gate.of_int acc.gate_kind.data.(g); fanin } )
-  in
-  let signal_nodes =
-    List.init npi (fun p -> (names.(acc.pi_name.data.(p)), Netlist.Pi))
-    @ List.init ngates gate
-  in
-  Netlist.build ~name ~signals:signal_nodes ~outputs:(List.rev acc.outputs)
+    kinds.(npi + g) <- acc.gate_kind.data.(g);
+    fanin_off.(npi + g + 1) <- acc.gate_end.data.(g)
+  done;
+  Hashtbl.filter_map_inplace (fun _ k -> Some id_of.(k)) acc.ids;
+  Netlist.of_flat ~by_name:acc.ids ~name
+    { Netlist.f_names = names; f_kinds = kinds; f_fanin_off = fanin_off;
+      f_fanin_dat = Array.sub fanins 0 acc.fanins.len;
+      f_outputs = List.rev acc.outputs }
 
 let parse_string ~name text =
   let acc = new_acc () in

@@ -11,10 +11,16 @@
 exception Parse_error of { line : int; message : string }
 
 val parse_string : name:string -> string -> Netlist.t
-(** @raise Parse_error on malformed text — including a signal defined
+(** Node ids are the PIs in declaration order, then the gates in
+    definition order.  The parser keeps a few int slots per line and one
+    table interning every name; at the end it resolves the fan-ins to
+    node ids in place and hands its arrays and its intern table, re-keyed
+    to node ids, to {!Netlist.of_flat}, so no per-gate record, list or
+    second name table is built.
+    @raise Parse_error on malformed text — including a signal defined
     more than once or a fan-in that is never defined, both reported with
     the offending line number — and {!Netlist.Invalid} on a structurally
-    broken circuit. *)
+    broken circuit (a cycle, an [OUTPUT] that is never defined). *)
 
 val parse_file : string -> Netlist.t
 (** Netlist name is the file's basename without extension.  Reads one

@@ -40,44 +40,85 @@ exception Invalid of string
 
 let invalid fmt = Printf.ksprintf (fun s -> raise (Invalid s)) fmt
 
-let build ~name ~signals ~outputs =
-  let n = List.length signals in
+type flat = {
+  f_names : string array;
+  f_kinds : int array;
+  f_fanin_off : int array;
+  f_fanin_dat : int array;
+  f_outputs : string list;
+}
+
+(* The one construction path: validate the flat arrays, then derive the
+   fan-out CSR, Kahn's topological order and the level CSR from them. *)
+let of_flat ?by_name ~name f =
+  let names = f.f_names and kinds = f.f_kinds in
+  let fanin_off = f.f_fanin_off and fanin_dat = f.f_fanin_dat in
+  let n = Array.length names in
   if n = 0 then invalid "empty netlist";
-  let by_name = Hashtbl.create (2 * n) in
-  List.iteri
-    (fun i (s, _) ->
-      if Hashtbl.mem by_name s then invalid "duplicate signal %S" s;
-      Hashtbl.replace by_name s i)
-    signals;
-  let names = Array.make n "" and nodes = Array.make n Pi in
-  List.iteri
-    (fun i (s, nd) ->
-      names.(i) <- s;
-      nodes.(i) <- nd)
-    signals;
-  (* validate fan-ins *)
-  Array.iteri
-    (fun i nd ->
-      match nd with
-      | Pi -> ()
-      | Gate { kind; fanin } ->
-        let arity = Array.length fanin in
-        (match kind with
-        | Gate.Not | Gate.Buf ->
-          if arity <> 1 then
-            invalid "%s: %s expects 1 input, got %d" names.(i)
-              (Gate.to_string kind) arity
-        | Gate.And | Gate.Nand | Gate.Or | Gate.Nor | Gate.Xor | Gate.Xnor ->
-          if arity < 1 then invalid "%s: gate with no inputs" names.(i));
-        Array.iter
-          (fun j ->
-            if j < 0 || j >= n then
-              invalid "%s: fan-in id %d out of range" names.(i) j)
-          fanin)
-    nodes;
+  if Array.length kinds <> n || Array.length fanin_off <> n + 1 then
+    invalid "netlist %S: %d names, %d kinds and %d fan-in offsets" name n
+      (Array.length kinds) (Array.length fanin_off);
+  if fanin_off.(0) <> 0 || fanin_off.(n) <> Array.length fanin_dat then
+    invalid "netlist %S: fan-in offsets do not span the fan-in data" name;
+  (* a given table must map each name to its own id and hold nothing
+     else; otherwise the table is built here *)
+  let by_name =
+    match by_name with
+    | Some tbl ->
+      Array.iteri
+        (fun i s ->
+          match Hashtbl.find tbl s with
+          | j when j = i -> ()
+          | _ -> invalid "duplicate signal %S" s
+          | exception Not_found -> invalid "signal %S is not in the name table" s)
+        names;
+      if Hashtbl.length tbl <> n then
+        invalid "netlist %S: the name table holds %d names for %d signals"
+          name (Hashtbl.length tbl) n;
+      tbl
+    | None ->
+      let tbl = Hashtbl.create (2 * n) in
+      Array.iteri
+        (fun i s ->
+          if Hashtbl.mem tbl s then invalid "duplicate signal %S" s;
+          Hashtbl.replace tbl s i)
+        names;
+      tbl
+  in
+  (* validate kinds and fan-ins *)
+  for i = 0 to n - 1 do
+    let arity = fanin_off.(i + 1) - fanin_off.(i) in
+    if arity < 0 then invalid "%s: negative fan-in count" names.(i);
+    let k = kinds.(i) in
+    if k < 0 then begin
+      if k <> -1 then invalid "%s: kind tag %d out of range" names.(i) k;
+      if arity <> 0 then
+        invalid "%s: primary input with %d fan-ins" names.(i) arity
+    end
+    else begin
+      let kind =
+        match Gate.of_int k with
+        | kind -> kind
+        | exception Invalid_argument _ ->
+          invalid "%s: kind tag %d out of range" names.(i) k
+      in
+      (match kind with
+      | Gate.Not | Gate.Buf ->
+        if arity <> 1 then
+          invalid "%s: %s expects 1 input, got %d" names.(i)
+            (Gate.to_string kind) arity
+      | Gate.And | Gate.Nand | Gate.Or | Gate.Nor | Gate.Xor | Gate.Xnor ->
+        if arity < 1 then invalid "%s: gate with no inputs" names.(i));
+      for p = fanin_off.(i) to fanin_off.(i + 1) - 1 do
+        let j = fanin_dat.(p) in
+        if j < 0 || j >= n then
+          invalid "%s: fan-in id %d out of range" names.(i) j
+      done
+    end
+  done;
   let pis = ref [] in
   for i = n - 1 downto 0 do
-    match nodes.(i) with Pi -> pis := i :: !pis | Gate _ -> ()
+    if kinds.(i) < 0 then pis := i :: !pis
   done;
   let pis = !pis in
   let pos =
@@ -86,30 +127,8 @@ let build ~name ~signals ~outputs =
         match Hashtbl.find_opt by_name s with
         | Some i -> i
         | None -> invalid "output %S is not a declared signal" s)
-      outputs
+      f.f_outputs
   in
-  (* pack kinds and the fan-in CSR *)
-  let kinds = Array.make n (-1) in
-  let fanin_off = Array.make (n + 1) 0 in
-  Array.iteri
-    (fun i nd ->
-      match nd with
-      | Pi -> ()
-      | Gate { kind; fanin } ->
-        kinds.(i) <- Gate.to_int kind;
-        fanin_off.(i + 1) <- Array.length fanin)
-    nodes;
-  for i = 0 to n - 1 do
-    fanin_off.(i + 1) <- fanin_off.(i) + fanin_off.(i + 1)
-  done;
-  let fanin_dat = Array.make fanin_off.(n) 0 in
-  Array.iteri
-    (fun i nd ->
-      match nd with
-      | Pi -> ()
-      | Gate { fanin; _ } ->
-        Array.blit fanin 0 fanin_dat fanin_off.(i) (Array.length fanin))
-    nodes;
   (* fan-out CSR: consumers of each node in increasing consumer order *)
   let fanout_off = Array.make (n + 1) 0 in
   Array.iter
@@ -188,6 +207,35 @@ let build ~name ~signals ~outputs =
     fanout_off; fanout_dat; pis; pos; topo; node_level; level_off;
     level_dat; by_level_view = None; cones = Hashtbl.create 16;
     cone_lock = Mutex.create () }
+
+(* Pack the per-node list into the flat arrays of {!of_flat}. *)
+let build ~name ~signals ~outputs =
+  let n = List.length signals in
+  let names = Array.make n "" and kinds = Array.make n (-1) in
+  let fanin_off = Array.make (n + 1) 0 in
+  List.iteri
+    (fun i (s, nd) ->
+      names.(i) <- s;
+      let arity =
+        match nd with
+        | Pi -> 0
+        | Gate { kind; fanin } ->
+          kinds.(i) <- Gate.to_int kind;
+          Array.length fanin
+      in
+      fanin_off.(i + 1) <- fanin_off.(i) + arity)
+    signals;
+  let fanin_dat = Array.make fanin_off.(n) 0 in
+  List.iteri
+    (fun i (_, nd) ->
+      match nd with
+      | Pi -> ()
+      | Gate { fanin; _ } ->
+        Array.blit fanin 0 fanin_dat fanin_off.(i) (Array.length fanin))
+    signals;
+  of_flat ~name
+    { f_names = names; f_kinds = kinds; f_fanin_off = fanin_off;
+      f_fanin_dat = fanin_dat; f_outputs = outputs }
 
 let name t = t.nl_name
 let size t = Array.length t.kinds

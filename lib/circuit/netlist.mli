@@ -19,8 +19,38 @@ type node = Pi | Gate of { kind : Gate.kind; fanin : int array }
 type t
 
 exception Invalid of string
-(** Raised by {!build} on cycles, dangling references, duplicate
-    definitions or arity violations. *)
+(** Raised by {!of_flat} and {!build} on cycles, dangling references,
+    duplicate definitions or arity violations. *)
+
+(** A netlist before validation, as the flat arrays it is stored in.
+    Node [i] is named [f_names.(i)]; its kind is [f_kinds.(i)], [-1]
+    for a primary input, else {!Gate.to_int} of the gate's kind; its
+    fan-ins are [f_fanin_dat.(f_fanin_off.(i))] up to
+    [f_fanin_dat.(f_fanin_off.(i + 1) - 1)], position 0 first.  So
+    [f_fanin_off] has one entry more than there are nodes, starts at 0
+    and ends at the length of [f_fanin_dat].  [f_outputs] names the
+    primary outputs. *)
+type flat = {
+  f_names : string array;
+  f_kinds : int array;
+  f_fanin_off : int array;
+  f_fanin_dat : int array;
+  f_outputs : string list;
+}
+
+val of_flat : ?by_name:(string, int) Hashtbl.t -> name:string -> flat -> t
+(** The single construction path.  It validates the arrays (shapes,
+    kind tags, arities, fan-in ids, unique names, declared outputs,
+    acyclicity) and derives the fan-out CSR, the topological order
+    (Kahn's, PIs first, in id order) and the level CSR.  The arrays are
+    kept, not copied: the caller must not mutate them afterwards.
+
+    [by_name], when given, becomes the netlist's name table, so a
+    reader that has already interned every name does not build a
+    second table; each name must map to its own node id and the table
+    must hold nothing else (checked, with one lookup per node).
+    Without it the table is built here.
+    @raise Invalid *)
 
 val build :
   name:string ->
@@ -28,6 +58,7 @@ val build :
   outputs:string list ->
   t
 (** [signals] declares every node; [outputs] names the primary outputs.
+    Packs the list into the arrays of {!of_flat} and builds from them.
     @raise Invalid *)
 
 val name : t -> string

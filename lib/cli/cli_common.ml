@@ -160,9 +160,12 @@ let load_netlist path =
   | Some nl -> nl
   | None ->
     if Sys.file_exists path then
-      try Ck.Bench_io.parse_file path
-      with Ck.Bench_io.Parse_error { line; message } ->
+      try Ck.Bench_io.parse_file path with
+      | Ck.Bench_io.Parse_error { line; message } ->
         Printf.eprintf "ssd: %s:%d: %s\n" path line message;
+        exit 2
+      | Ck.Netlist.Invalid message ->
+        Printf.eprintf "ssd: %s: %s\n" path message;
         exit 2
     else begin
       Printf.eprintf

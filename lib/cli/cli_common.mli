@@ -65,4 +65,7 @@ val check_model : Ssd_core.Delay_model.t
 
 val load_netlist : string -> Ssd_circuit.Netlist.t
 (** Resolve a suite name or parse a [.bench] file; exits with code 2
-    (after a diagnostic) when neither works. *)
+    after a one-line diagnostic when neither works: [ssd: FILE:LINE:
+    message] for a malformed line, [ssd: FILE: message] for a file
+    whose lines parse but whose circuit is invalid (a cycle, an
+    undefined [OUTPUT]). *)

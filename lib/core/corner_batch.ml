@@ -489,7 +489,6 @@ let create table =
 
 let table t = t.bt_table
 let k t = t.bt_k
-let slot t kind n = Corners.cell_slot t.bt_table kind n
 
 (* the checks both evaluators make once per call, before any unsafe
    access: the slot's fan-in count, the corner range, and scratch sizes

@@ -38,9 +38,6 @@ val refresh : t -> unit
 val k : t -> int
 (** Corner count of the bound table. *)
 
-val slot : t -> Ssd_cell.Sweep.gate_kind -> int -> int option
-(** Table slot of a (kind, fan-in) cell shape, if characterized. *)
-
 val eval_node :
   t ->
   slot:int ->

@@ -368,6 +368,9 @@ let load_circuit body =
     | None ->
       if Sys.file_exists spec then (
         try Ok (Bench_io.parse_file spec) with
+        | Bench_io.Parse_error { line; message } ->
+          Error (P.Bad_params, Printf.sprintf "%s:%d: %s" spec line message)
+        | Netlist.Invalid m -> Error (P.Bad_params, spec ^ ": " ^ m)
         | Failure m | Invalid_argument m | Sys_error m -> Error (P.Bad_params, m))
       else
         Error

@@ -179,3 +179,155 @@ let required_beq ?(plane = 0) packed oracle =
         && iv_beq (Sta.required_window ~plane packed i ~rise:false) r.q_fall)
     oracle;
   !ok
+
+(* ---- the list-based technology mapping ---- *)
+
+module Decompose_ref = struct
+  module Gate = Ssd_circuit.Gate
+
+  (* Accumulating builder with fresh intermediate names.  Indices are
+     assigned in emission order. *)
+  type builder = {
+    mutable acc : (string * Netlist.node) list;  (* reversed *)
+    mutable count : int;
+    used : (string, unit) Hashtbl.t;
+    mutable counter : int;
+  }
+
+  let add b name node =
+    Hashtbl.replace b.used name ();
+    b.acc <- (name, node) :: b.acc;
+    b.count <- b.count + 1
+
+  let fresh b base =
+    let rec try_name k =
+      let cand = Printf.sprintf "%s$%d" base k in
+      if Hashtbl.mem b.used cand then try_name (k + 1)
+      else begin
+        b.counter <- k + 1;
+        cand
+      end
+    in
+    try_name b.counter
+
+  let emit_fresh b base kind fanin =
+    let idx = b.count in
+    add b (fresh b base)
+      (Netlist.Gate { kind; fanin = Array.of_list fanin });
+    idx
+
+  (* The specification of a gate yet to be emitted (so the caller can attach
+     the original signal name to the network's final node). *)
+  type spec = Gate.kind * int list
+
+  let emit_spec b base (kind, fanin) = emit_fresh b base kind fanin
+
+  (* NAND(xs) = NAND(AND(g1), AND(g2), …) for any grouping of xs, and dually
+     for NOR, so a wide inverting gate reduces to a tree whose internal
+     groups use the non-inverting composition (inverting gate + NOT). *)
+  let rec reduce_wide b base ~max_fanin ~kind inputs : spec =
+    if List.length inputs <= max_fanin then (kind, inputs)
+    else begin
+      let rec split groups current count = function
+        | [] ->
+          let groups =
+            if current = [] then groups else List.rev current :: groups
+          in
+          List.rev groups
+        | x :: rest ->
+          if count = max_fanin then
+            split (List.rev current :: groups) [ x ] 1 rest
+          else split groups (x :: current) (count + 1) rest
+      in
+      let groups = split [] [] 0 inputs in
+      let reduced =
+        List.map
+          (function
+            | [ single ] -> single
+            | g ->
+              let inv = emit_fresh b base kind g in
+              emit_fresh b base Gate.Not [ inv ])
+          groups
+      in
+      reduce_wide b base ~max_fanin ~kind reduced
+    end
+
+  (* Classic 4-NAND XOR; returns the spec of the final NAND. *)
+  let xor2 b base a c : spec =
+    let n1 = emit_fresh b base Gate.Nand [ a; c ] in
+    let n2 = emit_fresh b base Gate.Nand [ a; n1 ] in
+    let n3 = emit_fresh b base Gate.Nand [ c; n1 ] in
+    (Gate.Nand, [ n2; n3 ])
+
+  let to_primitive ?(max_fanin = 4) nl =
+    if max_fanin < 2 then invalid_arg "decompose_reference: max_fanin < 2";
+    let b = { acc = []; count = 0; used = Hashtbl.create 64; counter = 0 } in
+    let mapping = Array.make (Netlist.size nl) (-1) in
+    Array.iter
+      (fun i ->
+        let name = Netlist.signal_name nl i in
+        match Netlist.node nl i with
+        | Netlist.Pi ->
+          mapping.(i) <- b.count;
+          add b name Netlist.Pi
+        | Netlist.Gate { kind; fanin } ->
+          let ins = Array.to_list (Array.map (fun j -> mapping.(j)) fanin) in
+          if ins = [] then invalid_arg "Decompose: gate with no inputs";
+          let final : spec =
+            match (kind, ins) with
+            | (Gate.Not | Gate.Buf), [ a ] -> (
+              match kind with
+              | Gate.Not -> (Gate.Not, [ a ])
+              | _ ->
+                let inv = emit_fresh b name Gate.Not [ a ] in
+                (Gate.Not, [ inv ]))
+            | (Gate.Not | Gate.Buf), _ -> invalid_arg "Decompose: NOT/BUF arity"
+            | (Gate.Nand | Gate.Nor), [ a ] -> (Gate.Not, [ a ])
+            | Gate.Nand, _ -> reduce_wide b name ~max_fanin ~kind:Gate.Nand ins
+            | Gate.Nor, _ -> reduce_wide b name ~max_fanin ~kind:Gate.Nor ins
+            | (Gate.And | Gate.Or), [ a ] ->
+              let inv = emit_fresh b name Gate.Not [ a ] in
+              (Gate.Not, [ inv ])
+            | Gate.And, _ ->
+              let g =
+                emit_spec b name (reduce_wide b name ~max_fanin ~kind:Gate.Nand ins)
+              in
+              (Gate.Not, [ g ])
+            | Gate.Or, _ ->
+              let g =
+                emit_spec b name (reduce_wide b name ~max_fanin ~kind:Gate.Nor ins)
+              in
+              (Gate.Not, [ g ])
+            | (Gate.Xor | Gate.Xnor), [ a ] -> (
+              (* degenerate: single-input XOR is a buffer, XNOR an inverter *)
+              match kind with
+              | Gate.Xnor -> (Gate.Not, [ a ])
+              | _ ->
+                let inv = emit_fresh b name Gate.Not [ a ] in
+                (Gate.Not, [ inv ]))
+            | Gate.Xor, first :: rest ->
+              let rec fold acc = function
+                | [] -> assert false (* rest is non-empty *)
+                | [ last ] -> xor2 b name acc last
+                | x :: more -> fold (emit_spec b name (xor2 b name acc x)) more
+              in
+              fold first rest
+            | Gate.Xnor, first :: rest ->
+              let rec fold acc = function
+                | [] -> acc
+                | x :: more -> fold (emit_spec b name (xor2 b name acc x)) more
+              in
+              let x = fold first rest in
+              (Gate.Not, [ x ])
+            | (Gate.Xor | Gate.Xnor), [] -> assert false (* guarded above *)
+          in
+          let kind, fanin = final in
+          mapping.(i) <- b.count;
+          add b name (Netlist.Gate { kind; fanin = Array.of_list fanin }))
+      (Netlist.topo_order nl);
+    let signals = List.rev b.acc in
+    let outputs = List.map (Netlist.signal_name nl) (Netlist.outputs nl) in
+    Netlist.build ~name:(Netlist.name nl ^ ".prim") ~signals ~outputs
+end
+
+let decompose_reference = Decompose_ref.to_primitive

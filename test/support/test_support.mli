@@ -77,3 +77,15 @@ val violations : Ssd_sta.Sta.t -> required array -> (int * string) list
 val required_beq : ?plane:int -> Ssd_sta.Sta.required -> required array -> bool
 (** Every slot of [plane] (default 0) of a packed store equals the
     oracle's bounds bit for bit. *)
+
+(** {1 The technology-mapping oracle} *)
+
+val decompose_reference :
+  ?max_fanin:int -> Ssd_circuit.Netlist.t -> Ssd_circuit.Netlist.t
+(** {!Ssd_circuit.Decompose.to_primitive} as it was first written: a
+    [(name, node)] list of records handed to
+    {!Ssd_circuit.Netlist.build}, fan-ins as lists, fresh names through
+    [Printf] checked against a table of the names emitted so far.  The
+    flat mapping must give the same netlist wherever this succeeds.
+    Unlike it, this one fails on an input whose own name equals a fresh
+    name emitted before it ([z$0] defined after [z] is mapped). *)

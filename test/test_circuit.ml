@@ -292,18 +292,44 @@ let test_bench_comments_and_case () =
   in
   Alcotest.(check int) "parsed gates" 1 (Netlist.gate_count nl)
 
+(* Two netlists with the same flat structure: names, kinds, fan-in CSR,
+   outputs, topological order, level CSR and name lookup. *)
+let same_structure a b =
+  let n = Netlist.size a in
+  let ok = ref (n = Netlist.size b) in
+  let check c = if not c then ok := false in
+  if !ok then begin
+    check (Netlist.name a = Netlist.name b);
+    check (Netlist.inputs a = Netlist.inputs b);
+    check (Netlist.outputs a = Netlist.outputs b);
+    check (Netlist.topo_order a = Netlist.topo_order b);
+    check (Netlist.level_count a = Netlist.level_count b);
+    for i = 0 to n - 1 do
+      let s = Netlist.signal_name a i in
+      check (s = Netlist.signal_name b i);
+      check (Netlist.find b s = Some i && Netlist.find a s = Some i);
+      check (Netlist.is_pi a i = Netlist.is_pi b i);
+      if not (Netlist.is_pi a i) then
+        check (Netlist.gate_kind a i = Netlist.gate_kind b i);
+      check (Netlist.fanin_count a i = Netlist.fanin_count b i);
+      for p = 0 to min (Netlist.fanin_count a i) (Netlist.fanin_count b i) - 1
+      do
+        check (Netlist.fanin_nth a i p = Netlist.fanin_nth b i p)
+      done
+    done;
+    if !ok then
+      for l = 0 to Netlist.level_count a do
+        check (Netlist.level_start a l = Netlist.level_start b l);
+        if l < Netlist.level_count a then
+          for k = 0 to Netlist.level_width a l - 1 do
+            check (Netlist.level_node a l k = Netlist.level_node b l k)
+          done
+      done
+  end;
+  !ok
+
 (* [parse_file] reads line by line; the result must be [parse_string]'s
    on the same text, errors included *)
-let same_netlist a b =
-  Netlist.name a = Netlist.name b
-  && Netlist.size a = Netlist.size b
-  && Netlist.outputs a = Netlist.outputs b
-  && List.for_all
-       (fun i ->
-         Netlist.signal_name a i = Netlist.signal_name b i
-         && Netlist.node a i = Netlist.node b i)
-       (List.init (Netlist.size a) Fun.id)
-
 let parse_outcome parse =
   match parse () with
   | nl -> Ok nl
@@ -367,7 +393,7 @@ let test_bench_parse_file_streams () =
           match (from_file, from_text, error_line) with
           | Ok a, Ok b, None ->
             Alcotest.(check bool) (label ^ ": same netlist") true
-              (same_netlist a b)
+              (same_structure a b)
           | Error (l1, m1), Error (l2, m2), Some line ->
             Alcotest.(check (pair int string)) (label ^ ": same error")
               (l2, m2) (l1, m1);
@@ -463,6 +489,124 @@ let prop_decompose_preserves_function =
       let prim = Ck.Decompose.to_primitive nl in
       Ck.Decompose.is_primitive prim
       && Ck.Logic.equivalent ~vectors:64 (Rng.create 11L) nl prim)
+
+(* The paper's circuits need fresh names for the nodes a mapping adds;
+   one that equals a signal defined later in the input (here [z$0],
+   after [z] is mapped to NAND + NOT) must be skipped, not emitted *)
+let test_decompose_fresh_name_collision () =
+  let nl =
+    Ck.Bench_io.parse_string ~name:"collide"
+      "INPUT(a)\nINPUT(b)\nOUTPUT(z)\nOUTPUT(y)\nz = AND(a, b)\n\
+       z$0 = NOT(z)\ny = NOT(z$0)\n"
+  in
+  let prim = Ck.Decompose.to_primitive nl in
+  Alcotest.(check bool) "is primitive" true (Ck.Decompose.is_primitive prim);
+  Alcotest.(check bool) "still equivalent" true
+    (Ck.Logic.equivalent (Rng.create 5L) nl prim);
+  Alcotest.(check bool) "original z$0 kept" true
+    (Netlist.find prim "z$0" <> None)
+
+(* A random circuit over every gate kind: fan-ins up to 9, one-input
+   AND/OR/XOR/XNOR/NAND/NOR, BUF, repeated fan-ins, and now and then a
+   name of the [base$k] form that fresh names take. *)
+let random_circuit seed =
+  let rng = Rng.create (Int64.of_int seed) in
+  let npi = 1 + Rng.int rng 5 and ngates = 1 + Rng.int rng 40 in
+  let kinds =
+    [| Gate.And; Gate.Nand; Gate.Or; Gate.Nor; Gate.Xor; Gate.Xnor; Gate.Not;
+       Gate.Buf |]
+  in
+  let names = Array.make (npi + ngates) "" in
+  let signals =
+    List.init (npi + ngates) (fun i ->
+        if i < npi then begin
+          names.(i) <- Printf.sprintf "p%d" i;
+          (names.(i), Netlist.Pi)
+        end
+        else begin
+          names.(i) <-
+            (if Rng.int rng 8 = 0 then
+               Printf.sprintf "%s$%d" names.(Rng.int rng i) (Rng.int rng 3)
+             else Printf.sprintf "g%d" i);
+          let kind = kinds.(Rng.int rng (Array.length kinds)) in
+          let arity =
+            match kind with
+            | Gate.Not | Gate.Buf -> 1
+            | _ -> if Rng.int rng 4 = 0 then 1 else 2 + Rng.int rng 8
+          in
+          ( names.(i),
+            Netlist.Gate
+              { kind; fanin = Array.init arity (fun _ -> Rng.int rng i) } )
+        end)
+  in
+  let outputs =
+    List.filter_map
+      (fun i ->
+        if i = npi + ngates - 1 || Rng.int rng 5 = 0 then Some names.(i)
+        else None)
+      (List.init (npi + ngates) Fun.id)
+  in
+  match Netlist.build ~name:"rand" ~signals ~outputs with
+  | nl -> Some nl
+  | exception Netlist.Invalid _ -> None (* a random name drawn twice *)
+
+(* The flat mapping gives the list-based oracle's netlist wherever the
+   oracle succeeds; where it fails on a fresh-name collision, the flat
+   one still gives a primitive, equivalent circuit. *)
+let prop_decompose_matches_oracle =
+  QCheck.Test.make ~name:"flat decompose = list-based oracle" ~count:300
+    QCheck.(pair (int_range 1 1_000_000) (int_range 2 5))
+    (fun (seed, max_fanin) ->
+      match random_circuit seed with
+      | None -> QCheck.assume_fail ()
+      | Some nl -> (
+        let prim = Ck.Decompose.to_primitive ~max_fanin nl in
+        match Test_support.decompose_reference ~max_fanin nl with
+        | oracle -> same_structure prim oracle
+        | exception Netlist.Invalid _ ->
+          Ck.Decompose.is_primitive ~max_fanin prim
+          && Ck.Logic.equivalent ~vectors:64 (Rng.create 13L) nl prim))
+
+let test_decompose_suite_matches_oracle () =
+  List.iter
+    (fun name ->
+      let nl = Option.get (Ck.Benchmarks.by_name name) in
+      List.iter
+        (fun max_fanin ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s at max_fanin %d" name max_fanin)
+            true
+            (same_structure
+               (Ck.Decompose.to_primitive ~max_fanin nl)
+               (Test_support.decompose_reference ~max_fanin nl)))
+        [ 2; 4 ])
+    Ck.Benchmarks.names
+
+(* Set-up allocation: the mapping appends to flat arrays sized by a
+   counting pass and makes each fresh name with one concatenation, so
+   it stays far below the list-based mapping (about 78 minor words per
+   parsed gate on a layered design) *)
+let test_decompose_allocation_guard () =
+  let nl =
+    Ck.Generator.generate
+      {
+        Ck.Generator.g_name = "alloc";
+        n_inputs = 64;
+        n_outputs = 32;
+        n_gates = 10_000;
+        max_fanin = 9;
+        locality = 128;
+        seed = 29L;
+        shape = Ck.Generator.Layered { layers = 40 };
+      }
+  in
+  let w0 = Gc.minor_words () in
+  let prim = Ck.Decompose.to_primitive nl in
+  let words = (Gc.minor_words () -. w0) /. float_of_int (Netlist.gate_count nl) in
+  Alcotest.(check bool) "primitive" true (Ck.Decompose.is_primitive prim);
+  if words > 40. then
+    Alcotest.failf "to_primitive: %.1f minor words per parsed gate (bound 40)"
+      words
 
 (* ---------- Generator / Benchmarks ---------- *)
 
@@ -571,8 +715,15 @@ let suites =
       [
         Alcotest.test_case "primitive only" `Quick test_decompose_primitive_only;
         Alcotest.test_case "wide gates" `Quick test_decompose_wide_gates;
+        Alcotest.test_case "fresh name skips a later signal" `Quick
+          test_decompose_fresh_name_collision;
+        Alcotest.test_case "suite circuits equal the oracle" `Quick
+          test_decompose_suite_matches_oracle;
+        Alcotest.test_case "allocation guard" `Quick
+          test_decompose_allocation_guard;
       ] );
-    qsuite "circuit.decompose.props" [ prop_decompose_preserves_function ];
+    qsuite "circuit.decompose.props"
+      [ prop_decompose_preserves_function; prop_decompose_matches_oracle ];
     ( "circuit.generator",
       [
         Alcotest.test_case "counts" `Quick test_generator_counts;

@@ -413,6 +413,43 @@ let one_po_fold nl =
 
 (* two circuits, so both transitions decide a bound: the layered one's
    earliest PO arrival is a rise, c17's a fall *)
+(* Every analysis pass resolves one table slot per gate, so the lookup
+   must not allocate: the slots are indexed by kind and arity in an
+   array that holds shared options *)
+let test_cell_slot_allocation_free () =
+  let table =
+    Corners.build ~specs:(Corners.default_specs 1) (Lazy.force lib)
+  in
+  let lookups () =
+    let found = ref 0 in
+    for i = 1 to 10_000 do
+      let kind = if i land 1 = 0 then Ssd_cell.Sweep.Nand else Ssd_cell.Sweep.Nor in
+      match Corners.cell_slot table kind (1 + (i mod 6)) with
+      | Some _ -> incr found
+      | None -> ()
+    done;
+    !found
+  in
+  let w0 = Gc.minor_words () in
+  let found = lookups () in
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check bool) "some shapes are packed" true (found > 0);
+  Alcotest.(check (float 0.)) "minor words for 10k lookups" 0. words;
+  (* the first cell of each shape, as the library lists them *)
+  List.iteri
+    (fun ci (c : Charlib.cell) ->
+      match Corners.cell_slot table c.Charlib.kind c.Charlib.n with
+      | Some s ->
+        let l = Corners.layout table s in
+        Alcotest.(check bool) "slot has the shape" true
+          (l.Corners.l_kind = c.Charlib.kind && l.Corners.l_n = c.Charlib.n
+          && s <= ci)
+      | None -> Alcotest.fail "a packed shape has no slot")
+    (Lazy.force lib).Charlib.cells;
+  Alcotest.(check bool) "arity out of range" true
+    (Corners.cell_slot table Ssd_cell.Sweep.Nand 99 = None
+    && Corners.cell_slot table Ssd_cell.Sweep.Nand (-1) = None)
+
 let test_one_po_fold () =
   one_po_fold (mid_prim ~gates:300 3);
   one_po_fold (Ck.Decompose.to_primitive (Ck.Benchmarks.c17 ()))
@@ -441,5 +478,7 @@ let suites =
         Alcotest.test_case "corner-count validation" `Quick
           test_corner_count_mismatch;
         Alcotest.test_case "one PO-window fold" `Quick test_one_po_fold;
+        Alcotest.test_case "cell_slot allocates nothing" `Quick
+          test_cell_slot_allocation_free;
       ] );
   ]

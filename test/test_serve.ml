@@ -262,6 +262,51 @@ let test_session_lifecycle () =
 (* an unbounded PI window ([1e999] decodes as infinity) anywhere in a
    batch answers bad-edit and rolls the session back to exactly what a
    fresh session computes *)
+(* `open` of a bad .bench file: a typed bad-params reply naming the
+   file (and the line, for a malformed one), then the next request is
+   answered *)
+let test_open_bad_bench () =
+  let message resp =
+    match Json.parse resp with
+    | Ok j -> (
+      match Json.member "error" j with
+      | Some e -> Json.member_string "message" e
+      | None -> None)
+    | Error _ -> None
+  in
+  with_server (fun sv ->
+      let d = Server.dispatch sv in
+      List.iter
+        (fun (label, text, expect) ->
+          let path = Filename.temp_file "serve_open" ".bench" in
+          Fun.protect
+            ~finally:(fun () -> Sys.remove path)
+            (fun () ->
+              Out_channel.with_open_bin path (fun oc -> output_string oc text);
+              let r =
+                d
+                  (Printf.sprintf
+                     "{\"v\":1,\"id\":1,\"op\":\"open\",\"session\":\"b\",\"circuit\":%S}"
+                     path)
+              in
+              Alcotest.(check (option string)) (label ^ ": code")
+                (Some "bad-params") (code_of r);
+              Alcotest.(check (option string)) (label ^ ": message")
+                (Some (expect path)) (message r);
+              Alcotest.(check bool) (label ^ ": next request answered") true
+                (is_ok (d "{\"v\":1,\"id\":2,\"op\":\"ping\"}"))))
+        [ ( "unknown gate", "INPUT(a)\nOUTPUT(z)\nz = FOO(a)\n",
+            fun path -> path ^ ":3: unknown gate type \"FOO\"" );
+          ( "cycle", "INPUT(a)\nOUTPUT(z)\nx = NAND(a, z)\nz = NOT(x)\n",
+            fun path ->
+              Printf.sprintf "%s: netlist %S contains a cycle" path
+                (Filename.remove_extension (Filename.basename path)) );
+          ( "undefined output", "INPUT(a)\nOUTPUT(q)\nz = NOT(a)\n",
+            fun path -> path ^ ": output \"q\" is not a declared signal" ) ];
+      Alcotest.(check bool) "no session left open" true
+        (code_of (d "{\"v\":1,\"op\":\"query\",\"session\":\"b\"}")
+        = Some "unknown-session"))
+
 let test_nonfinite_pi_batch () =
   with_server (fun sv ->
       let d = Server.dispatch sv in
@@ -592,6 +637,8 @@ let suites =
           test_session_lifecycle;
         Alcotest.test_case "unbounded PI batch rolls back" `Quick
           test_nonfinite_pi_batch;
+        Alcotest.test_case "open of a bad .bench file" `Quick
+          test_open_bad_bench;
         Alcotest.test_case "manager admission and checkpoints" `Quick
           test_session_manager;
         Alcotest.test_case "corners and mc ops, bounded" `Quick

@@ -325,29 +325,31 @@ let test_required_corner_planes () =
     [ c17_prim ();
       Ck.Decompose.to_primitive (Option.get (Ck.Benchmarks.by_name "c880s")) ]
 
-(* `ssd sta --clock`: the same rule at the input boundary, checked
-   before any analysis, with exit status 2 *)
-let test_cli_clock_boundary () =
+(* Run the built `ssd sta` on [args]: exit status and stderr. *)
+let run_ssd_sta args =
   let exe =
     Filename.concat (Filename.dirname Sys.executable_name) "../bin/ssd.exe"
   in
-  let run arg =
-    let err = Filename.temp_file "ssd_clock" ".err" in
-    let fd = Unix.openfile err [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
-    let null = Unix.openfile Filename.null [ Unix.O_WRONLY ] 0 in
-    let env = Array.append [| "SSD_FAST=1" |] (Unix.environment ()) in
-    let pid =
-      Unix.create_process_env exe
-        [| exe; "sta"; "c17"; "--clock=" ^ arg |]
-        env Unix.stdin null fd
-    in
-    Unix.close fd;
-    Unix.close null;
-    let _, status = Unix.waitpid [] pid in
-    let text = In_channel.with_open_bin err In_channel.input_all in
-    Sys.remove err;
-    (status, text)
+  let err = Filename.temp_file "ssd_sta" ".err" in
+  let fd = Unix.openfile err [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+  let null = Unix.openfile Filename.null [ Unix.O_WRONLY ] 0 in
+  let env = Array.append [| "SSD_FAST=1" |] (Unix.environment ()) in
+  let pid =
+    Unix.create_process_env exe
+      (Array.of_list (exe :: "sta" :: args))
+      env Unix.stdin null fd
   in
+  Unix.close fd;
+  Unix.close null;
+  let _, status = Unix.waitpid [] pid in
+  let text = In_channel.with_open_bin err In_channel.input_all in
+  Sys.remove err;
+  (status, text)
+
+(* `ssd sta --clock`: the same rule at the input boundary, checked
+   before any analysis, with exit status 2 *)
+let test_cli_clock_boundary () =
+  let run arg = run_ssd_sta [ "c17"; "--clock=" ^ arg ] in
   List.iter
     (fun arg ->
       match run arg with
@@ -364,6 +366,43 @@ let test_cli_clock_boundary () =
       | Unix.WEXITED 0, "" -> ()
       | _, text -> Alcotest.failf "--clock=%s rejected: %S" arg text)
     [ "0"; "-0" ]
+
+(* `ssd sta FILE`: a circuit whose lines parse but which is invalid
+   (a cycle, an OUTPUT never defined) is one `ssd: FILE: message` line
+   and exit 2, like a malformed line; a valid file whose own signal is
+   named like a fresh decomposition node is analyzed *)
+let test_cli_bench_boundary () =
+  let with_bench text f =
+    let path = Filename.temp_file "ssd_sta" ".bench" in
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () ->
+        Out_channel.with_open_bin path (fun oc -> output_string oc text);
+        f path)
+  in
+  List.iter
+    (fun (label, text, message) ->
+      with_bench text (fun path ->
+          let name = Filename.remove_extension (Filename.basename path) in
+          match run_ssd_sta [ path ] with
+          | Unix.WEXITED 2, err
+            when err = Printf.sprintf "ssd: %s: %s\n" path (message name) ->
+            ()
+          | Unix.WEXITED c, err ->
+            Alcotest.failf "%s: exit %d, stderr %S" label c err
+          | _ -> Alcotest.failf "%s: killed" label))
+    [ ( "cycle", "INPUT(a)\nOUTPUT(z)\nx = NAND(a, z)\nz = NOT(x)\n",
+        Printf.sprintf "netlist %S contains a cycle" );
+      ( "undefined output", "INPUT(a)\nOUTPUT(q)\nz = NOT(a)\n",
+        fun _ -> "output \"q\" is not a declared signal" ) ];
+  with_bench
+    "INPUT(a)\nINPUT(b)\nOUTPUT(z)\nOUTPUT(y)\nz = AND(a, b)\n\
+     z$0 = NOT(z)\ny = NOT(z$0)\n"
+    (fun path ->
+      match run_ssd_sta [ path ] with
+      | Unix.WEXITED 0, "" -> ()
+      | Unix.WEXITED c, err -> Alcotest.failf "fresh-name clash: exit %d, %S" c err
+      | _ -> Alcotest.fail "fresh-name clash: killed")
 
 (* A PI that is also a PO arrives at exactly t = 0 and is required in
    [0, clock]: at clock 0 both bounds meet its window exactly, inside
@@ -762,6 +801,8 @@ let suites =
           test_required_rejects_bad_clock;
         Alcotest.test_case "ssd sta --clock boundary" `Slow
           test_cli_clock_boundary;
+        Alcotest.test_case "ssd sta .bench boundary" `Slow
+          test_cli_bench_boundary;
         Alcotest.test_case "violations rejects another netlist" `Quick
           test_violations_rejects_other_netlist;
         Alcotest.test_case "violations at the slack boundary" `Quick

@@ -52,6 +52,20 @@ SSD_FAST=1 dune exec bin/ssd.exe -- sta c17 --clock=-1 >/dev/null 2>&1 \
   || clock_status=$?
 test "$clock_status" -eq 2
 
+# .bench boundary through the real binary: a circuit whose own signal
+# z$0 is named like the fresh node that decomposing z adds must be
+# analyzed, and a cyclic circuit, whose lines all parse, must be
+# rejected before any analysis with one `ssd: FILE: message` line and
+# exit status 2.
+SSD_FAST=1 dune exec bin/ssd.exe -- sta tools/fresh_name_clash.bench \
+  >/dev/null
+cycle_status=0
+SSD_FAST=1 dune exec bin/ssd.exe -- sta tools/cycle.bench >/dev/null \
+  2>"$TRACE_TMP/cycle.err" || cycle_status=$?
+test "$cycle_status" -eq 2
+test "$(wc -l < "$TRACE_TMP/cycle.err")" -eq 1
+grep -q '^ssd: tools/cycle.bench: ' "$TRACE_TMP/cycle.err"
+
 # Serve smoke: a live `ssd serve --stdio` session fed the canned request
 # script must reproduce the checked-in transcript byte for byte — this
 # exercises the real transport (framing, batching reader, EOF handling)
