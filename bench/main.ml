@@ -560,11 +560,13 @@ let parsta () =
   note "the evaluation schedule irrelevant to the result)."
 
 (* ------------------------------------------------------------------ *)
-(* Incremental fault simulation: full vs cone vs cone+parallel         *)
+(* Incremental fault simulation: whole-circuit reference vs frontier   *)
 (* ------------------------------------------------------------------ *)
 
 let faultsim () =
-  header "Fault simulation — full resimulation vs cone-restricted vs cone+parallel";
+  header
+    "Fault simulation — whole-circuit reference vs incremental vs \
+     incremental+parallel";
   let lib = Lazy.force library in
   let nl = Ck.Decompose.to_primitive (Option.get (Ck.Benchmarks.by_name "c880s")) in
   let sta = Sta.analyze_with RO.default ~library:lib ~model:DM.proposed nl in
@@ -580,17 +582,15 @@ let faultsim () =
   (* the timed parallel row uses jobs = 0 (recommended domain count):
      on a single-core host the pool degrades to the sequential walk
      instead of paying stop-the-world synchronization for cores that do
-     not exist; forced multi-lane pools are still asserted bit-identical
-     below *)
+     not exist; a forced four-lane pool is still checked below *)
   let auto_lanes = Ssd_sta.Par.default_jobs () in
   note "circuit: %s; %d fault sites, %d two-pattern vectors, clock %.3f ns"
     (Ck.Netlist.name nl) (List.length sites) (List.length vectors) (ns clock);
-  note "cone sizes: %s (circuit has %d lines)"
+  note "victim fanout sizes: %s (circuit has %d lines)"
     (let szs =
        List.map
          (fun (s : A.Fault.site) ->
-           Array.length (Ck.Netlist.fanout_cone nl s.A.Fault.victim)
-             .Ck.Netlist.cone_nodes)
+           List.length (Ck.Netlist.transitive_fanout nl s.A.Fault.victim))
          sites
      in
      Printf.sprintf "min %d / mean %.0f / max %d"
@@ -600,15 +600,19 @@ let faultsim () =
        (List.fold_left max 0 szs))
     (Ck.Netlist.size nl);
   (* window_screen off throughout: this experiment isolates the
-     resimulation engines (full vs cone vs parallel), and the per-site
-     STA-window pre-screen would add the same ~30 us/site constant to
-     every configuration, diluting exactly the ratio asserted below.
-     The screen's own cost and soundness are covered by the [eco] bench
-     and [bench/smoke]'s on/off identity check. *)
-  let run ?(obs = Obs.disabled) ~jobs ~engine () =
-    A.Fault_sim.simulate_with ~engine ~window_screen:false
+     re-simulation (whole circuit vs incremental vs parallel), and the
+     per-site STA-window pre-screen would add the same ~30 us/site
+     constant to every production row, diluting exactly the ratio
+     asserted below.  The screen's own cost and soundness are covered by
+     the [eco] bench and [bench/smoke]'s on/off identity check. *)
+  let run ?(obs = Obs.disabled) ~jobs () =
+    A.Fault_sim.simulate_with ~window_screen:false
       (RO.make ~jobs ~obs ())
       ~library:lib ~model:DM.proposed ~clock_period:clock nl sites vectors
+  in
+  let reference () =
+    fault_sim_reference ~library:lib ~model:DM.proposed ~clock_period:clock
+      nl sites vectors
   in
   let time f =
     let best = ref infinity in
@@ -619,14 +623,12 @@ let faultsim () =
     done;
     !best
   in
-  let base = run ~jobs:1 ~engine:A.Fault_sim.Full () in
+  let base = reference () in
   let configs =
     [
-      ("cone j1", fun () -> run ~jobs:1 ~engine:A.Fault_sim.Cone ());
-      ("cone j4", fun () -> run ~jobs:4 ~engine:A.Fault_sim.Cone ());
-      ( "cone auto",
-        fun () -> run ~obs:bench_obs ~jobs:0 ~engine:A.Fault_sim.Cone () );
-      ("full j4", fun () -> run ~jobs:4 ~engine:A.Fault_sim.Full ());
+      ("incremental j1", fun () -> run ~jobs:1 ());
+      ("incremental j4", fun () -> run ~jobs:4 ());
+      ("incremental auto", fun () -> run ~obs:bench_obs ~jobs:0 ());
     ]
   in
   List.iter
@@ -638,19 +640,19 @@ let faultsim () =
         || r.A.Fault_sim.coverage <> base.A.Fault_sim.coverage
       then begin
         Printf.eprintf
-          "faultsim: %s differs from the sequential full baseline\n" tag;
+          "faultsim: %s differs from the whole-circuit reference\n" tag;
         exit 1
       end)
     configs;
-  note "detection sets bit-identical across {full, cone} x {jobs 1, 4, auto}";
+  note "detection sets bit-identical to the reference at jobs 1, 4, auto";
   (let cv n = Option.value ~default:0 (List.assoc_opt n (Obs.counters bench_obs)) in
-   note "screening economics (instrumented cone-auto pass): %d pairs \
+   note "screening economics (instrumented auto pass): %d pairs \
          resimulated, %d screened out, %d dropped, %d fault-free sims"
      (cv "faultsim.resim") (cv "faultsim.screened_out")
      (cv "faultsim.dropped") (cv "faultsim.ff_sims"));
-  let t_full = time (run ~jobs:1 ~engine:A.Fault_sim.Full) in
-  let t_cone = time (run ~jobs:1 ~engine:A.Fault_sim.Cone) in
-  let t_par = time (run ~jobs:0 ~engine:A.Fault_sim.Cone) in
+  let t_full = time reference in
+  let t_inc = time (run ~jobs:1) in
+  let t_par = time (run ~jobs:0) in
   let t = Texttab.create
       ~header:[ "engine"; "wall (ms)"; "speedup vs full" ]
   in
@@ -659,9 +661,9 @@ let faultsim () =
       [ name; Printf.sprintf "%.1f" (w *. 1e3);
         Printf.sprintf "%.2fx" (t_full /. w) ]
   in
-  row "full resimulation (j1)" t_full;
-  row "cone-restricted (j1)" t_cone;
-  row (Printf.sprintf "cone + parallel (auto: %d lane%s)" auto_lanes
+  row "whole-circuit reference (j1)" t_full;
+  row "incremental (j1)" t_inc;
+  row (Printf.sprintf "incremental + parallel (auto: %d lane%s)" auto_lanes
          (if auto_lanes = 1 then "" else "s"))
     t_par;
   Texttab.print t;
@@ -669,15 +671,16 @@ let faultsim () =
     (List.length base.A.Fault_sim.detected)
     (List.length sites) base.A.Fault_sim.coverage
     (List.length base.A.Fault_sim.undetected);
-  note "cone restriction pays on every excited pair (deep victims have";
-  note "small fanout cones); the domain pool additionally spreads the";
-  note "per-vector fault-free simulations and the surviving faulty";
-  note "evaluations across lanes on multicore hosts (jobs = 0 resolves";
-  note "to the recommended domain count, so a 1-core host keeps the";
-  note "sequential schedule instead of paying stop-the-world syncs).";
+  note "the event frontier pays on every excited pair (it re-times only";
+  note "the lines whose events the victim moves); the domain pool";
+  note "additionally spreads the per-vector fault-free simulations and";
+  note "the surviving faulty evaluations across lanes on multicore hosts";
+  note "(jobs = 0 resolves to the recommended domain count, so a 1-core";
+  note "host keeps the sequential schedule instead of paying";
+  note "stop-the-world syncs).";
   if t_full /. t_par < 3. then begin
     Printf.eprintf
-      "faultsim: cone+parallel speedup %.2fx below the 3x target\n"
+      "faultsim: incremental+parallel speedup %.2fx below the 3x target\n"
       (t_full /. t_par);
     exit 1
   end
@@ -1398,17 +1401,6 @@ let scale () =
   let bytes_per_gate =
     float_of_int (struct_bytes + win_bytes) /. float_of_int n
   in
-  (* cone cache: membership is one bit per node, not one byte *)
-  let pi0 = List.hd (Ck.Netlist.inputs nl) in
-  let cone = Ck.Netlist.fanout_cone nl pi0 in
-  let cone_bytes = Ck.Netlist.cone_cache_bytes nl in
-  let budget =
-    (n / 8) + (8 * Array.length cone.Ck.Netlist.cone_nodes) + 128
-  in
-  if cone_bytes > budget then
-    failwith
-      (Printf.sprintf "scale: cached cone costs %d bytes, budget %d"
-         cone_bytes budget);
   let t = Texttab.create ~header:[ "metric"; "value" ] in
   Texttab.add_row t [ "nodes"; string_of_int n ];
   Texttab.add_row t [ "gates"; string_of_int gcount ];
@@ -1422,15 +1414,13 @@ let scale () =
     [ "window bytes/gate";
       Printf.sprintf "%.1f" (float_of_int win_bytes /. float_of_int n) ];
   Texttab.add_row t [ "bytes/gate (total)"; Printf.sprintf "%.1f" bytes_per_gate ];
-  Texttab.add_row t
-    [ "cone cache (1 PI cone)"; Printf.sprintf "%d B" cone_bytes ];
   Texttab.print t;
   scale_metrics :=
     [ ("gates", float_of_int gcount);
       ("gates_per_sec", gates_per_sec);
       ("bytes_per_gate", bytes_per_gate) ];
-  note "bit-identity, throughput and footprint are asserted, not just";
-  note "reported: a mismatch or a cone-cache regression fails the run."
+  note "bit-identity is asserted, not just reported: a mismatch fails";
+  note "the run, and the footprint is gated against the baseline."
 
 let experiments =
   [

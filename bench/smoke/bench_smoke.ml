@@ -1,9 +1,10 @@
 (* Smoke test for the bench harness's engine-comparison loops: runs the
    same sequential / parallel STA configurations parsta times, and the
-   full / cone / parallel fault-simulation configurations faultsim
-   times, on a circuit small enough for `dune runtest`, and checks the
-   bit-identical contracts.  Catches wiring regressions (pool lifecycle,
-   cone cache) without the cost of the full experiment run. *)
+   whole-circuit reference / incremental / parallel fault simulations
+   faultsim times, on a circuit small enough for `dune runtest`, and
+   checks the bit-identical contracts.  Catches wiring regressions (pool
+   lifecycle, re-simulation frontier) without the cost of the full
+   experiment run. *)
 
 module Ck = Ssd_circuit
 module Sta = Ssd_sta.Sta
@@ -36,18 +37,21 @@ let () =
     Printf.eprintf "bench smoke: non-positive max delay\n";
     exit 1
   end;
-  (* faultsim loop: full-resimulation vs cone-restricted (and parallel)
-     detection sets must be bit-identical on c17 *)
+  (* faultsim loop: the incremental simulator, sequential and parallel,
+     must give the whole-circuit reference's detection sets on c17 *)
   let sites =
     A.Fault.extract ~count:16 ~delta:60e-12 ~align_window:2500e-12
       ~seed:7L nl
   in
   let vectors = A.Fault_sim.random_vectors ~seed:3L ~count:32 nl in
-  let fs ~jobs ~engine =
-    A.Fault_sim.simulate_with ~engine (RO.make ~jobs ()) ~library:lib
+  let fs ~jobs =
+    A.Fault_sim.simulate_with (RO.make ~jobs ()) ~library:lib
       ~model:DM.proposed ~clock_period:(Sta.max_delay base) nl sites vectors
   in
-  let fbase = fs ~jobs:1 ~engine:A.Fault_sim.Full in
+  let fbase =
+    fault_sim_reference ~library:lib ~model:DM.proposed
+      ~clock_period:(Sta.max_delay base) nl sites vectors
+  in
   List.iter
     (fun (tag, r) ->
       if
@@ -56,12 +60,10 @@ let () =
         || r.A.Fault_sim.coverage <> fbase.A.Fault_sim.coverage
       then begin
         Printf.eprintf
-          "bench smoke: faultsim %s differs from full baseline\n" tag;
+          "bench smoke: faultsim %s differs from the reference\n" tag;
         exit 1
       end)
-    [ ("cone j1", fs ~jobs:1 ~engine:A.Fault_sim.Cone);
-      ("cone j4", fs ~jobs:4 ~engine:A.Fault_sim.Cone);
-      ("full j4", fs ~jobs:4 ~engine:A.Fault_sim.Full) ];
+    [ ("j1", fs ~jobs:1); ("j4", fs ~jobs:4) ];
   if sites <> [] && fbase.A.Fault_sim.detected = [] then
     (* not fatal — random vectors may miss every site — but the identity
        check above would then be vacuous, so surface it *)
@@ -141,8 +143,7 @@ let () =
       end);
   (* scale loop, downsized: the packed structure-of-arrays STA path must
      reproduce the seed record-array oracle bit for bit — sequentially
-     and in parallel — on a layered generated circuit, and a cached cone
-     must cost bitset bytes (size/8), not a byte per node *)
+     and in parallel — on a layered generated circuit *)
   let scale_nl =
     Ck.Decompose.to_primitive
       (Ck.Generator.generate
@@ -178,18 +179,6 @@ let () =
         end
       done)
     [ 1; 4 ];
-  let scale_root = List.hd (Ck.Netlist.inputs scale_nl) in
-  let scale_cone = Ck.Netlist.fanout_cone scale_nl scale_root in
-  let scale_n = Ck.Netlist.size scale_nl in
-  let cone_budget =
-    (scale_n / 8) + (8 * Array.length scale_cone.Ck.Netlist.cone_nodes) + 128
-  in
-  if Ck.Netlist.cone_cache_bytes scale_nl > cone_budget then begin
-    Printf.eprintf "bench smoke: cached cone costs %d bytes, budget %d\n"
-      (Ck.Netlist.cone_cache_bytes scale_nl)
-      cone_budget;
-    exit 1
-  end;
   (* corners loop, downsized: every plane of one batched K-corner sweep
      must equal an independent closure-walk analysis over that corner's
      derated library, bit for bit, sequentially and in parallel (K=3

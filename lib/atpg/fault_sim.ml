@@ -10,8 +10,6 @@ module Value2f = Ssd_itr.Value2f
 module Rng = Ssd_util.Rng
 module Obs = Ssd_obs.Obs
 
-type engine = Full | Cone
-
 type result = {
   coverage : float;
   detected : (int * int) list;
@@ -111,11 +109,11 @@ let window_feasible ~opts ~library ~model ~clock_period nl sites =
 (* The simulator screens every (site, vector) pair against the shared
    fault-free simulation of the vector; only pairs whose excitation and
    alignment conditions hold pay for a faulty evaluation, and that
-   evaluation re-times only the victim's fanout cone ([Cone], the
-   default) instead of the whole circuit ([Full], kept as the
-   measurable baseline).  Before any vector runs, [window_screen]
-   (default on) discards sites that are infeasible on STA windows alone
-   — a per-site engine edit instead of per-(site, vector) simulation.
+   evaluation re-times only the lines whose events the victim's extra
+   delay moves ({!Timing_sim.resimulate}).  Before any vector runs,
+   [window_screen] (default on) discards sites that are infeasible on
+   STA windows alone — a per-site engine edit instead of per-(site,
+   vector) simulation.
 
    Vectors are processed in blocks: within a block the fault-free
    simulations (one full run per vector) and the surviving (site,
@@ -125,7 +123,7 @@ let window_feasible ~opts ~library ~model ~clock_period nl sites =
    it — a site evaluated redundantly for several vectors of one block
    (where a strict sequential walk would have dropped it mid-block)
    folds back to the same earliest detection. *)
-let simulate_with ?(engine = Cone) ?(window_screen = true)
+let simulate_with ?(window_screen = true)
     (opts : Run_opts.t) ~library ~model ~clock_period nl sites vectors =
   let { Run_opts.jobs; obs; _ } = opts in
   let c_ff = Obs.counter obs "faultsim.ff_sims" in
@@ -146,15 +144,6 @@ let simulate_with ?(engine = Cone) ?(window_screen = true)
   Obs.add
     (Obs.counter obs "faultsim.window_screened")
     (Array.fold_left (fun a b -> if b then a else a + 1) 0 feasible);
-  let extra_of (site : Fault.site) i =
-    if i = site.Fault.victim then site.Fault.delta else 0.
-  in
-  if engine = Cone then
-    (* warm the per-netlist cone cache before fanning out, so worker
-       domains only ever hit the cached path *)
-    Array.iter
-      (fun (s : Fault.site) -> ignore (Netlist.fanout_cone nl s.Fault.victim))
-      sites;
   Par.with_pool ~obs ~jobs (fun pool ->
       let lanes = Par.jobs pool in
       (* one vector per block on a single lane reproduces the strict
@@ -197,14 +186,8 @@ let simulate_with ?(engine = Cone) ?(window_screen = true)
             let fi, k = work.(w) in
             let site = sites.(fi) in
             let faulty =
-              match engine with
-              | Full ->
-                Timing_sim.simulate ~extra_delay:(extra_of site) ~library
-                  ~model nl vectors.(base + k)
-              | Cone ->
-                Timing_sim.resimulate_cone ~library ~model nl ~base:ff.(k)
-                  ~cone:(Netlist.fanout_cone nl site.Fault.victim)
-                  ~extra_delay:(extra_of site)
+              Timing_sim.resimulate ~library ~model nl ~base:ff.(k)
+                ~line:site.Fault.victim ~delta:site.Fault.delta
             in
             hit.(w) <- observable nl site ff.(k) faulty clock_period);
         Array.iteri

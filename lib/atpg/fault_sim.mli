@@ -5,15 +5,12 @@
     vector detects, with fault dropping.  The expensive faulty-circuit
     timing evaluation runs only for faults whose excitation and alignment
     conditions already hold under the shared fault-free simulation of the
-    vector — and, with the default {!Cone} engine, re-times only the
-    victim's transitive fanout cone instead of the whole circuit
-    ({!Ssd_sta.Timing_sim.resimulate_cone}).  Surviving (site, vector)
-    evaluations fan out across an {!Ssd_sta.Par} domain pool. *)
-
-type engine =
-  | Full  (** re-simulate the entire circuit per faulty evaluation — the
-              pre-incremental baseline, kept for the [faultsim] bench *)
-  | Cone  (** cone-restricted incremental re-simulation (default) *)
+    vector — and that evaluation re-times, on top of the fault-free run,
+    only the lines whose events the victim's extra delay moves
+    ({!Ssd_sta.Timing_sim.resimulate}).  Surviving (site, vector)
+    evaluations fan out across an {!Ssd_sta.Par} domain pool.  The tests
+    check every result against a whole-circuit re-simulation of each
+    excited pair ([Test_support.fault_sim_reference]). *)
 
 type result = {
   coverage : float;             (** detected / total, percent *)
@@ -22,7 +19,6 @@ type result = {
 }
 
 val simulate_with :
-  ?engine:engine ->
   ?window_screen:bool ->
   Ssd_sta.Run_opts.t ->
   library:Ssd_cell.Charlib.t ->
@@ -35,7 +31,7 @@ val simulate_with :
 (** [opts.jobs] (default 1: sequential) is the lane count of the domain
     pool the fault-free simulations and the surviving faulty evaluations
     are fanned across; [jobs <= 0] picks the recommended domain count.
-    Results are identical for every [jobs], [engine] and [window_screen]
+    Results are identical for every [jobs] and [window_screen]
     combination: fault dropping records each site's {e earliest}
     detecting vector index, so the parallel block schedule folds back to
     exactly the sequential walk's [detected] / [coverage] /

@@ -1,18 +1,12 @@
-module Bitset = Ssd_util.Bitset
-
 type node = Pi | Gate of { kind : Gate.kind; fanin : int array }
-
-type cone = {
-  cone_nodes : int array;
-  cone_member : Bitset.t;
-}
 
 (* Structure-of-arrays storage: node kinds in one flat int array (-1 for
    a PI, else the dense {!Gate.to_int} tag) and the fan-in / fan-out /
    level adjacency in CSR offset+data pairs.  Hot paths (STA forward
    pass, ECO propagation, timing simulation) walk these contiguous
    arrays; the [node]/[fanout]/[levels] accessors materialize the seed
-   representation on demand for cold callers. *)
+   representation on demand for cold callers.  Nothing here is mutated
+   after [of_flat] returns, so domains share a netlist without a lock. *)
 type t = {
   nl_name : string;
   names : string array;
@@ -28,12 +22,6 @@ type t = {
   node_level : int array;
   level_off : int array;   (* length depth+2 *)
   level_dat : int array;   (* node ids grouped by level, topo order *)
-  (* lazily materialized [levels] view; benign race: the view is
-     immutable and equal across materializations, so a duplicate build
-     only wastes one allocation *)
-  mutable by_level_view : int array array option;
-  cones : (int, cone) Hashtbl.t;
-  cone_lock : Mutex.t;
 }
 
 exception Invalid of string
@@ -205,8 +193,7 @@ let of_flat ?by_name ~name f =
     topo;
   { nl_name = name; names; by_name; kinds; fanin_off; fanin_dat;
     fanout_off; fanout_dat; pis; pos; topo; node_level; level_off;
-    level_dat; by_level_view = None; cones = Hashtbl.create 16;
-    cone_lock = Mutex.create () }
+    level_dat }
 
 (* Pack the per-node list into the flat arrays of {!of_flat}. *)
 let build ~name ~signals ~outputs =
@@ -291,15 +278,8 @@ let topo_order t = t.topo
 let level t i = t.node_level.(i)
 
 let levels t =
-  match t.by_level_view with
-  | Some v -> v
-  | None ->
-    let v =
-      Array.init (level_count t) (fun l ->
-          Array.sub t.level_dat t.level_off.(l) (level_width t l))
-    in
-    t.by_level_view <- Some v;
-    v
+  Array.init (level_count t) (fun l ->
+      Array.sub t.level_dat t.level_off.(l) (level_width t l))
 
 let depth t = Array.length t.level_off - 2
 
@@ -348,59 +328,6 @@ let transitive_closure iter_next t i =
 let transitive_fanin t i = transitive_closure iter_fanin t i
 let transitive_fanout t i = transitive_closure iter_fanout t i
 
-let compute_cone t i =
-  let member = Bitset.create (size t) in
-  let stack = ref [ i ] in
-  Bitset.set member i;
-  while !stack <> [] do
-    match !stack with
-    | [] -> ()
-    | j :: rest ->
-      stack := rest;
-      iter_fanout t j ~f:(fun k ->
-          if not (Bitset.get member k) then begin
-            Bitset.set member k;
-            stack := k :: !stack
-          end)
-  done;
-  let count = Bitset.cardinal member in
-  let nodes = Array.make count (-1) in
-  let fill = ref 0 in
-  Array.iter
-    (fun j ->
-      if Bitset.get member j then begin
-        nodes.(!fill) <- j;
-        incr fill
-      end)
-    t.topo;
-  { cone_nodes = nodes; cone_member = member }
-
-let in_cone cone j = Bitset.get cone.cone_member j
-
-let fanout_cone t i =
-  if i < 0 || i >= size t then
-    invalid_arg "Netlist.fanout_cone: node id out of range";
-  Mutex.lock t.cone_lock;
-  match Hashtbl.find_opt t.cones i with
-  | Some c ->
-    Mutex.unlock t.cone_lock;
-    c
-  | None ->
-    Mutex.unlock t.cone_lock;
-    (* compute outside the lock: a racing duplicate computation is
-       harmless, and the first insertion wins so callers share one cone *)
-    let c = compute_cone t i in
-    Mutex.lock t.cone_lock;
-    let c =
-      match Hashtbl.find_opt t.cones i with
-      | Some prior -> prior
-      | None ->
-        Hashtbl.replace t.cones i c;
-        c
-    in
-    Mutex.unlock t.cone_lock;
-    c
-
 let words_of_int_array a = Array.length a + 2  (* payload + header *)
 
 let mem_bytes t =
@@ -414,18 +341,6 @@ let mem_bytes t =
     + words_of_int_array t.node_level
     + words_of_int_array t.level_off
     + words_of_int_array t.level_dat)
-
-let cone_cache_bytes t =
-  Mutex.lock t.cone_lock;
-  let total =
-    Hashtbl.fold
-      (fun _ c acc ->
-        acc + (8 * words_of_int_array c.cone_nodes)
-        + Bitset.bytes c.cone_member)
-      t.cones 0
-  in
-  Mutex.unlock t.cone_lock;
-  total
 
 let stats t =
   Printf.sprintf "%s: %d PIs, %d POs, %d gates, depth %d" t.nl_name

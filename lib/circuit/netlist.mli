@@ -12,7 +12,10 @@
     accessors materialize the original per-node representation on
     demand; hot paths should use the flat accessors ({!is_pi},
     {!gate_kind}, {!fanin_nth}, {!iter_fanout}, {!level_node}, ...)
-    which allocate nothing. *)
+    which allocate nothing.
+
+    A netlist holds no mutable state and no cache: once built it is
+    only read, so any number of domains may share it without a lock. *)
 
 type node = Pi | Gate of { kind : Gate.kind; fanin : int array }
 
@@ -138,8 +141,9 @@ val levels : t -> int array array
 (** Node ids grouped by logic level: element [l] lists every node of
     level [l] in topological order.  Level 0 is the PIs; nodes within a
     level have no dependencies on one another, so each group can be
-    processed in parallel once all earlier groups are done.  Materialized
-    from the level CSR on first use and cached. *)
+    processed in parallel once all earlier groups are done.  A fresh
+    copy of the level CSR on every call (cold-path view; hot loops use
+    {!level_start} / {!level_node}). *)
 
 val depth : t -> int
 (** Maximum level over all nodes. *)
@@ -153,39 +157,14 @@ val transitive_fanin : t -> int -> int list
     sorted. *)
 
 val transitive_fanout : t -> int -> int list
-
-type cone = {
-  cone_nodes : int array;
-      (** the root line followed by every node it can reach, listed in
-          the netlist's topological order *)
-  cone_member : Ssd_util.Bitset.t;
-      (** packed membership flags over all {!size} node ids:
-          [Bitset.get cone_member j] iff [j] is the root or in its
-          transitive fanout — one bit per node, so a cached cone costs
-          [size/8] bytes instead of the [bool array]'s [size] *)
-}
-(** Transitive-fanout cone of one line — the set of lines whose timing
-    can change when the root line's delay changes.  Treat both fields as
-    read-only: cones are cached and shared between callers. *)
-
-val in_cone : cone -> int -> bool
-(** [in_cone c j] iff [j] is the cone's root or in its transitive
-    fanout. *)
-
-val fanout_cone : t -> int -> cone
-(** Cached cone lookup: the first call per root computes and memoizes
-    the cone, later calls (from any domain — the cache is
-    mutex-protected) return the same structure.
-    @raise Invalid_argument on an out-of-range node id. *)
+(** Every node the given node reaches (excluding itself), topologically
+    sorted: the lines whose timing a delay change on it can move. *)
 
 val mem_bytes : t -> int
 (** Approximate heap footprint of the packed structural arrays (kinds,
     CSR offsets and data, topological and level orders) in bytes,
-    headers included; excludes signal names and the cone cache.  The
+    headers included; excludes signal names and the name table.  The
     scale bench divides this by {!size} to track bytes/gate. *)
-
-val cone_cache_bytes : t -> int
-(** Approximate heap footprint of all cached cones in bytes. *)
 
 val stats : t -> string
 (** One-line human-readable summary. *)

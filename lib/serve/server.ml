@@ -254,6 +254,10 @@ let max_corners = 64
 let max_mc_batch = 64
 let max_mc_samples = 65_536
 
+(* Likewise an `open` with "gen" builds a netlist of the sizes it names
+   before anything else runs; the cap is the substrate's stated scale. *)
+let max_gen_size = 1_000_000
+
 let op_corners t s (req : P.request) =
   let id = req.rq_id in
   let k = member_int_default "corners" 4 req.rq_body in
@@ -378,10 +382,17 @@ let load_circuit body =
             Printf.sprintf "unknown circuit %S (not a benchmark name or a file)"
               spec ))
   | None, Some g -> (
+    let gi name default = member_int_default name default g in
+    let too_big field =
+      Error
+        ( P.Bad_params,
+          Printf.sprintf "\"gen\": %S must be <= %d" field max_gen_size )
+    in
     match Json.member_int "gates" g with
     | None -> Error (P.Bad_params, "\"gen\" needs an integer \"gates\"")
+    | Some gates when gates > max_gen_size -> too_big "gates"
+    | Some _ when gi "inputs" 16 > max_gen_size -> too_big "inputs"
     | Some gates -> (
-      let gi name default = member_int_default name default g in
       let p =
         {
           Generator.default_params with

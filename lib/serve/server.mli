@@ -19,7 +19,10 @@
     [max_sessions] bounds open sessions, [max_frame_bytes] rejects
     oversized frames before parsing, and [max_batch_requests] /
     [max_batch_bytes] cap how much a transport pulls in flight per
-    batch.
+    batch.  Sizes a request names are bounded by fixed caps, answered
+    [bad-params] before any work: [corners] (64), [mc] [batch] (64)
+    and [samples] (65,536), and an [open]'s [gen] [gates] and
+    [inputs] (1,000,000 each).
 
     {2 Record / replay}
 

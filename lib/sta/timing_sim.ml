@@ -81,10 +81,10 @@ let lines_bytes t =
   length t * (1 + 16)
 
 (* Event computation for one gate, shared by the full simulation and the
-   cone resimulation.  [src] is the line store the fan-in events are read
-   from; both callers perform the same floating-point operations in the
-   same order, which is what makes cone resimulation bit-identical to a
-   full run. *)
+   incremental re-simulation.  [src] is the line store the fan-in events
+   are read from; both callers perform the same floating-point operations
+   in the same order, which is what makes re-simulation bit-identical to
+   a full run. *)
 let gate_event ~library ~model ~pi_tt ~extra_delay nl ~src i kind out1 out2 =
   let n_in = Netlist.fanin_count nl i in
   let cell =
@@ -141,6 +141,12 @@ let gate_event ~library ~model ~pi_tt ~extra_delay nl ~src i kind out1 out2 =
       Some { e with Types.e_arr = e.Types.e_arr +. extra_delay i }
   end
 
+(* A switching PI's event: the point arrival plus its extra delay. *)
+let pi_event ~pi_arrival ~pi_tt ~extra_delay i a1 a2 =
+  if a1 <> a2 then
+    Some { Types.e_arr = pi_arrival +. extra_delay i; e_tt = pi_tt }
+  else None
+
 let simulate ?(pi_arrival = 0.) ?(pi_tt = 0.25e-9) ?(extra_delay = fun _ -> 0.)
     ~library ~model nl vectors =
   let pis = Netlist.inputs nl in
@@ -151,16 +157,8 @@ let simulate ?(pi_arrival = 0.) ?(pi_tt = 0.25e-9) ?(extra_delay = fun _ -> 0.)
   List.iteri
     (fun rank i ->
       let a1, a2 = vectors.(rank) in
-      let event =
-        if a1 <> a2 then
-          Some
-            {
-              Types.e_arr = pi_arrival +. extra_delay i;
-              e_tt = pi_tt;
-            }
-        else None
-      in
-      set out i ~v1:a1 ~v2:a2 ~event)
+      set out i ~v1:a1 ~v2:a2
+        ~event:(pi_event ~pi_arrival ~pi_tt ~extra_delay i a1 a2))
     pis;
   Array.iter
     (fun i ->
@@ -186,38 +184,64 @@ let simulate ?(pi_arrival = 0.) ?(pi_tt = 0.25e-9) ?(extra_delay = fun _ -> 0.)
     (Netlist.topo_order nl);
   out
 
-let resimulate_cone ?(pi_arrival = 0.) ?(pi_tt = 0.25e-9) ~library ~model nl
-    ~base ~cone ~extra_delay =
-  if length base <> Netlist.size nl then
-    invalid_arg "Timing_sim.resimulate_cone: line store size mismatch";
-  (* scratch initialized from the fault-free run: every line outside the
-     cone — in particular any primary output the fault cannot reach —
-     keeps the fault-free value verbatim; only cone lines are
-     re-evaluated, in topological order.  Logic frames cannot change (an
-     extra delay shifts events, not values), so only the event slots of
-     cone lines are rewritten. *)
+(* A line's event moved iff it switches and its arrival or transition
+   time differs from the fault-free run's bit for bit; logic frames never
+   change under an extra delay, so the flag byte cannot. *)
+let moved ~base out i =
+  has_event base i
+  && not
+       (Int64.equal
+          (Int64.bits_of_float (event_arr base i))
+          (Int64.bits_of_float (event_arr out i))
+       && Int64.equal
+            (Int64.bits_of_float (event_tt base i))
+            (Int64.bits_of_float (event_tt out i)))
+
+let resimulate ?(pi_arrival = 0.) ?(pi_tt = 0.25e-9) ~library ~model nl ~base
+    ~line ~delta =
+  let n = Netlist.size nl in
+  if length base <> n then
+    invalid_arg "Timing_sim.resimulate: line store size mismatch";
+  if line < 0 || line >= n then
+    invalid_arg "Timing_sim.resimulate: line out of range";
+  if not (Float.is_finite delta) then
+    invalid_arg "Timing_sim.resimulate: delta is not finite";
+  let extra_delay i = if i = line then delta else 0. in
+  (* every line starts at its fault-free record; an event frontier then
+     re-times only lines whose fan-in events moved.  A re-timed line
+     whose event moved buckets each of its switching fan-outs by logic
+     level (a static line has no event to move); the buckets drain in
+     increasing level order, so each node is re-timed once, after every
+     fan-in it reads, through the same [gate_event] arithmetic as
+     [simulate] *)
   let out = copy base in
-  Array.iter
-    (fun i ->
-      if Netlist.is_pi nl i then begin
-        let a1 = v1 base i and a2 = v2 base i in
-        let event =
-          if a1 <> a2 then
-            Some { Types.e_arr = pi_arrival +. extra_delay i; e_tt = pi_tt }
-          else None
-        in
-        set out i ~v1:a1 ~v2:a2 ~event
-      end
-      else begin
-        let kind = Netlist.gate_kind nl i in
-        let a1 = v1 base i and a2 = v2 base i in
-        let event =
-          gate_event ~library ~model ~pi_tt ~extra_delay nl ~src:out i kind a1
-            a2
-        in
-        set out i ~v1:a1 ~v2:a2 ~event
-      end)
-    cone.Netlist.cone_nodes;
+  let buckets = Array.make (Netlist.level_count nl) [] in
+  let top = ref 0 in
+  let retime i =
+    let a1 = v1 base i and a2 = v2 base i in
+    let event =
+      if Netlist.is_pi nl i then
+        pi_event ~pi_arrival ~pi_tt ~extra_delay i a1 a2
+      else
+        gate_event ~library ~model ~pi_tt ~extra_delay nl ~src:out i
+          (Netlist.gate_kind nl i) a1 a2
+    in
+    set out i ~v1:a1 ~v2:a2 ~event;
+    if moved ~base out i then
+      Netlist.iter_fanout nl i ~f:(fun j ->
+          if has_event base j then begin
+            let l = Netlist.level nl j in
+            buckets.(l) <- j :: buckets.(l);
+            if l > !top then top := l
+          end)
+  in
+  retime line;
+  (* [top] grows while the buckets drain, so the bound is re-read *)
+  let l = ref (Netlist.level nl line + 1) in
+  while !l <= !top do
+    List.iter retime (List.sort_uniq Int.compare buckets.(!l));
+    incr l
+  done;
   out
 
 let po_latest nl lines =

@@ -71,27 +71,32 @@ val simulate :
 (** The vector pair is indexed by PI rank ({!Ssd_circuit.Netlist.inputs}
     order).  @raise Sta.Unsupported_gate on non-primitive gates. *)
 
-val resimulate_cone :
+val resimulate :
   ?pi_arrival:float ->
   ?pi_tt:float ->
   library:Ssd_cell.Charlib.t ->
   model:Ssd_core.Delay_model.t ->
   Ssd_circuit.Netlist.t ->
   base:lines ->
-  cone:Ssd_circuit.Netlist.cone ->
-  extra_delay:(int -> float) ->
+  line:int ->
+  delta:float ->
   lines
-(** Incremental re-simulation: [base] is a fault-free {!simulate} result
-    and [cone] the {!Ssd_circuit.Netlist.fanout_cone} of the line whose
-    delay [extra_delay] perturbs.  Only lines inside the cone are
-    re-evaluated (logic frames cannot change — an extra delay shifts
-    events, not values); every line outside the cone — in particular any
-    primary output the fault cannot reach — keeps the fault-free value,
-    copied into a fresh scratch store, so [base] is never mutated.  With
-    the same [pi_arrival]/[pi_tt] the result is bit-identical to
-    [simulate ~extra_delay] on the same vector pair (property-tested in
-    [test/test_sta.ml]).  [extra_delay] must be zero outside the cone for
-    that equivalence to hold. *)
+(** Incremental re-simulation of one extra delay: [base] is a fault-free
+    {!simulate} result of some vector pair, and the answer is what
+    [simulate ~extra_delay] gives on that pair when [extra_delay] is
+    [delta] on [line] and zero elsewhere — bit for bit, with the same
+    [pi_arrival]/[pi_tt] (property-tested in [test/test_sta.ml]).
+
+    The result is a fresh copy of [base] ([base] is never mutated) in
+    which [line] is re-timed, then only lines whose events can move: a
+    switching fan-out of a line whose event changed is re-timed once, in
+    increasing logic-level order.  Logic frames never change (an extra
+    delay shifts events, not values), so a line with no event, and every
+    line outside [line]'s {!Ssd_circuit.Netlist.transitive_fanout}, keeps
+    its fault-free record.  Nothing is cached between calls, so calls
+    from several domains may share one netlist and one [base].
+    @raise Invalid_argument when [base] is not sized for the netlist,
+    [line] is out of range or [delta] is not finite. *)
 
 val po_latest : Ssd_circuit.Netlist.t -> lines -> float option
 (** Latest PO event arrival, [None] when no PO switches. *)

@@ -10,6 +10,10 @@ module Obs = Ssd_obs.Obs
 module Charlib = Ssd_cell.Charlib
 module Sweep = Ssd_cell.Sweep
 module Cellfn = Ssd_core.Cellfn
+module Timing_sim = Ssd_sta.Timing_sim
+module Value2f = Ssd_itr.Value2f
+module Fault = Ssd_atpg.Fault
+module Fault_sim = Ssd_atpg.Fault_sim
 
 let beq a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 
@@ -331,3 +335,75 @@ module Decompose_ref = struct
 end
 
 let decompose_reference = Decompose_ref.to_primitive
+
+(* ---- the whole-circuit fault simulation ----------------------------- *)
+
+(* The strict sequential walk with fault dropping: per vector, one
+   fault-free simulation, then for every live site whose aggressor and
+   victim switch in the site's directions within its alignment window a
+   whole-circuit simulation with the victim slowed by delta.  The site is
+   detected when a PO that meets the clock fault-free switches at least
+   0.45 delta later. *)
+let fault_sim_reference ~library ~model ~clock_period nl sites vectors =
+  let sites = Array.of_list sites in
+  let nsites = Array.length sites in
+  let live = ref nsites in
+  let detected = ref [] in
+  let alive = Array.make nsites true in
+  let wants tr lines i =
+    match tr with
+    | Value2f.Rise -> Timing_sim.rising_at lines i
+    | Value2f.Fall -> Timing_sim.falling_at lines i
+  in
+  List.iteri
+    (fun k vector ->
+      if !live > 0 then begin
+        let ff = Timing_sim.simulate ~library ~model nl vector in
+        Array.iteri
+          (fun fi (site : Fault.site) ->
+            let a = site.Fault.aggressor and v = site.Fault.victim in
+            if
+              alive.(fi)
+              && wants site.Fault.agg_tr ff a
+              && wants site.Fault.vic_tr ff v
+              && Timing_sim.has_event ff a
+              && Timing_sim.has_event ff v
+              && Float.abs
+                   (Timing_sim.event_arr ff a -. Timing_sim.event_arr ff v)
+                 <= site.Fault.align_window
+            then begin
+              let faulty =
+                Timing_sim.simulate
+                  ~extra_delay:(fun i -> if i = v then site.Fault.delta else 0.)
+                  ~library ~model nl vector
+              in
+              let shifted po =
+                Timing_sim.has_event ff po
+                && Timing_sim.has_event faulty po
+                &&
+                let t = Timing_sim.event_arr ff po in
+                t <= clock_period
+                && Timing_sim.event_arr faulty po -. t
+                   >= 0.45 *. site.Fault.delta
+              in
+              if List.exists shifted (Netlist.outputs nl) then begin
+                alive.(fi) <- false;
+                decr live;
+                detected := (fi, k) :: !detected
+              end
+            end)
+          sites
+      end)
+    vectors;
+  let detected = List.rev !detected in
+  let undetected =
+    List.filter (fun fi -> alive.(fi)) (List.init nsites Fun.id)
+  in
+  {
+    Fault_sim.coverage =
+      (if nsites = 0 then 0.
+       else
+         100. *. float_of_int (List.length detected) /. float_of_int nsites);
+    detected;
+    undetected;
+  }

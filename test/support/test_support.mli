@@ -89,3 +89,22 @@ val decompose_reference :
     flat mapping must give the same netlist wherever this succeeds.
     Unlike it, this one fails on an input whose own name equals a fresh
     name emitted before it ([z$0] defined after [z] is mapped). *)
+
+(** {1 The fault-simulation oracle} *)
+
+val fault_sim_reference :
+  library:Ssd_cell.Charlib.t ->
+  model:Ssd_core.Delay_model.t ->
+  clock_period:float ->
+  Ssd_circuit.Netlist.t ->
+  Ssd_atpg.Fault.site list ->
+  (bool * bool) array list ->
+  Ssd_atpg.Fault_sim.result
+(** {!Ssd_atpg.Fault_sim.simulate_with} as a strict sequential walk:
+    vectors in order, one fault-free {!Ssd_sta.Timing_sim.simulate} per
+    vector, then per live site whose excitation and alignment hold a
+    whole-circuit [simulate ~extra_delay] with the victim slowed by the
+    site's delta; a site drops at its first detecting vector.  No window
+    screen, no domain pool and no incremental re-simulation, so the
+    production simulator must give the same result at every lane count,
+    with the screen on or off. *)

@@ -171,7 +171,7 @@ let test_verify_rejects_bad_vector () =
 
 let test_faultsim_detects_atpg_vector () =
   (* a vector the ATPG generated and verified for a site must also be
-     reported by the fault simulator, with both engines *)
+     reported by the fault simulator, and by the whole-circuit oracle *)
   let nl = c17_prim () in
   let site = c17_site nl in
   let cfg = Atpg.default_config ~clock_period:(clock_of nl) in
@@ -179,51 +179,90 @@ let test_faultsim_detects_atpg_vector () =
   match r.Atpg.outcome with
   | Atpg.Detected vector ->
     List.iter
-      (fun engine ->
-        let res =
-          A.Fault_sim.simulate_with ~engine RO.default
-            ~library:(Lazy.force lib) ~model:DM.proposed
-            ~clock_period:(clock_of nl) nl [ site ] [ vector ]
-        in
+      (fun res ->
         Alcotest.(check (list (pair int int))) "site 0 detected by vector 0"
           [ (0, 0) ] res.A.Fault_sim.detected;
         Alcotest.(check (list int)) "nothing undetected" []
           res.A.Fault_sim.undetected)
-      [ A.Fault_sim.Full; A.Fault_sim.Cone ]
+      [ A.Fault_sim.simulate_with RO.default ~library:(Lazy.force lib)
+          ~model:DM.proposed ~clock_period:(clock_of nl) nl [ site ]
+          [ vector ];
+        Test_support.fault_sim_reference ~library:(Lazy.force lib)
+          ~model:DM.proposed ~clock_period:(clock_of nl) nl [ site ]
+          [ vector ] ]
   | _ -> Alcotest.fail "expected the ATPG to detect the c17 site"
 
 let test_faultsim_deterministic_c880s () =
-  (* the ISSUE's determinism contract: identical detected / coverage /
-     undetected across engines and lane counts on c880s *)
+  (* identical detected / coverage / undetected to the whole-circuit
+     oracle at every lane count on c880s *)
   let nl = Ck.Decompose.to_primitive (Option.get (Ck.Benchmarks.by_name "c880s")) in
   let clock = clock_of nl in
   let sites =
     Fault.extract ~count:64 ~delta:60e-12 ~align_window:2500e-12 ~seed:2L nl
   in
   let vectors = A.Fault_sim.random_vectors ~seed:6L ~count:24 nl in
-  let run ~jobs ~engine =
-    A.Fault_sim.simulate_with ~engine (RO.make ~jobs ())
-      ~library:(Lazy.force lib) ~model:DM.proposed ~clock_period:clock nl
-      sites vectors
+  let expect =
+    Test_support.fault_sim_reference ~library:(Lazy.force lib)
+      ~model:DM.proposed ~clock_period:clock nl sites vectors
   in
-  let base = run ~jobs:1 ~engine:A.Fault_sim.Full in
   Alcotest.(check bool) "some sites detected (non-vacuous)" true
-    (base.A.Fault_sim.detected <> []);
+    (expect.A.Fault_sim.detected <> []);
   List.iter
-    (fun (tag, jobs, engine) ->
-      let r = run ~jobs ~engine in
-      Alcotest.(check (list (pair int int))) (tag ^ " detected") base.A.Fault_sim.detected
-        r.A.Fault_sim.detected;
-      Alcotest.(check (list int)) (tag ^ " undetected") base.A.Fault_sim.undetected
-        r.A.Fault_sim.undetected;
-      Alcotest.(check (float 0.)) (tag ^ " coverage") base.A.Fault_sim.coverage
-        r.A.Fault_sim.coverage)
-    [
-      ("cone j1", 1, A.Fault_sim.Cone);
-      ("cone j4", 4, A.Fault_sim.Cone);
-      ("full j4", 4, A.Fault_sim.Full);
-      ("cone auto", 0, A.Fault_sim.Cone);
-    ]
+    (fun jobs ->
+      let r =
+        A.Fault_sim.simulate_with (RO.make ~jobs ()) ~library:(Lazy.force lib)
+          ~model:DM.proposed ~clock_period:clock nl sites vectors
+      in
+      let tag = Printf.sprintf "jobs %d" jobs in
+      Alcotest.(check (list (pair int int))) (tag ^ " detected")
+        expect.A.Fault_sim.detected r.A.Fault_sim.detected;
+      Alcotest.(check (list int)) (tag ^ " undetected")
+        expect.A.Fault_sim.undetected r.A.Fault_sim.undetected;
+      Alcotest.(check (float 0.)) (tag ^ " coverage")
+        expect.A.Fault_sim.coverage r.A.Fault_sim.coverage)
+    [ 1; 2; 4; 0 ]
+
+let prop_faultsim_matches_reference =
+  (* on random primitive netlists, the production simulator (screen on
+     and off, one and two lanes) reports what the whole-circuit oracle
+     reports; the 400 ps alignment window keeps some sites out of reach,
+     so a wrong excitation rule shows *)
+  QCheck.Test.make ~name:"simulate_with == whole-circuit reference"
+    ~count:8
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let nl =
+        Ck.Decompose.to_primitive
+          (Ck.Generator.generate
+             {
+               Ck.Generator.default_params with
+               Ck.Generator.g_name = "fsim";
+               n_inputs = 8;
+               n_outputs = 4;
+               n_gates = 40 + (seed mod 60);
+               seed = Int64.of_int (seed + 1);
+             })
+      in
+      let library = Lazy.force lib in
+      let clock = clock_of nl in
+      let sites =
+        Fault.extract ~count:12 ~delta:80e-12 ~align_window:400e-12
+          ~seed:(Int64.of_int seed) nl
+      in
+      let vectors =
+        A.Fault_sim.random_vectors ~seed:(Int64.of_int (seed + 7)) ~count:32
+          nl
+      in
+      let expect =
+        Test_support.fault_sim_reference ~library ~model:DM.proposed
+          ~clock_period:clock nl sites vectors
+      in
+      List.for_all
+        (fun (jobs, window_screen) ->
+          A.Fault_sim.simulate_with ~window_screen (RO.make ~jobs ())
+            ~library ~model:DM.proposed ~clock_period:clock nl sites vectors
+          = expect)
+        [ (1, true); (1, false); (2, true) ])
 
 let test_faultsim_empty_inputs () =
   let nl = c17_prim () in
@@ -268,4 +307,6 @@ let suites =
           test_faultsim_deterministic_c880s;
         Alcotest.test_case "empty inputs" `Quick test_faultsim_empty_inputs;
       ] );
+    ( "atpg.faultsim.props",
+      [ QCheck_alcotest.to_alcotest prop_faultsim_matches_reference ] );
   ]

@@ -107,7 +107,10 @@ let test_netlist_build_and_accessors () =
   Alcotest.(check bool) "fanout of n1" true (Netlist.fanout nl 2 = [| 3 |]);
   Alcotest.(check int) "load has floor 1" 1 (Netlist.load_of nl 3);
   Alcotest.(check bool) "tf of z" true
-    (List.sort compare (Netlist.transitive_fanin nl 3) = [ 0; 1; 2 ])
+    (List.sort compare (Netlist.transitive_fanin nl 3) = [ 0; 1; 2 ]);
+  Alcotest.(check (list int)) "tfo of a, in topological order" [ 2; 3 ]
+    (Netlist.transitive_fanout nl 0);
+  Alcotest.(check (list int)) "tfo of the PO" [] (Netlist.transitive_fanout nl 3)
 
 let test_netlist_levels () =
   let check_partition nl =
@@ -179,59 +182,6 @@ let test_netlist_validation () =
   in
   Alcotest.(check bool) "unknown output" true
     (match bad_out () with exception Netlist.Invalid _ -> true | _ -> false)
-
-let test_netlist_fanout_cone () =
-  let check nl =
-    let n = Netlist.size nl in
-    for i = 0 to n - 1 do
-      let cone = Netlist.fanout_cone nl i in
-      (* membership = the root plus its transitive fanout, exactly *)
-      let expect = Array.make n false in
-      expect.(i) <- true;
-      List.iter
-        (fun j -> expect.(j) <- true)
-        (Netlist.transitive_fanout nl i);
-      let members_match = ref true in
-      Array.iteri
-        (fun j e -> if Netlist.in_cone cone j <> e then members_match := false)
-        expect;
-      Alcotest.(check bool)
-        (Printf.sprintf "members of cone %d" i)
-        true !members_match;
-      Alcotest.(check int)
-        (Printf.sprintf "node count of cone %d" i)
-        (Array.fold_left (fun a b -> if b then a + 1 else a) 0 expect)
-        (Array.length cone.Netlist.cone_nodes);
-      (* nodes listed in topological order: every gate's in-cone fan-ins
-         appear before it *)
-      let pos = Array.make n (-1) in
-      Array.iteri (fun p j -> pos.(j) <- p) cone.Netlist.cone_nodes;
-      Array.iter
-        (fun j ->
-          match Netlist.node nl j with
-          | Netlist.Pi -> ()
-          | Netlist.Gate { fanin; _ } ->
-            Array.iter
-              (fun k ->
-                if Netlist.in_cone cone k then
-                  Alcotest.(check bool)
-                    (Printf.sprintf "fan-in %d before %d" k j)
-                    true (pos.(k) < pos.(j)))
-              fanin)
-        cone.Netlist.cone_nodes;
-      (* cached: the second lookup returns the same physical record *)
-      Alcotest.(check bool)
-        (Printf.sprintf "cone %d cached" i)
-        true
-        (Netlist.fanout_cone nl i == cone)
-    done
-  in
-  check (tiny ());
-  check (Ck.Benchmarks.c17 ());
-  Alcotest.(check bool) "out of range" true
-    (match Netlist.fanout_cone (tiny ()) 99 with
-    | exception Invalid_argument _ -> true
-    | _ -> false)
 
 (* ---------- Bench I/O ---------- *)
 
@@ -688,7 +638,6 @@ let suites =
           test_netlist_build_and_accessors;
         Alcotest.test_case "validation" `Quick test_netlist_validation;
         Alcotest.test_case "levels" `Quick test_netlist_levels;
-        Alcotest.test_case "fanout cone" `Quick test_netlist_fanout_cone;
       ] );
     ( "circuit.bench_io",
       [

@@ -137,33 +137,6 @@ let test_layered_levels () =
       (Ck.Netlist.level_width nl l > 0)
   done
 
-let test_cone_bitset_footprint () =
-  (* a cached cone stores membership as one bit per node: size/8 bytes
-     (+ constant header), not the seed's one byte per node *)
-  let nl = big_prim 0 in
-  let n = Ck.Netlist.size nl in
-  let before = Ck.Netlist.cone_cache_bytes nl in
-  Alcotest.(check int) "no cones cached yet" 0 before;
-  let root = List.hd (Ck.Netlist.inputs nl) in
-  let cone = Ck.Netlist.fanout_cone nl root in
-  let per_cone = Ck.Netlist.cone_cache_bytes nl in
-  let member_budget = (n / 8) + 64 in
-  let nodes_bytes = 8 * Array.length cone.Ck.Netlist.cone_nodes in
-  Alcotest.(check bool)
-    (Printf.sprintf "cone footprint %d <= bitset budget %d" per_cone
-       (member_budget + nodes_bytes + 64))
-    true
-    (per_cone <= member_budget + nodes_bytes + 64);
-  (* and membership agrees with the node list *)
-  let listed = Hashtbl.create 64 in
-  Array.iter (fun j -> Hashtbl.replace listed j ()) cone.Ck.Netlist.cone_nodes;
-  for j = 0 to n - 1 do
-    Alcotest.(check bool)
-      (Printf.sprintf "membership bit %d" j)
-      (Hashtbl.mem listed j)
-      (Ck.Netlist.in_cone cone j)
-  done
-
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
 let suites =
@@ -171,8 +144,6 @@ let suites =
     ( "scale.substrate",
       [
         Alcotest.test_case "layered levels" `Slow test_layered_levels;
-        Alcotest.test_case "cone bitset footprint" `Slow
-          test_cone_bitset_footprint;
       ] );
     qsuite "scale.props"
       [ prop_soa_matches_ref; prop_jobs_deterministic;

@@ -307,6 +307,49 @@ let test_open_bad_bench () =
         (code_of (d "{\"v\":1,\"op\":\"query\",\"session\":\"b\"}")
         = Some "unknown-session"))
 
+(* `open` with "gen": a size above the cap is refused with bad-params
+   naming the field and the cap before any netlist is built, the next
+   request is answered, and a small "gen" still opens *)
+let test_open_gen_bounded () =
+  let message resp =
+    match Json.parse resp with
+    | Ok j ->
+      Option.bind (Json.member "error" j) (Json.member_string "message")
+    | Error _ -> None
+  in
+  with_server (fun sv ->
+      let d = Server.dispatch sv in
+      let cap = 1_000_000 in
+      List.iter
+        (fun (label, gen, field) ->
+          let r =
+            d
+              (Printf.sprintf
+                 "{\"v\":1,\"id\":1,\"op\":\"open\",\"session\":\"g\",\"gen\":%s}"
+                 gen)
+          in
+          Alcotest.(check (option string)) (label ^ ": code")
+            (Some "bad-params") (code_of r);
+          Alcotest.(check (option string)) (label ^ ": message")
+            (Some (Printf.sprintf "\"gen\": %S must be <= %d" field cap))
+            (message r);
+          Alcotest.(check bool) (label ^ ": next request answered") true
+            (is_ok (d "{\"v\":1,\"id\":2,\"op\":\"ping\"}")))
+        [ ("2^40 gates", "{\"gates\":1099511627776}", "gates");
+          ( "cap + 1 gates",
+            Printf.sprintf "{\"gates\":%d}" (cap + 1),
+            "gates" );
+          ( "cap + 1 inputs",
+            Printf.sprintf "{\"gates\":50,\"inputs\":%d}" (cap + 1),
+            "inputs" ) ];
+      Alcotest.(check bool) "no session left open" true
+        (code_of (d "{\"v\":1,\"op\":\"query\",\"session\":\"g\"}")
+        = Some "unknown-session");
+      Alcotest.(check bool) "a small gen opens" true
+        (is_ok
+           (d
+              "{\"v\":1,\"op\":\"open\",\"session\":\"g\",\"gen\":{\"gates\":50,\"inputs\":8,\"seed\":3}}")))
+
 let test_nonfinite_pi_batch () =
   with_server (fun sv ->
       let d = Server.dispatch sv in
@@ -639,6 +682,8 @@ let suites =
           test_nonfinite_pi_batch;
         Alcotest.test_case "open of a bad .bench file" `Quick
           test_open_bad_bench;
+        Alcotest.test_case "open of an oversized gen" `Quick
+          test_open_gen_bounded;
         Alcotest.test_case "manager admission and checkpoints" `Quick
           test_session_manager;
         Alcotest.test_case "corners and mc ops, bounded" `Quick

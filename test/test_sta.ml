@@ -529,85 +529,152 @@ let test_tsim_po_latest () =
   let lines2 = TS.simulate ~library:(Lazy.force lib) ~model:DM.proposed nl steady in
   Alcotest.(check bool) "no events" true (TS.po_latest nl lines2 = None)
 
-let prop_resim_cone_bit_identical =
-  (* the incremental engine's whole contract: re-timing only the victim's
-     fanout cone on top of the fault-free baseline reproduces the full
-     simulation bit for bit, on random primitive netlists, victims,
-     deltas and vector pairs *)
-  QCheck.Test.make ~name:"resimulate_cone bit-identical to full simulate"
+(* bitwise equality of one line of two stores: frames, event presence,
+   arrival and transition time *)
+let line_beq a b i =
+  TS.v1 a i = TS.v1 b i
+  && TS.v2 a i = TS.v2 b i
+  &&
+  match (TS.event a i, TS.event b i) with
+  | None, None -> true
+  | Some ea, Some eb ->
+    beq ea.Types.e_arr eb.Types.e_arr && beq ea.Types.e_tt eb.Types.e_tt
+  | _, _ -> false
+
+let lines_beq nl a b =
+  let ok = ref true in
+  for i = 0 to Ck.Netlist.size nl - 1 do
+    if not (line_beq a b i) then ok := false
+  done;
+  !ok
+
+let prop_resim_bit_identical =
+  (* the incremental re-simulation's whole contract: re-timing the
+     victim's moved events on top of the fault-free baseline reproduces
+     the full simulation bit for bit.  Every case draws a vector pair on
+     c17 or a random primitive netlist and checks, at a negative, a zero
+     and a positive delta, a PI, a PO, a line with no event and a random
+     line as the victim; a fresh store is returned, the baseline is not
+     mutated, and every line outside the victim's transitive fanout keeps
+     its fault-free record *)
+  QCheck.Test.make ~name:"resimulate bit-identical to full simulate"
     ~count:25
     QCheck.(int_range 0 1_000_000)
     (fun seed ->
       let rng = Rng.create (Int64.of_int seed) in
       let nl =
-        Ck.Decompose.to_primitive
-          (Ck.Generator.generate
-             {
-               Ck.Generator.default_params with
-               Ck.Generator.g_name = "resim";
-               n_inputs = 6;
-               n_outputs = 3;
-               n_gates = 20 + Rng.int rng 30;
-               seed = Int64.of_int (seed + 1);
-             })
+        if seed mod 4 = 0 then c17_prim ()
+        else
+          Ck.Decompose.to_primitive
+            (Ck.Generator.generate
+               {
+                 Ck.Generator.default_params with
+                 Ck.Generator.g_name = "resim";
+                 n_inputs = 6;
+                 n_outputs = 3;
+                 n_gates = 20 + Rng.int rng 30;
+                 seed = Int64.of_int (seed + 1);
+               })
       in
       let lib = Lazy.force lib in
-      let victim = Rng.int rng (Ck.Netlist.size nl) in
-      let delta = Rng.float_range rng 10e-12 200e-12 in
-      let extra_delay i = if i = victim then delta else 0. in
+      let n = Ck.Netlist.size nl in
+      let pick l = List.nth l (Rng.int rng (List.length l)) in
       let npi = List.length (Ck.Netlist.inputs nl) in
       let vec = Array.init npi (fun _ -> (Rng.bool rng, Rng.bool rng)) in
       let base = TS.simulate ~library:lib ~model:DM.proposed nl vec in
-      let full =
-        TS.simulate ~extra_delay ~library:lib ~model:DM.proposed nl vec
+      let static =
+        List.filter (fun i -> not (TS.has_event base i)) (List.init n Fun.id)
       in
-      let cone = Ck.Netlist.fanout_cone nl victim in
-      let inc = TS.resimulate_cone ~library:lib ~model:DM.proposed nl
-          ~base ~cone ~extra_delay
+      let victims =
+        [ pick (Ck.Netlist.inputs nl); pick (Ck.Netlist.outputs nl);
+          Rng.int rng n ]
+        @ (if static = [] then [] else [ pick static ])
       in
-      let n = Ck.Netlist.size nl in
-      let lines_eq a b =
-        let ok = ref true in
+      let deltas =
+        [ -.Rng.float_range rng 10e-12 200e-12; 0.;
+          Rng.float_range rng 10e-12 200e-12 ]
+      in
+      let case victim delta =
+        let full =
+          TS.simulate
+            ~extra_delay:(fun i -> if i = victim then delta else 0.)
+            ~library:lib ~model:DM.proposed nl vec
+        in
+        let inc =
+          TS.resimulate ~library:lib ~model:DM.proposed nl ~base ~line:victim
+            ~delta
+        in
+        let reach = Array.make n false in
+        reach.(victim) <- true;
+        List.iter (fun j -> reach.(j) <- true)
+          (Ck.Netlist.transitive_fanout nl victim);
+        let outside_kept = ref true in
         for i = 0 to n - 1 do
-          if TS.v1 a i <> TS.v1 b i || TS.v2 a i <> TS.v2 b i then ok := false
-          else
-            match (TS.event a i, TS.event b i) with
-            | None, None -> ()
-            | Some ea, Some eb ->
-              if
-                not
-                  (beq ea.Types.e_arr eb.Types.e_arr
-                  && beq ea.Types.e_tt eb.Types.e_tt)
-              then ok := false
-            | _, _ -> ok := false
+          if (not reach.(i)) && not (line_beq inc base i) then
+            outside_kept := false
         done;
-        !ok
+        inc != base && lines_beq nl full inc && !outside_kept
       in
-      lines_eq full inc
+      List.for_all
+        (fun victim -> List.for_all (case victim) deltas)
+        victims
       && (* and the fault-free baseline was never mutated *)
-      lines_eq base (TS.simulate ~library:lib ~model:DM.proposed nl vec))
+      lines_beq nl base (TS.simulate ~library:lib ~model:DM.proposed nl vec))
 
-let test_resim_cone_out_of_cone_preserved () =
-  (* lines outside the cone must keep the fault-free values verbatim, and
-     the scratch store must be fresh (the baseline stays unmutated) *)
+let test_resim_out_of_cone_preserved () =
+  (* lines outside the victim's transitive fanout must keep the
+     fault-free values verbatim, and the scratch store must be fresh (the
+     baseline stays unmutated) *)
   let nl = c17_prim () in
   let lib = Lazy.force lib in
   let vec = [| (true, false); (true, true); (true, true); (true, true); (false, false) |] in
   let base = TS.simulate ~library:lib ~model:DM.proposed nl vec in
   let victim = Option.get (Ck.Netlist.find nl "10") in
-  let cone = Ck.Netlist.fanout_cone nl victim in
+  let reach = victim :: Ck.Netlist.transitive_fanout nl victim in
   let inc =
-    TS.resimulate_cone ~library:lib ~model:DM.proposed nl ~base ~cone
-      ~extra_delay:(fun i -> if i = victim then 100e-12 else 0.)
+    TS.resimulate ~library:lib ~model:DM.proposed nl ~base ~line:victim
+      ~delta:100e-12
   in
   Alcotest.(check bool) "fresh store" true (inc != base);
+  Alcotest.(check bool) "the victim's event moved" false
+    (line_beq inc base victim);
   for i = 0 to Ck.Netlist.size nl - 1 do
-    if not (Ck.Netlist.in_cone cone i) then
+    if not (List.mem i reach) then
       Alcotest.(check bool)
         (Printf.sprintf "line %d keeps the fault-free record" i)
         true
         (TS.get inc i = TS.get base i)
   done
+
+let test_resim_rejects_bad_arguments () =
+  let nl = c17_prim () in
+  let lib = Lazy.force lib in
+  let vec = Array.make 5 (false, true) in
+  let base = TS.simulate ~library:lib ~model:DM.proposed nl vec in
+  let n = Ck.Netlist.size nl in
+  let other =
+    let g =
+      Ck.Generator.generate
+        { Ck.Generator.default_params with
+          Ck.Generator.n_inputs = 5; n_gates = 30 }
+    in
+    TS.simulate ~library:lib ~model:DM.proposed (Ck.Decompose.to_primitive g)
+      vec
+  in
+  List.iter
+    (fun (what, base, line, delta) ->
+      match
+        TS.resimulate ~library:lib ~model:DM.proposed nl ~base ~line ~delta
+      with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "%s: accepted" what)
+    [ ("line -1", base, -1, 50e-12);
+      ("line = size", base, n, 50e-12);
+      ("nan delta", base, 0, Float.nan);
+      ("infinite delta", base, 0, Float.infinity);
+      ("negative infinite delta", base, 0, Float.neg_infinity);
+      ("empty base", TS.empty, 0, 50e-12);
+      ("base of another netlist", other, 0, 50e-12) ]
 
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
@@ -819,10 +886,12 @@ let suites =
     ( "sta.tsim.cone",
       [
         Alcotest.test_case "out-of-cone lines keep baseline" `Slow
-          test_resim_cone_out_of_cone_preserved;
+          test_resim_out_of_cone_preserved;
+        Alcotest.test_case "resimulate rejects bad arguments" `Quick
+          test_resim_rejects_bad_arguments;
       ] );
     qsuite "sta.tsim.props"
-      [ prop_tsim_within_sta_windows; prop_resim_cone_bit_identical ];
+      [ prop_tsim_within_sta_windows; prop_resim_bit_identical ];
     ( "sta.kernel",
       [
         Alcotest.test_case "allocation guard" `Slow test_allocation_guard;

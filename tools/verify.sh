@@ -92,6 +92,16 @@ test "$(wc -l < "$TRACE_TMP/big_frame.out")" -eq 2
 sed -n 1p "$TRACE_TMP/big_frame.out" | grep -q '"code":"frame-too-large"'
 test "$(sed -n 2p "$TRACE_TMP/big_frame.out")" = '{"v":1,"id":2,"ok":{"pong":true}}'
 
+# Crosstalk ATPG through the real binary: ITR-pruned test generation on
+# c880s, then incremental fault simulation of the generated tests, must
+# print the same report on one lane and on two.
+SSD_FAST=1 dune exec bin/ssd.exe -- atpg c880s --faults 16 --budget 300 \
+  --jobs 1 > "$TRACE_TMP/atpg_j1.out"
+SSD_FAST=1 dune exec bin/ssd.exe -- atpg c880s --faults 16 --budget 300 \
+  --jobs 2 > "$TRACE_TMP/atpg_j2.out"
+grep -q 'sites detected' "$TRACE_TMP/atpg_j1.out"
+cmp "$TRACE_TMP/atpg_j1.out" "$TRACE_TMP/atpg_j2.out"
+
 # Downsized scale + corners + Monte-Carlo runs (the 100k/40k-gate
 # experiments shrunk for CI — every bit-identity, footprint and speedup
 # assertion still runs), consolidated into one invocation so the report
