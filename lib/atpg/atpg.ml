@@ -19,7 +19,9 @@ type config = {
       (** search-effort budget in decision-node expansions: every PI value
           decision costs one unit, so a branch pruned after k decisions
           costs k while a full descent costs the whole cone — this is what
-          makes ITR pruning pay off, as in the paper *)
+          makes ITR pruning pay off, as in the paper.  A restart descent
+          that expands nothing and finds no test costs one unit too, so
+          the budget always ends a search. *)
   fill_tries : int;
   clock_period : float;
   seed : int64;
@@ -71,11 +73,11 @@ let state_impl = function
   | With_itr t -> Itr.implication t
   | Logic_only t -> t
 
-(* Gap between the aggressor and victim transition windows: negative or
-   zero when the windows overlap, [infinity] when either transition has
-   become impossible.  The branch is infeasible (sound prune) when the gap
-   exceeds the coupling alignment window. *)
-let alignment_gap itr (site : Fault.site) =
+(* Whether the aggressor and victim transition windows still come within
+   the coupling alignment window of each other (never when either
+   transition has become impossible).  A branch where they do not is
+   infeasible: a sound prune. *)
+let windows_can_align itr (site : Fault.site) =
   let window_of tr i =
     match tr with
     | Value2f.Rise -> Itr.rise_window itr i
@@ -85,33 +87,13 @@ let alignment_gap itr (site : Fault.site) =
     ( window_of site.Fault.agg_tr site.Fault.aggressor,
       window_of site.Fault.vic_tr site.Fault.victim )
   with
-  | None, _ | _, None -> infinity
+  | None, _ | _, None -> false
   | Some wa, Some wv ->
     let a = wa.Types.w_arr and v = wv.Types.w_arr in
     Float.max
       (Interval.lo a -. Interval.hi v)
       (Interval.lo v -. Interval.hi a)
-
-let windows_can_align itr site =
-  alignment_gap itr site <= site.Fault.align_window
-
-(* guidance heuristic: expected misalignment of the two transitions, taken
-   as the distance between the window midpoints (0 when either window is
-   missing — such branches are pruned separately) *)
-let _expected_misalignment itr (site : Fault.site) =
-  let window_of tr i =
-    match tr with
-    | Value2f.Rise -> Itr.rise_window itr i
-    | Value2f.Fall -> Itr.fall_window itr i
-  in
-  match
-    ( window_of site.Fault.agg_tr site.Fault.aggressor,
-      window_of site.Fault.vic_tr site.Fault.victim )
-  with
-  | None, _ | _, None -> infinity
-  | Some wa, Some wv ->
-    Float.abs
-      (Interval.mid wa.Types.w_arr -. Interval.mid wv.Types.w_arr)
+    <= site.Fault.align_window
 
 let prune_ok st site =
   match st with
@@ -124,23 +106,9 @@ exception Found of (bool * bool) array
 
 exception Slice_exhausted
 
-(* The fault effect is observable when some primary output's arrival
-   shifts by at least half the coupling delta while the fault-free value
-   of that output still meets the clock — the delayed victim transition
-   reached an output where a tester clocked at the period would catch
-   it. *)
-let observable_shift nl (site : Fault.site) faultfree faulty clock =
-  List.exists
-    (fun po ->
-      Timing_sim.has_event faultfree po
-      && Timing_sim.has_event faulty po
-      &&
-      let ff = Timing_sim.event_arr faultfree po in
-      ff <= clock
-      && Timing_sim.event_arr faulty po -. ff >= 0.45 *. site.Fault.delta)
-    (Netlist.outputs nl)
-
-(* full-vector evaluation at a search leaf *)
+(* full-vector evaluation at a search leaf, by the fault simulator's
+   detection rule; the faulty run re-times only what the victim's delta
+   moves on top of the fault-free one *)
 let evaluate_leaf ~library ~model ~cfg nl (site : Fault.site) impl =
   let pis = Netlist.inputs nl in
   let vector =
@@ -159,35 +127,21 @@ let evaluate_leaf ~library ~model ~cfg nl (site : Fault.site) impl =
   | v ->
     let vector = Array.of_list v in
     let lines = Timing_sim.simulate ~library ~model nl vector in
-    let want tr i =
-      match tr with
-      | Value2f.Rise -> Timing_sim.rising_at lines i
-      | Value2f.Fall -> Timing_sim.falling_at lines i
-    in
-    let a = site.Fault.aggressor and v = site.Fault.victim in
-    if not (want site.Fault.agg_tr a && want site.Fault.vic_tr v) then None
-    else if
-      Timing_sim.has_event lines a
-      && Timing_sim.has_event lines v
-      && Float.abs (Timing_sim.event_arr lines a -. Timing_sim.event_arr lines v)
-         <= site.Fault.align_window
-    then begin
-      let faulty_lines =
-        Timing_sim.simulate
-          ~extra_delay:(fun i ->
-            if i = site.Fault.victim then site.Fault.delta else 0.)
-          ~library ~model nl vector
+    if not (Fault_sim.excited_and_aligned lines site) then None
+    else
+      let faulty =
+        Timing_sim.resimulate ~library ~model nl ~base:lines
+          ~line:site.Fault.victim ~delta:site.Fault.delta
       in
-      if observable_shift nl site lines faulty_lines cfg.clock_period then
+      if Fault_sim.observable nl site lines faulty cfg.clock_period then
         Some vector
       else None
-    end
-    else None
 
-(* Paths from the victim to any primary output, shortest first, capped.
-   Sensitizing one of them (side inputs steady at the non-controlling
-   value) guarantees the victim's delayed transition propagates: the path
-   gates then respond only to the victim's event. *)
+(* Paths from the victim to any primary output: the first [max_paths]
+   the depth-first walk reaches (fan-outs in CSR order), then sorted
+   shortest first.  Sensitizing one of them (side inputs steady at the
+   non-controlling value) guarantees the victim's delayed transition
+   propagates: the path gates then respond only to the victim's event. *)
 let paths_to_po ?(max_paths = 6) nl victim =
   let pos = Netlist.outputs nl in
   let is_po i = List.mem i pos in
@@ -244,9 +198,7 @@ let generate cfg ~library ~model nl (site : Fault.site) =
     if !slice_left < 0 then raise Slice_exhausted
   in
   let fanin_pis i =
-    List.filter
-      (fun j -> Netlist.node nl j = Netlist.Pi)
-      (i :: Netlist.transitive_fanin nl i)
+    List.filter (Netlist.is_pi nl) (i :: Netlist.transitive_fanin nl i)
   in
   let all_pis = Netlist.inputs nl in
   let full_values =
@@ -305,9 +257,9 @@ let generate cfg ~library ~model nl (site : Fault.site) =
   (* Depth-first search over the decision PIs.  At every node the
      consistent values are expanded (one expansion charge); with ITR the
      branches whose fault-site windows can no longer align are pruned —
-     cutting the whole subtree, which is where the refinement pays — and
-     the surviving children are visited in order of expected
-     misalignment.  Without ITR the order is random. *)
+     cutting the whole subtree, which is where the refinement pays.  The
+     surviving children are visited in a random value order, with or
+     without ITR. *)
   let dfs_path (st0, cone, others) =
     let complete_and_evaluate st =
       let rec fills k =
@@ -360,15 +312,10 @@ let generate cfg ~library ~model nl (site : Fault.site) =
               | None -> ()
               | Some _ ->
                 let st' = state_copy st in
-                if state_assign st' pi v then begin
-                  match st' with
-                  | With_itr itr ->
-                    (* sound subtree prune: no completion can align the
-                       aggressor and victim transitions any more *)
-                    if alignment_gap itr site <= site.Fault.align_window then
-                      children := st' :: !children
-                  | Logic_only _ -> children := st' :: !children
-                end)
+                (* with ITR, a sound subtree prune: no completion can
+                   align the aggressor and victim transitions any more *)
+                if state_assign st' pi v && prune_ok st' site then
+                  children := st' :: !children)
             order;
           List.iter (fun st' -> walk st' rest) (List.rev !children)
         end
@@ -399,9 +346,14 @@ let generate cfg ~library ~model nl (site : Fault.site) =
            let setup = setups.(Rng.int rng n_setups) in
            incr descents;
            slice_left := slice;
+           let before = !expansions in
            (try dfs_path setup with
            | Found vector -> result := Some (Detected vector)
-           | Slice_exhausted -> ())
+           | Slice_exhausted -> ());
+           (* setup's implications can fix every cone PI, so a descent
+              may expand nothing; when it finds no test either it costs
+              one unit, or the restarts could run forever *)
+           if !result = None && !expansions = before then incr expansions
          done
        with Budget_exhausted -> result := Some Aborted)
     end);
@@ -490,19 +442,11 @@ let efficiency s =
   if s.total = 0 then 0.
   else 100. *. float_of_int (s.detected + s.undetectable) /. float_of_int s.total
 
+(* two whole-circuit simulations, so the re-check is independent of the
+   search's incremental faulty run *)
 let verify_detection cfg ~library ~model nl (site : Fault.site) vector =
   let lines = Timing_sim.simulate ~library ~model nl vector in
-  let want tr i =
-    match tr with
-    | Value2f.Rise -> Timing_sim.rising_at lines i
-    | Value2f.Fall -> Timing_sim.falling_at lines i
-  in
-  let a = site.Fault.aggressor and v = site.Fault.victim in
-  want site.Fault.agg_tr a && want site.Fault.vic_tr v
-  && Timing_sim.has_event lines a
-  && Timing_sim.has_event lines v
-  && Float.abs (Timing_sim.event_arr lines a -. Timing_sim.event_arr lines v)
-     <= site.Fault.align_window
+  Fault_sim.excited_and_aligned lines site
   &&
   let faulty =
     Timing_sim.simulate
@@ -510,4 +454,4 @@ let verify_detection cfg ~library ~model nl (site : Fault.site) vector =
         if i = site.Fault.victim then site.Fault.delta else 0.)
       ~library ~model nl vector
   in
-  observable_shift nl site lines faulty cfg.clock_period
+  Fault_sim.observable nl site lines faulty cfg.clock_period

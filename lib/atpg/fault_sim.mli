@@ -18,6 +18,19 @@ type result = {
   undetected : int list;        (** fault indices left undetected *)
 }
 
+(** {2 The detection rule} (the ATPG's too) *)
+
+val excited_and_aligned : Ssd_sta.Timing_sim.lines -> Fault.site -> bool
+(** Aggressor and victim switch in the site's directions, with arrivals
+    within its alignment window. *)
+
+val observable :
+  Ssd_circuit.Netlist.t -> Fault.site -> Ssd_sta.Timing_sim.lines ->
+  Ssd_sta.Timing_sim.lines -> float -> bool
+(** [observable nl site faultfree faulty clock_period]: some PO that
+    meets the clock fault-free switches at least 0.45 δ later in the
+    faulty run. *)
+
 val simulate_with :
   ?window_screen:bool ->
   Ssd_sta.Run_opts.t ->

@@ -71,9 +71,6 @@ let assign_opt t i v =
   | changed -> Some changed
   | exception Conflict _ -> None
 
-let is_consistent_with t i v =
-  match Value2f.meet t.values.(i) v with Some _ -> true | None -> false
-
 let specified_count t =
   Array.fold_left
     (fun acc v -> if Value2f.is_fully_specified v then acc + 1 else acc)

@@ -17,20 +17,11 @@ val value : t -> int -> Value2f.t
 
 val netlist : t -> Ssd_circuit.Netlist.t
 
-exception Conflict of int
-(** Carries the node id where the conflict surfaced. *)
-
-val assign : t -> int -> Value2f.t -> int list
-(** [assign t node v] narrows [node] with [v] and propagates to a
-    fixpoint; returns the list of nodes whose values changed.
-    @raise Conflict (state is left partially updated — callers keep a
-    {!copy} for backtracking). *)
-
 val assign_opt : t -> int -> Value2f.t -> int list option
-(** Like {!assign} but returns [None] on conflict. *)
-
-val is_consistent_with : t -> int -> Value2f.t -> bool
-(** Whether narrowing would not immediately conflict (no propagation). *)
+(** [assign_opt t node v] narrows [node] with [v] and propagates to a
+    fixpoint; returns the nodes whose values changed, or [None] on a
+    conflict, with the state then partially updated (callers keep a
+    {!copy} for backtracking). *)
 
 val specified_count : t -> int
 (** Number of fully specified lines — a progress metric. *)

@@ -18,7 +18,13 @@
       latest.
 
     STA is the special case where every line has state 0 for every
-    transition (value xx everywhere). *)
+    transition (value xx everywhere).
+
+    After an assignment, the lines whose values changed and their
+    fan-outs are re-timed on the calling domain's
+    {!Ssd_circuit.Frontier}; a line whose windows come back bit-identical
+    pushes nothing further.  The windows equal a full topological
+    rescan's bit for bit ([Test_support.itr_assign_reference]). *)
 
 type t
 
@@ -46,7 +52,13 @@ val implication : t -> Implication.t
 val assign : t -> int -> Value2f.t -> bool
 (** Narrow a line's logic value, propagate implications and recompute the
     affected timing windows.  Returns false (state unspecified-safe: use
-    {!copy} beforehand) on logic conflict. *)
+    {!copy} beforehand) on logic conflict.
+    @raise Invalid_argument inside a frontier drain on the same domain. *)
+
+val refresh_line : t -> int -> bool
+(** Recompute and store one line's windows from its fan-ins' windows and
+    the current states; [true] when they changed bit for bit.  The step
+    {!assign} runs on every line its frontier visits. *)
 
 val rise_window : t -> int -> Ssd_core.Types.win option
 (** [None] when the line definitely has no rising transition (S = −1). *)
@@ -60,5 +72,3 @@ val window_width_sum : t -> float
 (** Total arrival-window width over all live transitions — the shrink
     metric reported by the ITR experiments. *)
 
-val refresh_all : t -> unit
-(** Recompute every window from the current logic state (used by tests). *)

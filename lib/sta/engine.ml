@@ -2,6 +2,7 @@ module Interval = Ssd_util.Interval
 module Types = Ssd_core.Types
 module Delay_model = Ssd_core.Delay_model
 module Netlist = Ssd_circuit.Netlist
+module Frontier = Ssd_circuit.Frontier
 module Gate = Ssd_circuit.Gate
 module Charlib = Ssd_cell.Charlib
 module Obs = Ssd_obs.Obs
@@ -47,19 +48,11 @@ type t = {
   e_kind_ov : Gate.kind option array;
   e_extra : float array;
   e_pi_ov : Run_opts.pi_spec option array;
-  (* dirty marks: node [i] is dirty in the running propagation iff
-     [e_mark.(i) = e_epoch]; each propagation takes a fresh epoch, so no
-     pass ever clears the array *)
-  e_mark : int array;
-  mutable e_epoch : int;
-  (* the dirty frontier, bucketed by logic level and laid out like the
-     netlist's level CSR: level [l]'s bucket is
-     [b_nodes.(Netlist.level_start nl l ..)] with [b_fill.(l)] entries.
-     A node is pushed only when it is first marked, so a bucket never
-     outgrows its level's width.  Every fill count is 0 between
-     propagations. *)
-  b_nodes : int array;
-  b_fill : int array;
+  (* the line whose windows the running propagation translates (see
+     [visit]), [-1] when none *)
+  mutable e_root : int;
+  e_visit : Frontier.t -> int -> unit;
+      (* [visit] on this session, made once so an edit makes no closure *)
   (* the undo journal since the last commit, oldest frame first.  Window
      entry [k] holds node [j_node.(k)]'s overwritten 8 floats at
      [j_win.(8k ..)]; frame [f] owns entries [f_start.(f)] up to the next
@@ -207,93 +200,65 @@ let pop_frame t =
   t.f_patch.(f) <- no_patch;
   t.e_depth <- t.e_depth - 1
 
-(* Put node [i] on the frontier; returns its level. *)
-let push t i =
-  let nl = t.e_netlist in
-  let l = Netlist.level nl i in
-  let k = t.b_fill.(l) in
-  t.b_nodes.(Netlist.level_start nl l + k) <- i;
-  t.b_fill.(l) <- k + 1;
-  l
-
-(* Drain the frontier, levels [lo] up to [hi] (the highest seeded level)
-   in increasing order, recomputing every node on it.  A node's fan-ins
-   sit on lower levels, so they are final when its level drains.  A
-   recomputed node whose windows come back bit-identical is a cutoff;
-   any other pushes its fanouts that no earlier node has marked, which
-   may raise [hi].  So an edit visits exactly the nodes it recomputes.
-   With [translate], the root's new windows are its stored ones shifted
-   by its extra delay: a line that carried no extra delay stores exactly
-   the kernel output, so this is the expression the kernel would
-   compute, without paying its corner searches.  The frontier is left
-   empty, also when an evaluation raises. *)
-let propagate t ~lo ~hi ~root ~translate =
-  let nl = t.e_netlist and marks = t.e_mark and epoch = t.e_epoch in
+(* Re-time node [i] off the frontier [fr] (Frontier drains it after
+   every fan-in it reads).  A recomputed node whose windows come back
+   bit-identical is a cutoff; any other pushes its fanouts, so an edit
+   visits exactly the nodes it recomputes.  The root [e_root]'s new
+   windows are its stored ones shifted by its extra delay: a line that
+   carried no extra delay stores exactly the kernel output, so this is
+   the expression the kernel would compute, without paying its corner
+   searches. *)
+let visit t fr i =
   let sc = Plane_sweep.scratch t.e_sweep in
   let out = sc.Plane_sweep.out in
-  let recomputed = ref 0 and cutoffs = ref 0 in
-  let l = ref lo and hi = ref hi in
-  (try
-     while !l <= !hi do
-       (* pushes go to higher levels, so this bucket's fill is fixed *)
-       let base = Netlist.level_start nl !l in
-       for k = base to base + t.b_fill.(!l) - 1 do
-         let i = t.b_nodes.(k) in
-         if translate && i = root then begin
-           Plane_sweep.load t.e_sweep ~plane:0 i out ~off:0;
-           Plane_sweep.shift_arrivals out ~off:0 t.e_extra.(i)
-         end
-         else eval_into t sc i;
-         incr recomputed;
-         if Plane_sweep.stored_equal t.e_sweep ~plane:0 i out ~off:0 then
-           incr cutoffs
-         else begin
-           journal_window t i;
-           Plane_sweep.store t.e_sweep ~plane:0 i out ~off:0;
-           for p = 0 to Netlist.fanout_count nl i - 1 do
-             let j = Netlist.fanout_nth nl i p in
-             if marks.(j) <> epoch then begin
-               marks.(j) <- epoch;
-               let lj = push t j in
-               if lj > !hi then hi := lj
-             end
-           done
-         end
-       done;
-       t.b_fill.(!l) <- 0;
-       incr l
-     done
-   with e ->
-     let bt = Printexc.get_raw_backtrace () in
-     Array.fill t.b_fill 0 (Array.length t.b_fill) 0;
-     Printexc.raise_with_backtrace e bt);
-  Obs.add t.c_recomputed !recomputed;
-  Obs.add t.c_cutoffs !cutoffs;
-  Obs.observe t.h_recomputed (float_of_int !recomputed);
-  t.s_recomputed <- t.s_recomputed + !recomputed;
-  t.s_cutoffs <- t.s_cutoffs + !cutoffs
+  if i = t.e_root then begin
+    Plane_sweep.load t.e_sweep ~plane:0 i out ~off:0;
+    Plane_sweep.shift_arrivals out ~off:0 t.e_extra.(i)
+  end
+  else eval_into t sc i;
+  t.s_recomputed <- t.s_recomputed + 1;
+  if Plane_sweep.stored_equal t.e_sweep ~plane:0 i out ~off:0 then
+    t.s_cutoffs <- t.s_cutoffs + 1
+  else begin
+    journal_window t i;
+    Plane_sweep.store t.e_sweep ~plane:0 i out ~off:0;
+    let nl = t.e_netlist in
+    for p = 0 to Netlist.fanout_count nl i - 1 do
+      Frontier.push fr (Netlist.fanout_nth nl i p)
+    done
+  end
+
+(* Drain the seeded frontier, translating [root]'s windows ([-1]: none).
+   When an evaluation raises, the frontier is left empty and the work
+   counts as they were. *)
+let propagate t fr ~root =
+  let r0 = t.s_recomputed and c0 = t.s_cutoffs in
+  t.e_root <- root;
+  (match Frontier.drain fr t.e_visit with
+  | () -> ()
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    t.s_recomputed <- r0;
+    t.s_cutoffs <- c0;
+    Printexc.raise_with_backtrace e bt);
+  let recomputed = t.s_recomputed - r0 in
+  Obs.add t.c_recomputed recomputed;
+  Obs.add t.c_cutoffs (t.s_cutoffs - c0);
+  Obs.observe t.h_recomputed (float_of_int recomputed)
 
 (* An edit of one line: the frontier starts at the line itself. *)
 let propagate_from t root ~translate =
-  t.e_epoch <- t.e_epoch + 1;
-  t.e_mark.(root) <- t.e_epoch;
-  let l = push t root in
-  propagate t ~lo:l ~hi:l ~root ~translate
+  let fr = Frontier.get t.e_netlist in
+  Frontier.push fr root;
+  propagate t fr ~root:(if translate then root else -1)
 
-(* A model retarget: every node is marked and on the frontier. *)
+(* A model retarget: every node is on the frontier. *)
 let propagate_all t =
-  let nl = t.e_netlist in
-  t.e_epoch <- t.e_epoch + 1;
-  Array.fill t.e_mark 0 (Array.length t.e_mark) t.e_epoch;
-  let levels = Netlist.level_count nl in
-  for l = 0 to levels - 1 do
-    let w = Netlist.level_width nl l in
-    for k = 0 to w - 1 do
-      t.b_nodes.(Netlist.level_start nl l + k) <- Netlist.level_node nl l k
-    done;
-    t.b_fill.(l) <- w
+  let fr = Frontier.get t.e_netlist in
+  for i = 0 to Netlist.size t.e_netlist - 1 do
+    Frontier.push fr i
   done;
-  propagate t ~lo:0 ~hi:(levels - 1) ~root:(-1) ~translate:false
+  propagate t fr ~root:(-1)
 
 let create ?(opts = Run_opts.default) ~library ~model nl =
   ignore (Sta.windowing_of model : Delay_model.windowing);
@@ -304,7 +269,7 @@ let create ?(opts = Run_opts.default) ~library ~model nl =
   let n = Netlist.size nl in
   let pi_win = Sta.pi_window opts.Run_opts.pi_spec in
   let timing = Windows.create n in
-  let t =
+  let rec t =
     {
       e_netlist = nl;
       e_library = library;
@@ -319,10 +284,8 @@ let create ?(opts = Run_opts.default) ~library ~model nl =
       e_kind_ov = Array.make n None;
       e_extra = Array.make n 0.;
       e_pi_ov = Array.make n None;
-      e_mark = Array.make n 0;
-      e_epoch = 0;
-      b_nodes = Array.make n 0;
-      b_fill = Array.make (Netlist.level_count nl) 0;
+      e_root = -1;
+      e_visit = (fun fr i -> visit t fr i);
       j_node = Array.make 64 0;
       j_win = Array.make (8 * 64) 0.;
       j_len = 0;

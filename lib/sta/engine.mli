@@ -4,11 +4,12 @@
     created with a full {!Sta}-equivalent forward pass, it then serves
     window queries and accepts {e edits} — per-PI spec changes, gate kind
     swaps, per-line extra delays (the crosstalk-fault primitive) and
-    delay-model retargets — re-propagating a dirty frontier that starts
-    at the edited line and drains level by level.  A recomputed node
-    whose rise/fall windows come back bit-identical is a cutoff and does
-    not dirty its fanout, so an edit visits only the nodes it recomputes
-    and never walks (or caches) the line's whole fanout cone.
+    delay-model retargets — re-propagating a dirty frontier
+    ({!Ssd_circuit.Frontier}, the calling domain's) that starts at the
+    edited line and drains level by level.  A recomputed node whose
+    rise/fall windows come back bit-identical is a cutoff and does not
+    dirty its fanout, so an edit visits only the nodes it recomputes and
+    never walks (or caches) the line's whole fanout cone.
 
     {2 Contract}
 
@@ -34,10 +35,8 @@
     it in O(windows changed since) without recomputation.  {!commit}
     discards accumulated history — bounding memory in long-running
     sessions — after which earlier checkpoints are invalid.  A steady
-    edit/revert loop allocates no dirty marks, no frontier and no
-    journal entries: the marks (one epoch-stamped array) and the
-    frontier (one node-count array bucketed by level) are made at
-    {!create}, and the journal keeps its capacity. *)
+    edit/revert loop allocates no frontier and no journal entries: the
+    domain's frontier is reused, and the journal keeps its capacity. *)
 
 type t
 (** A timing session.  Not thread-safe: drive each engine from one
@@ -153,9 +152,10 @@ val apply : t -> edit -> unit
     non-primitive kind in {!Swap_gate}, a non-finite delta;
     {!Sta.Unsupported_gate} on an uncharacterized arity) leaves the
     engine untouched.  So does an edit whose propagation raises (a
-    model's window function, say): its frame is pushed before anything
-    changes, and the windows, overlay slot or model it had overwritten
-    are restored from it before the exception is re-raised. *)
+    model's window function, say, or [Invalid_argument] inside another
+    frontier drain on the same domain): its frame is pushed before
+    anything changes, and the windows, overlay slot or model it had
+    overwritten are restored from it before the exception is re-raised. *)
 
 val checkpoint : t -> checkpoint
 (** Mark the current history depth. *)

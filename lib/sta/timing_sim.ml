@@ -3,11 +3,7 @@ module Sweep = Ssd_cell.Sweep
 module Types = Ssd_core.Types
 module Delay_model = Ssd_core.Delay_model
 module Netlist = Ssd_circuit.Netlist
-
-type line = { v1 : bool; v2 : bool; event : Types.event option }
-
-let rising l = (not l.v1) && l.v2
-let falling l = l.v1 && not l.v2
+module Frontier = Ssd_circuit.Frontier
 
 (* Structure-of-arrays line store: one flag byte per line (bit 0 = frame-1
    value, bit 1 = frame-2 value, bit 2 = event present) plus two flat
@@ -59,8 +55,6 @@ let event t i =
   if has_event t i then Some { Types.e_arr = t.ln_arr.(i); e_tt = t.ln_tt.(i) }
   else None
 
-let get t i = { v1 = v1 t i; v2 = v2 t i; event = event t i }
-
 let set t i ~v1 ~v2 ~event =
   let f =
     (if v1 then f_v1 else 0)
@@ -75,10 +69,6 @@ let set t i ~v1 ~v2 ~event =
   | None ->
     t.ln_arr.(i) <- 0.;
     t.ln_tt.(i) <- 0.
-
-let lines_bytes t =
-  (* flags payload + two float-array payloads, headers ignored *)
-  length t * (1 + 16)
 
 (* Event computation for one gate, shared by the full simulation and the
    incremental re-simulation.  [src] is the line store the fan-in events
@@ -207,41 +197,30 @@ let resimulate ?(pi_arrival = 0.) ?(pi_tt = 0.25e-9) ~library ~model nl ~base
   if not (Float.is_finite delta) then
     invalid_arg "Timing_sim.resimulate: delta is not finite";
   let extra_delay i = if i = line then delta else 0. in
-  (* every line starts at its fault-free record; an event frontier then
-     re-times only lines whose fan-in events moved.  A re-timed line
-     whose event moved buckets each of its switching fan-outs by logic
-     level (a static line has no event to move); the buckets drain in
-     increasing level order, so each node is re-timed once, after every
-     fan-in it reads, through the same [gate_event] arithmetic as
-     [simulate] *)
+  (* every line starts at its fault-free record; the domain's frontier
+     then re-times only lines whose fan-in events moved.  A re-timed
+     line whose event moved pushes each of its switching fan-outs (a
+     static line has no event to move), so each node is re-timed once,
+     after every fan-in it reads, through the same [gate_event]
+     arithmetic as [simulate] *)
   let out = copy base in
-  let buckets = Array.make (Netlist.level_count nl) [] in
-  let top = ref 0 in
-  let retime i =
-    let a1 = v1 base i and a2 = v2 base i in
-    let event =
-      if Netlist.is_pi nl i then
-        pi_event ~pi_arrival ~pi_tt ~extra_delay i a1 a2
-      else
-        gate_event ~library ~model ~pi_tt ~extra_delay nl ~src:out i
-          (Netlist.gate_kind nl i) a1 a2
-    in
-    set out i ~v1:a1 ~v2:a2 ~event;
-    if moved ~base out i then
-      Netlist.iter_fanout nl i ~f:(fun j ->
-          if has_event base j then begin
-            let l = Netlist.level nl j in
-            buckets.(l) <- j :: buckets.(l);
-            if l > !top then top := l
-          end)
-  in
-  retime line;
-  (* [top] grows while the buckets drain, so the bound is re-read *)
-  let l = ref (Netlist.level nl line + 1) in
-  while !l <= !top do
-    List.iter retime (List.sort_uniq Int.compare buckets.(!l));
-    incr l
-  done;
+  let fr = Frontier.get nl in
+  Frontier.push fr line;
+  Frontier.drain fr (fun fr i ->
+      let a1 = v1 base i and a2 = v2 base i in
+      let event =
+        if Netlist.is_pi nl i then
+          pi_event ~pi_arrival ~pi_tt ~extra_delay i a1 a2
+        else
+          gate_event ~library ~model ~pi_tt ~extra_delay nl ~src:out i
+            (Netlist.gate_kind nl i) a1 a2
+      in
+      set out i ~v1:a1 ~v2:a2 ~event;
+      if moved ~base out i then
+        for p = 0 to Netlist.fanout_count nl i - 1 do
+          let j = Netlist.fanout_nth nl i p in
+          if has_event base j then Frontier.push fr j
+        done);
   out
 
 let po_latest nl lines =

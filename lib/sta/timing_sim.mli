@@ -12,20 +12,12 @@
     line plus two flat float arrays for the event slots — ~17 bytes/line
     in three allocations instead of a record (and an event box) per line,
     which is what keeps fault simulation over 100k–1M-line circuits off
-    the allocator.  {!get} materializes the per-line {!line} record view
-    on demand; hot loops should use the flat accessors ({!v1}, {!v2},
-    {!has_event}, {!event_arr}, ...).
+    the allocator.  Lines are read through the flat accessors ({!v1},
+    {!v2}, {!has_event}, {!event_arr}, ...).
 
     [extra_delay] injects additional delay on chosen lines (the crosstalk
     ATPG's fault effect); it is applied to the line's own event and hence
     propagates downstream. *)
-
-type line = {
-  v1 : bool;
-  v2 : bool;
-  event : Ssd_core.Types.event option;  (** present iff v1 <> v2 *)
-}
-(** Materialized view of one line (see {!get}). *)
 
 type lines
 (** Packed per-line simulation result over all node ids of one netlist. *)
@@ -50,14 +42,6 @@ val rising_at : lines -> int -> bool
 val falling_at : lines -> int -> bool
 
 val event : lines -> int -> Ssd_core.Types.event option
-val get : lines -> int -> line
-(** Materialize one line's record view. *)
-
-val lines_bytes : lines -> int
-(** Approximate payload footprint in bytes (~17 per line). *)
-
-val rising : line -> bool
-val falling : line -> bool
 
 val simulate :
   ?pi_arrival:float ->
@@ -93,10 +77,12 @@ val resimulate :
     increasing logic-level order.  Logic frames never change (an extra
     delay shifts events, not values), so a line with no event, and every
     line outside [line]'s {!Ssd_circuit.Netlist.transitive_fanout}, keeps
-    its fault-free record.  Nothing is cached between calls, so calls
-    from several domains may share one netlist and one [base].
+    its fault-free record.  The schedule is the calling domain's
+    {!Ssd_circuit.Frontier}, its only scratch, so calls from several
+    domains may share one netlist and one [base].
     @raise Invalid_argument when [base] is not sized for the netlist,
-    [line] is out of range or [delta] is not finite. *)
+    [line] is out of range or [delta] is not finite, or when called
+    inside another frontier drain on the same domain. *)
 
 val po_latest : Ssd_circuit.Netlist.t -> lines -> float option
 (** Latest PO event arrival, [None] when no PO switches. *)

@@ -12,6 +12,8 @@ module Sweep = Ssd_cell.Sweep
 module Cellfn = Ssd_core.Cellfn
 module Timing_sim = Ssd_sta.Timing_sim
 module Value2f = Ssd_itr.Value2f
+module Implication = Ssd_itr.Implication
+module Itr = Ssd_itr.Itr
 module Fault = Ssd_atpg.Fault
 module Fault_sim = Ssd_atpg.Fault_sim
 
@@ -407,3 +409,45 @@ let fault_sim_reference ~library ~model ~clock_period nl sites vectors =
     detected;
     undetected;
   }
+
+(* ---- the full-rescan ITR refresh ------------------------------------ *)
+
+(* [Itr.assign] as first written: after the implication step, a walk
+   over the whole topological order re-times every in-focus line that
+   changed or reads a re-timed or changed line, with no early cutoff. *)
+let itr_assign_reference ?focus itr i v =
+  let impl = Itr.implication itr in
+  let nl = Implication.netlist impl in
+  let n = Netlist.size nl in
+  let in_focus =
+    match focus with
+    | None -> Array.make n true
+    | Some lines ->
+      let mask = Array.make n false in
+      List.iter
+        (fun i ->
+          mask.(i) <- true;
+          List.iter (fun j -> mask.(j) <- true) (Netlist.transitive_fanin nl i))
+        lines;
+      mask
+  in
+  match Implication.assign_opt impl i v with
+  | None -> false
+  | Some changed ->
+    let dirty = Array.make n false in
+    let mark = Array.make n false in
+    List.iter (fun i -> mark.(i) <- true) changed;
+    Array.iter
+      (fun i ->
+        let upstream_dirty =
+          match Netlist.node nl i with
+          | Netlist.Pi -> false
+          | Netlist.Gate { fanin; _ } ->
+            Array.exists (fun j -> dirty.(j) || mark.(j)) fanin
+        in
+        if (mark.(i) || upstream_dirty) && in_focus.(i) then begin
+          dirty.(i) <- true;
+          ignore (Itr.refresh_line itr i : bool)
+        end)
+      (Netlist.topo_order nl);
+    true

@@ -108,3 +108,15 @@ val fault_sim_reference :
     screen, no domain pool and no incremental re-simulation, so the
     production simulator must give the same result at every lane count,
     with the screen on or off. *)
+
+(** {1 The ITR refresh oracle} *)
+
+val itr_assign_reference :
+  ?focus:int list -> Ssd_itr.Itr.t -> int -> Ssd_itr.Value2f.t -> bool
+(** {!Ssd_itr.Itr.assign} with the full-rescan refresh it was first
+    written with: the implication step, then a walk over the whole
+    topological order that re-times ({!Ssd_itr.Itr.refresh_line}) every
+    in-focus line that changed or reads a line re-timed or changed
+    before it, with no early cutoff.  [focus] must be the list the state
+    was created with.  [false] on a logic conflict, with the state then
+    unspecified, as for [assign]. *)

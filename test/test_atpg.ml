@@ -156,6 +156,33 @@ let test_atpg_budget_respected () =
         (r.Atpg.expansions <= 41))
     sites
 
+let test_atpg_restarts_end () =
+  (* setup's implications fix every cone PI of this site and every
+     random completion fails, so each restart descent expands nothing;
+     without a charge per such descent the search never ended *)
+  let nl =
+    Ck.Decompose.to_primitive
+      (Ck.Generator.generate
+         { Ck.Generator.default_params with
+           Ck.Generator.n_inputs = 6; n_outputs = 3; n_gates = 18;
+           max_fanin = 3; seed = 1025L })
+  in
+  let name = Ck.Netlist.signal_name nl in
+  let site =
+    List.find
+      (fun s ->
+        name s.Fault.aggressor = "g9" && s.Fault.agg_tr = V.Rise
+        && name s.Fault.victim = "g19" && s.Fault.vic_tr = V.Fall)
+      (Fault.extract ~count:12 ~seed:2L nl)
+  in
+  let cfg =
+    { (Atpg.default_config ~clock_period:(clock_of nl)) with
+      Atpg.use_itr = false; max_expansions = 50 }
+  in
+  let r = Atpg.generate cfg ~library:(Lazy.force lib) ~model:DM.proposed nl site in
+  Alcotest.(check bool) "aborted" true (r.Atpg.outcome = Atpg.Aborted);
+  Alcotest.(check int) "the budget ended it" 50 r.Atpg.expansions
+
 let test_verify_rejects_bad_vector () =
   let nl = c17_prim () in
   let site = c17_site nl in
@@ -297,6 +324,8 @@ let suites =
           test_atpg_undetectable_unobservable_victim;
         Alcotest.test_case "run & stats" `Slow test_atpg_run_and_stats;
         Alcotest.test_case "budget respected" `Slow test_atpg_budget_respected;
+        Alcotest.test_case "restarts end on the budget" `Quick
+          test_atpg_restarts_end;
         Alcotest.test_case "verify rejects" `Slow test_verify_rejects_bad_vector;
       ] );
     ( "atpg.faultsim",

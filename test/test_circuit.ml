@@ -622,6 +622,161 @@ let test_benchmark_lookup () =
 
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
+(* ---------- Frontier ---------- *)
+
+module Frontier = Ck.Frontier
+
+let frontier_netlist () =
+  Ck.Generator.generate
+    { Ck.Generator.default_params with
+      Ck.Generator.g_name = "frontier"; n_inputs = 8; n_outputs = 4;
+      n_gates = 120; seed = 17L }
+
+(* drain [fr], recording the visit order; [f] runs on every visit *)
+let drain_recording fr f =
+  let seen = ref [] in
+  Frontier.drain fr (fun fr i ->
+      seen := i :: !seen;
+      f fr i);
+  List.rev !seen
+
+let check_each_once name n visits expected =
+  let count = Array.make n 0 in
+  List.iter (fun i -> count.(i) <- count.(i) + 1) visits;
+  Array.iteri
+    (fun i c ->
+      Alcotest.(check int)
+        (Printf.sprintf "%s: node %d visits" name i)
+        (if expected.(i) then 1 else 0)
+        c)
+    count
+
+let test_frontier_visits_by_level () =
+  let nl = frontier_netlist () in
+  let n = Netlist.size nl in
+  let rng = Rng.create 3L in
+  (* the callback pushes the fan-outs of every third node it visits *)
+  let spreads i = i mod 3 = 0 in
+  for pass = 1 to 3 do
+    let seeds = List.init 25 (fun _ -> Rng.int rng n) in
+    let expected = Array.make n false in
+    let rec reach i =
+      if not expected.(i) then begin
+        expected.(i) <- true;
+        if spreads i then Netlist.iter_fanout nl i ~f:reach
+      end
+    in
+    List.iter reach seeds;
+    let fr = Frontier.get nl in
+    (* duplicates in the seeds are ignored *)
+    List.iter (Frontier.push fr) (seeds @ seeds);
+    let visits =
+      drain_recording fr (fun fr i ->
+          if spreads i then Netlist.iter_fanout nl i ~f:(Frontier.push fr))
+    in
+    let name = Printf.sprintf "pass %d" pass in
+    check_each_once name n visits expected;
+    ignore
+      (List.fold_left
+         (fun prev i ->
+           let l = Netlist.level nl i in
+           Alcotest.(check bool) (name ^ ": levels never fall") true (l >= prev);
+           l)
+         0 visits)
+  done
+
+let test_frontier_rejects_misuse () =
+  let nl = frontier_netlist () in
+  let gate = List.hd (List.rev (Netlist.outputs nl)) in
+  let pi = List.hd (Netlist.inputs nl) in
+  let same_level =
+    List.find
+      (fun i -> i <> gate && Netlist.level nl i = Netlist.level nl gate)
+      (List.init (Netlist.size nl) Fun.id @ [ gate ])
+  in
+  let rejected f =
+    match f () with () -> false | exception Invalid_argument _ -> true
+  in
+  let fr = Frontier.get nl in
+  Frontier.push fr gate;
+  let checks = ref [] in
+  let visits =
+    drain_recording fr (fun fr _ ->
+        checks :=
+          [
+            ("push of the draining node", rejected (fun () -> Frontier.push fr gate));
+            ( "push on the draining level",
+              rejected (fun () -> Frontier.push fr same_level) );
+            ("push on a lower level", rejected (fun () -> Frontier.push fr pi));
+            ("nested drain", rejected (fun () -> Frontier.drain fr (fun _ _ -> ())));
+            ("get inside a drain", rejected (fun () -> ignore (Frontier.get nl)));
+          ])
+  in
+  Alcotest.(check (list int)) "the drain went on" [ gate ] visits;
+  List.iter (fun (what, ok) -> Alcotest.(check bool) what true ok) !checks;
+  Alcotest.(check int) "every misuse was tried" 5 (List.length !checks);
+  (* the frontier serves the next pass as usual *)
+  let fr = Frontier.get nl in
+  Frontier.push fr pi;
+  Alcotest.(check (list int)) "next pass" [ pi ] (drain_recording fr (fun _ _ -> ()))
+
+let test_frontier_empty_after_raise () =
+  let nl = frontier_netlist () in
+  let n = Netlist.size nl in
+  let rng = Rng.create 5L in
+  let fresh_pass fr =
+    let seeds = List.init 20 (fun _ -> Rng.int rng n) in
+    let expected = Array.make n false in
+    List.iter (fun i -> expected.(i) <- true) seeds;
+    List.iter (Frontier.push fr) seeds;
+    check_each_once "after the raise" n (drain_recording fr (fun _ _ -> ())) expected
+  in
+  (* a callback that raises on its fifth visit, with every node's
+     fan-outs pushed so far still bucketed on higher levels *)
+  let raising fr =
+    List.iter (Frontier.push fr) (Netlist.inputs nl);
+    let k = ref 0 in
+    match
+      Frontier.drain fr (fun fr i ->
+          incr k;
+          if !k = 5 then raise Exit;
+          Netlist.iter_fanout nl i ~f:(Frontier.push fr))
+    with
+    | () -> Alcotest.fail "the callback did not raise"
+    | exception Exit -> ()
+  in
+  (* the same handle, then a fresh one *)
+  let fr = Frontier.get nl in
+  raising fr;
+  fresh_pass fr;
+  raising (Frontier.get nl);
+  fresh_pass (Frontier.get nl);
+  (* pushes a pass never drained are dropped by the next [get] *)
+  Frontier.push (Frontier.get nl) (List.hd (Netlist.outputs nl));
+  fresh_pass (Frontier.get nl)
+
+let test_frontier_per_domain () =
+  (* a drain on another domain inside this one's: each has its own *)
+  let nl = frontier_netlist () in
+  let pis = Netlist.inputs nl in
+  let fr = Frontier.get nl in
+  List.iter (Frontier.push fr) pis;
+  let inner = ref [] in
+  let outer =
+    drain_recording fr (fun _ i ->
+        if i = List.hd pis then
+          inner :=
+            Domain.join
+              (Domain.spawn (fun () ->
+                   let fr = Frontier.get nl in
+                   List.iter (Frontier.push fr) (Netlist.outputs nl);
+                   drain_recording fr (fun _ _ -> ()))))
+  in
+  Alcotest.(check (list int)) "outer pass" pis outer;
+  Alcotest.(check (list int)) "inner pass"
+    (List.sort compare (Netlist.outputs nl))
+    (List.sort compare !inner)
+
 let suites =
   [
     ( "circuit.gate",
@@ -638,6 +793,17 @@ let suites =
           test_netlist_build_and_accessors;
         Alcotest.test_case "validation" `Quick test_netlist_validation;
         Alcotest.test_case "levels" `Quick test_netlist_levels;
+      ] );
+    ( "circuit.frontier",
+      [
+        Alcotest.test_case "each pushed node once, by level" `Quick
+          test_frontier_visits_by_level;
+        Alcotest.test_case "rejects pushes at or below the drain" `Quick
+          test_frontier_rejects_misuse;
+        Alcotest.test_case "empty after a raising callback" `Quick
+          test_frontier_empty_after_raise;
+        Alcotest.test_case "one frontier per domain" `Quick
+          test_frontier_per_domain;
       ] );
     ( "circuit.bench_io",
       [

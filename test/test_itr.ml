@@ -262,6 +262,67 @@ let prop_itr_windows_sound =
         (Ck.Netlist.inputs nl);
       !ok)
 
+let c880s_prim =
+  lazy (Ck.Decompose.to_primitive (Option.get (Ck.Benchmarks.by_name "c880s")))
+
+let win_opt_beq a b =
+  match (a, b) with
+  | None, None -> true
+  | Some a, Some b -> Test_support.win_beq a b
+  | Some _, None | None, Some _ -> false
+
+let prop_itr_assign_matches_rescan =
+  (* random assignment sequences on random lines (about 3 in 10 steps
+     conflict), with or without a random focus: after every step the
+     frontier's windows equal the full-rescan oracle's bit for bit, and
+     both agree on which steps conflict *)
+  QCheck.Test.make ~name:"assign equals the full-rescan oracle" ~count:24
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Rng.create (Int64.of_int seed) in
+      let nl =
+        match seed mod 3 with
+        | 0 -> c17_prim ()
+        | 1 -> Lazy.force c880s_prim
+        | _ ->
+          Ck.Decompose.to_primitive
+            (Ck.Generator.generate
+               { Ck.Generator.default_params with
+                 Ck.Generator.g_name = "itr"; n_inputs = 7; n_outputs = 3;
+                 n_gates = 40; max_fanin = 3; seed = Int64.of_int seed })
+      in
+      let n = Ck.Netlist.size nl in
+      let focus =
+        if Rng.bool rng then None
+        else Some [ Rng.int rng n; Rng.int rng n ]
+      in
+      let values =
+        Array.map v [| "00"; "01"; "10"; "11"; "0x"; "1x"; "x0"; "x1" |]
+      in
+      let t =
+        ref (Itr.create ?focus ~library:(Lazy.force lib) ~model:DM.proposed nl)
+      in
+      let r = ref (Itr.copy !t) in
+      let ok = ref true in
+      for _ = 1 to 12 do
+        let line = Rng.int rng n in
+        let value = values.(Rng.int rng (Array.length values)) in
+        let t' = Itr.copy !t and r' = Itr.copy !r in
+        let a = Itr.assign t' line value in
+        let b = Test_support.itr_assign_reference ?focus r' line value in
+        if a <> b then ok := false;
+        if a then t := t';
+        if b then r := r';
+        for i = 0 to n - 1 do
+          if
+            not
+              (win_opt_beq (Itr.rise_window !t i) (Itr.rise_window !r i)
+              && win_opt_beq (Itr.fall_window !t i) (Itr.fall_window !r i))
+          then ok := false
+        done
+      done;
+      !ok)
+
 (* a gate with no characterized cell is the typed error Sta raises, not
    the library's bare Not_found *)
 let test_itr_uncharacterized_gate () =
@@ -315,4 +376,5 @@ let suites =
           test_itr_uncharacterized_gate;
       ] );
     qsuite "itr.soundness.props" [ prop_itr_windows_sound ];
+    qsuite "itr.refresh.props" [ prop_itr_assign_matches_rescan ];
   ]

@@ -642,8 +642,7 @@ let test_resim_out_of_cone_preserved () =
     if not (List.mem i reach) then
       Alcotest.(check bool)
         (Printf.sprintf "line %d keeps the fault-free record" i)
-        true
-        (TS.get inc i = TS.get base i)
+        true (line_beq inc base i)
   done
 
 let test_resim_rejects_bad_arguments () =

@@ -16,7 +16,7 @@ dune runtest
 # and the --stats-json snapshot must be parseable JSON.
 TRACE_TMP=$(mktemp -d)
 trap 'rm -rf "$TRACE_TMP"' EXIT
-dune exec bin/ssd.exe -- sta c880s --jobs 4 --stats \
+SSD_FAST=1 dune exec bin/ssd.exe -- sta c880s --jobs 4 --stats \
   --trace "$TRACE_TMP/sta_trace.json" \
   --stats-json "$TRACE_TMP/sta_stats.json" >/dev/null
 dune exec tools/trace_check.exe -- "$TRACE_TMP/sta_trace.json"
