@@ -700,8 +700,7 @@ let eco () =
      to PI-adjacent (large) *)
   let gates =
     List.filter
-      (fun i -> match Ck.Netlist.node nl i with
-        | Ck.Netlist.Gate _ -> true | Ck.Netlist.Pi -> false)
+      (fun i -> not (Ck.Netlist.is_pi nl i))
       (List.init n Fun.id)
   in
   let victims =

@@ -109,9 +109,7 @@ let () =
       let some_gate =
         List.find
           (fun i ->
-            match Ck.Netlist.node nl i with
-            | Ck.Netlist.Gate { fanin; _ } -> Array.length fanin = 2
-            | Ck.Netlist.Pi -> false)
+            (not (Ck.Netlist.is_pi nl i)) && Ck.Netlist.fanin_count nl i = 2)
           (List.init (Ck.Netlist.size nl) Fun.id)
       in
       let cp = E.checkpoint eng in

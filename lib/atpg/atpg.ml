@@ -151,8 +151,7 @@ let paths_to_po ?(max_paths = 6) nl victim =
     else begin
       let path = node :: path in
       if is_po node then acc := List.rev path :: !acc
-      else
-        Array.iter (fun g -> dfs g path) (Netlist.fanout nl node)
+      else Netlist.iter_fanout nl node ~f:(fun g -> dfs g path)
     end
   in
   dfs victim [];
@@ -166,20 +165,17 @@ let side_objectives nl path =
     | [] | [ _ ] -> acc
     | from_line :: (gate :: _ as rest) ->
       let acc =
-        match Netlist.node nl gate with
-        | Netlist.Pi -> acc
-        | Netlist.Gate { kind; fanin } ->
-          let steady =
-            match Ssd_circuit.Gate.controlling_value kind with
-            | Some cv -> Some (Value2f.steady (not cv))
-            | None -> None
-          in
-          (match steady with
+        if Netlist.is_pi nl gate then acc
+        else
+          match
+            Ssd_circuit.Gate.controlling_value (Netlist.gate_kind nl gate)
+          with
           | None -> acc
-          | Some v ->
-            Array.fold_left
-              (fun acc j -> if j = from_line then acc else (j, v) :: acc)
-              acc fanin)
+          | Some cv ->
+            let v = Value2f.steady (not cv) and acc = ref acc in
+            Netlist.iter_fanin nl gate ~f:(fun j ->
+                if j <> from_line then acc := (j, v) :: !acc);
+            !acc
       in
       walk acc rest
   in

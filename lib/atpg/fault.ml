@@ -28,7 +28,7 @@ let extract ?(count = 32) ?(delta = 200e-12) ?(align_window = 300e-12)
   let n = Netlist.size nl in
   let gate_ids =
     List.filter
-      (fun i -> match Netlist.node nl i with Netlist.Pi -> false | _ -> true)
+      (fun i -> not (Netlist.is_pi nl i))
       (List.init n Fun.id)
   in
   let gate_arr = Array.of_list gate_ids in
@@ -92,7 +92,7 @@ let extract_screened ?(count = 32) ?(delta = 200e-12) ?(align_window = 300e-12)
   let n = Netlist.size nl in
   let gate_ids =
     List.filter
-      (fun i -> match Netlist.node nl i with Netlist.Pi -> false | _ -> true)
+      (fun i -> not (Netlist.is_pi nl i))
       (List.init n Fun.id)
   in
   let gate_arr = Array.of_list gate_ids in

@@ -305,7 +305,12 @@ let characterize profile tech spec =
 
 (* --- disk cache -------------------------------------------------------- *)
 
-let cache_version = 3
+let cache_version = 4
+
+(* A cache file is this header, the MD5 digest of the payload (16
+   bytes), then the marshalled library.  All three are checked before
+   the payload is unmarshalled. *)
+let cache_header = Printf.sprintf "ssd-charlib %d\n" cache_version
 
 let cache_dir () =
   match Sys.getenv_opt "SSD_CACHE_DIR" with
@@ -326,40 +331,75 @@ let cache_key profile tech spec =
     (Digest.string
        (Marshal.to_string (cache_version, profile, tech, spec) []))
 
+(* [None] on a miss: no readable file, or one whose header or payload
+   digest does not match (truncated, foreign or corrupted).  The digest
+   is taken through the channel, which is then rewound for [Marshal]. *)
+let read_cache path =
+  let h = String.length cache_header in
+  match
+    In_channel.with_open_bin path (fun ic ->
+        let head = really_input_string ic (h + 16) in
+        if not (String.equal (String.sub head 0 h) cache_header) then None
+        else if
+          not
+            (String.equal (String.sub head h 16)
+               (Digest.channel ic (in_channel_length ic - h - 16)))
+        then None
+        else begin
+          seek_in ic (h + 16);
+          Some (Marshal.from_channel ic : t)
+        end)
+  with
+  | exception (Sys_error _ | End_of_file) -> None
+  | lib -> lib
+
+(* Written to a fresh file in the cache directory, then renamed into
+   place, so a reader never meets a partial file.  The temporary file
+   is created private; the cache is made as readable as [open_out]
+   would leave it. *)
+let write_cache dir path lib =
+  mkdir_p dir;
+  let payload = Marshal.to_string lib [] in
+  let tmp = Filename.temp_file ~temp_dir:dir "ssdchar-" ".tmp" in
+  match
+    Out_channel.with_open_bin tmp (fun oc ->
+        Out_channel.output_string oc cache_header;
+        Out_channel.output_string oc (Digest.string payload);
+        Out_channel.output_string oc payload);
+    Unix.chmod tmp 0o644;
+    Sys.rename tmp path
+  with
+  | () -> ()
+  | exception e ->
+    (try Sys.remove tmp with Sys_error _ -> ());
+    raise e
+
 let load_or_characterize ?cache_dir:dir profile tech spec =
   let dir = match dir with Some d -> d | None -> cache_dir () in
   let path =
     Filename.concat dir
       (Printf.sprintf "ssdchar-%s.bin" (cache_key profile tech spec))
   in
-  let load () =
-    if Sys.file_exists path then begin
-      try
-        let ic = open_in_bin path in
-        let lib : t = Marshal.from_channel ic in
-        close_in ic;
-        Some lib
-      with _ -> None
-    end
-    else None
-  in
-  match load () with
+  match read_cache path with
   | Some lib ->
     Log.info (fun m -> m "loaded characterization cache %s" path);
     lib
   | None ->
     let lib = characterize profile tech spec in
+    let warn e = Log.warn (fun m -> m "could not save characterization cache: %s" e) in
     (try
-       mkdir_p dir;
-       let oc = open_out_bin path in
-       Marshal.to_channel oc lib [];
-       close_out oc;
+       write_cache dir path lib;
        Log.info (fun m -> m "saved characterization cache %s" path)
-     with Sys_error e ->
-       Log.warn (fun m -> m "could not save characterization cache: %s" e));
+     with
+    | Sys_error e -> warn e
+    | Unix.Unix_error (err, call, arg) ->
+      warn (Printf.sprintf "%s %s: %s" call arg (Unix.error_message err)));
     lib
 
+(* shared by every domain: a second caller waits for the first one's
+   load, then gets the same library *)
 let memo : (string, t) Hashtbl.t = Hashtbl.create 4
+let memo_lock = Mutex.create ()
 
 let default ?profile () =
   let profile =
@@ -368,14 +408,15 @@ let default ?profile () =
     | None -> if Sys.getenv_opt "SSD_FAST" <> None then coarse else fine
   in
   let key = cache_key profile Ssd_spice.Tech.default default_spec in
-  match Hashtbl.find_opt memo key with
-  | Some lib -> lib
-  | None ->
-    let lib =
-      load_or_characterize profile Ssd_spice.Tech.default default_spec
-    in
-    Hashtbl.replace memo key lib;
-    lib
+  Mutex.protect memo_lock (fun () ->
+      match Hashtbl.find_opt memo key with
+      | Some lib -> lib
+      | None ->
+        let lib =
+          load_or_characterize profile Ssd_spice.Tech.default default_spec
+        in
+        Hashtbl.replace memo key lib;
+        lib)
 
 let find lib kind n =
   match

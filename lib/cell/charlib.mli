@@ -75,12 +75,23 @@ val characterize : profile -> Ssd_spice.Tech.t
 val load_or_characterize : ?cache_dir:string -> profile -> Ssd_spice.Tech.t
   -> (Sweep.gate_kind * int) list -> t
 (** Disk-cached {!characterize}.  Default cache directory:
-    [$SSD_CACHE_DIR], else [$HOME/.cache/ssd-repro], else ["."]. *)
+    [$SSD_CACHE_DIR], else [$HOME/.cache/ssd-repro], else ["."].  The
+    file is named by a digest of the cache format version, profile, tech
+    and spec.  It starts with a magic string, the format version and the
+    payload's digest, all checked before the payload is unmarshalled; a
+    missing, unreadable, truncated or corrupted file is a miss, which
+    characterizes and replaces it.  A file is written under a temporary
+    name in the cache directory and renamed into place, so a concurrent
+    reader never meets a partial one.  A cache that cannot be written is
+    logged and skipped. *)
 
 val default : ?profile:profile -> unit -> t
 (** Memoized [load_or_characterize] of {!default_spec} with
     {!Ssd_spice.Tech.default}; [profile] defaults to {!fine} unless the
-    environment variable [SSD_FAST] is set, in which case {!coarse}. *)
+    environment variable [SSD_FAST] is set, in which case {!coarse}.
+    Safe to call from several domains at once: the memo is guarded by a
+    lock, held through the first load, so every caller gets the same
+    library. *)
 
 val find : t -> Sweep.gate_kind -> int -> cell
 (** @raise Not_found *)

@@ -272,7 +272,6 @@ let signal_name t i = t.names.(i)
 let find t s = Hashtbl.find_opt t.by_name s
 let inputs t = t.pis
 let outputs t = t.pos
-let fanout t i = Array.sub t.fanout_dat t.fanout_off.(i) (fanout_count t i)
 let load_of t i = max 1 (fanout_count t i)
 let topo_order t = t.topo
 let level t i = t.node_level.(i)

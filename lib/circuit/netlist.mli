@@ -8,16 +8,16 @@
     Storage is structure-of-arrays: node kinds live in one flat int
     array and the fan-in / fan-out / level adjacency in CSR-style
     offset+data pairs, so the analysis hot paths walk contiguous memory
-    at 100k–1M-gate scale.  The {!node} / {!fanout} / {!levels}
-    accessors materialize the original per-node representation on
-    demand; hot paths should use the flat accessors ({!is_pi},
-    {!gate_kind}, {!fanin_nth}, {!iter_fanout}, {!level_node}, ...)
-    which allocate nothing.
+    at 100k–1M-gate scale.  Every reader uses the flat accessors
+    ({!is_pi}, {!gate_kind}, {!fanin_nth}, {!fanout_nth},
+    {!level_node}, ...), which allocate nothing; {!levels} copies the
+    level CSR for cold callers.
 
     A netlist holds no mutable state and no cache: once built it is
     only read, so any number of domains may share it without a lock. *)
 
 type node = Pi | Gate of { kind : Gate.kind; fanin : int array }
+(** One declared signal, as {!build} takes it. *)
 
 type t
 
@@ -71,11 +71,6 @@ val size : t -> int
 val gate_count : t -> int
 val pi_count : t -> int
 
-val node : t -> int -> node
-(** Materialized view of one node (the [Gate] fan-in array is a fresh
-    copy).  Cold-path accessor; hot loops should read {!is_pi} /
-    {!gate_kind} / {!fanin_nth} instead. *)
-
 val signal_name : t -> int -> string
 val find : t -> string -> int option
 
@@ -122,14 +117,9 @@ val level_node : t -> int -> int -> int
 (** [level_node t l k] is the [k]-th node of level [l], in topological
     order. *)
 
-val fanout : t -> int -> int array
-(** Gate ids that consume the given node, as a fresh array (cold-path
-    view of the fan-out CSR row; hot loops use {!iter_fanout}).  A PO
-    with no readers has an empty fanout; its electrical load is still at
-    least one (see {!load_of}). *)
-
 val load_of : t -> int -> int
-(** Electrical fanout used by the delay models: [max 1 (consumers)]. *)
+(** Electrical fanout used by the delay models: [max 1 (consumers)], so
+    a PO with no readers still drives a load of one. *)
 
 val topo_order : t -> int array
 (** All node ids, PIs first, then gates in topological order. *)

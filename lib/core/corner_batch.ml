@@ -3,9 +3,11 @@ module Sweep = Ssd_cell.Sweep
 
 (* Batched multi-corner window kernel.
 
-   Evaluates the window transfer functions of the proposed model
-   ({!Vshape.ctl_window} / {!Vshape.non_window}) for a contiguous range
-   of corners of one node in a single pass, streaming coefficients from
+   Evaluates the window transfer functions of both window-capable
+   models ({!Vshape.ctl_window}, {!Pin_to_pin.ctl_window} /
+   {!Pin_to_pin.non_window}) over the inputs a mask keeps, for a
+   contiguous range of corners of one node in a single pass, streaming
+   coefficients from
    the flat corner-major table of {!Ssd_cell.Corners} — no cell lookup,
    no closure, tuple, list or basis-array allocation per evaluation.
    Each arithmetic expression reproduces the scalar path's float
@@ -20,9 +22,10 @@ module Sweep = Ssd_cell.Sweep
    shapes), and load deltas are hoisted out of the per-candidate loop
    (the scalar path recomputes the identical product).
 
-   This file is the hot loop of every forward window pass of the
-   proposed model (single-corner at K = 1, multi-corner, Monte-Carlo)
-   and of every required-time pass ({!eval_pin_delays}), compiled with a high inline threshold (see the library's
+   This file is the hot loop of every forward window pass of both
+   models (single-corner at K = 1, ITR, multi-corner, Monte-Carlo) and
+   of every required-time pass ({!eval_pin_delays}), compiled with a
+   high inline threshold (see the library's
    [ocamlopt_flags]) so the fit evaluators below flatten into their call
    sites and the floats stay unboxed.  It deliberately uses unsafe array
    accesses: every index is derived from the layout record of a table
@@ -247,15 +250,18 @@ let[@inline] pair_tt_c (co : float array) (l : Corners.layout) ~b ~ld_t ~pos_a
     v +. ld_t
   end
 
-(* [Vshape.ctl_window] for one corner.  Inputs are read from [inp] at
-   [ib + pin*8 + io] (io selects the rise or fall half of the 8-slot
-   window record); the four result bounds are written to [out] at
-   [ob .. ob+3].  [acc] is an 8-slot accumulator scratch: the classic
-   compiler boxes every assignment to a mutable float variable, so the
-   running min/max folds live in a float array (unboxed stores) instead
-   of refs — slots 0..3 hold a_s/a_l/t_s/t_l, 4..6 the tied-floor
-   a_min/hull_lo/hull_hi. *)
-let ctl_c (co : float array) (l : Corners.layout) ~b ~fd ~m
+let[@inline] kept mask i = mask land (1 lsl i) <> 0
+
+(* [Vshape.ctl_window] for one corner over the list of inputs [mask]
+   keeps (bit [i] for pin [i], positions unchanged).  Inputs are read
+   from [inp] at [ib + pin*8 + io] (io selects the rise or fall half of
+   the 8-slot window record); the four result bounds are written to
+   [out] at [ob .. ob+3].  [acc] is an 8-slot accumulator scratch: the
+   classic compiler boxes every assignment to a mutable float variable,
+   so the running min/max folds live in a float array (unboxed stores)
+   instead of refs — slots 0..3 hold a_s/a_l/t_s/t_l, 4..6 the
+   tied-floor a_min/hull_lo/hull_hi. *)
+let ctl_c (co : float array) (l : Corners.layout) ~b ~fd ~m ~mask
     ~(inp : float array) ~ib ~io ~(acc : float array) ~(out : float array) ~ob
     =
   let n = l.Corners.l_n in
@@ -263,98 +269,105 @@ let ctl_c (co : float array) (l : Corners.layout) ~b ~fd ~m
   let lo = b + (24 * n) in
   let ld_d = get co lo *. fd in
   let ld_t = get co (lo + 1) *. fd in
+  (* the tied-k floors count the kept inputs *)
+  let mk = ref 0 in
+  for i = 0 to m - 1 do if kept mask i then incr mk done;
   (* earliest arrival: singles, both-earliest pairs, tied-k floor *)
   set acc 0 infinity;
   for i = 0 to m - 1 do
-    let oi = ib + (i * 8) + io in
-    let v =
-      get inp oi
-      +. (min1 co ~o:(b + (i * 8)) ~lo:tlo ~hi:thi ~ivlo:(get inp (oi + 2))
-            ~ivhi:(get inp (oi + 3))
-         +. ld_d)
-    in
-    set acc 0 (fmin (get acc 0) v)
+    if kept mask i then
+      let oi = ib + (i * 8) + io in
+      let v =
+        get inp oi
+        +. (min1 co ~o:(b + (i * 8)) ~lo:tlo ~hi:thi ~ivlo:(get inp (oi + 2))
+              ~ivhi:(get inp (oi + 3))
+           +. ld_d)
+      in
+      set acc 0 (fmin (get acc 0) v)
   done;
   for i = 0 to m - 1 do
-    let oi = ib + (i * 8) + io in
-    let arr_a = get inp oi in
-    let ta_lo = get inp (oi + 2) and ta_hi = get inp (oi + 3) in
-    let dro_a = b + (i * 8) in
-    for j = i + 1 to m - 1 do
-      let oj = ib + (j * 8) + io in
-      let arr_b = get inp oj in
-      let tb_lo = get inp (oj + 2) and tb_hi = get inp (oj + 3) in
-      let skew = arr_b -. arr_a in
-      let s = iget l.Corners.l_pair_slot ((i * n) + j) in
-      let cmin =
-        if s < 0 then begin
-          (* uncharacterized pair: pin-to-pin composition from the
-             earliest.  The four {S, L} combos reuse one candidate per
-             pin per transition-time bound, hoisted here (the scalar
-             path evaluates the identical expressions inside each
-             combo) *)
-          let a_min = fmin arr_a arr_b in
-          let ca_lo =
-            arr_a -. a_min +. (eval1 co ~o:dro_a ~lo:tlo ~hi:thi ta_lo +. ld_d)
+    if kept mask i then
+      let oi = ib + (i * 8) + io in
+      let arr_a = get inp oi in
+      let ta_lo = get inp (oi + 2) and ta_hi = get inp (oi + 3) in
+      let dro_a = b + (i * 8) in
+      for j = i + 1 to m - 1 do
+        if kept mask j then
+          let oj = ib + (j * 8) + io in
+          let arr_b = get inp oj in
+          let tb_lo = get inp (oj + 2) and tb_hi = get inp (oj + 3) in
+          let skew = arr_b -. arr_a in
+          let s = iget l.Corners.l_pair_slot ((i * n) + j) in
+          let cmin =
+            if s < 0 then begin
+              (* uncharacterized pair: pin-to-pin composition from the
+                 earliest.  The four {S, L} combos reuse one candidate per
+                 pin per transition-time bound, hoisted here (the scalar
+                 path evaluates the identical expressions inside each
+                 combo) *)
+              let a_min = fmin arr_a arr_b in
+              let ca_lo =
+                arr_a -. a_min +. (eval1 co ~o:dro_a ~lo:tlo ~hi:thi ta_lo +. ld_d)
+              in
+              let ca_hi =
+                arr_a -. a_min +. (eval1 co ~o:dro_a ~lo:tlo ~hi:thi ta_hi +. ld_d)
+              in
+              let dro_b = b + (j * 8) in
+              let cb_lo =
+                arr_b -. a_min +. (eval1 co ~o:dro_b ~lo:tlo ~hi:thi tb_lo +. ld_d)
+              in
+              let cb_hi =
+                arr_b -. a_min +. (eval1 co ~o:dro_b ~lo:tlo ~hi:thi tb_hi +. ld_d)
+              in
+              fmin
+                (fmin (fmin ca_lo cb_lo) (fmin ca_lo cb_hi))
+                (fmin (fmin ca_hi cb_lo) (fmin ca_hi cb_hi))
+            end
+            else begin
+              let direct = bget l.Corners.l_pair_direct ((i * n) + j) in
+              let pb = b + (24 * n) + 4 + (s * 50) in
+              let tb0 = s * 5 in
+              let dro_b = b + (j * 8) in
+              let dr_a_lo = eval1 co ~o:dro_a ~lo:tlo ~hi:thi ta_lo in
+              let dr_a_hi = eval1 co ~o:dro_a ~lo:tlo ~hi:thi ta_hi in
+              let dr_b_lo = eval1 co ~o:dro_b ~lo:tlo ~hi:thi tb_lo in
+              let dr_b_hi = eval1 co ~o:dro_b ~lo:tlo ~hi:thi tb_hi in
+              let c1 =
+                pair_v co l ~pb ~tb0 ~direct ~dr_right:dr_a_lo ~dr_left:dr_b_lo
+                  ~skew ta_lo tb_lo
+              in
+              let c2 =
+                pair_v co l ~pb ~tb0 ~direct ~dr_right:dr_a_lo ~dr_left:dr_b_hi
+                  ~skew ta_lo tb_hi
+              in
+              let c3 =
+                pair_v co l ~pb ~tb0 ~direct ~dr_right:dr_a_hi ~dr_left:dr_b_lo
+                  ~skew ta_hi tb_lo
+              in
+              let c4 =
+                pair_v co l ~pb ~tb0 ~direct ~dr_right:dr_a_hi ~dr_left:dr_b_hi
+                  ~skew ta_hi tb_hi
+              in
+              fmin (fmin (c1 +. ld_d) (c2 +. ld_d))
+                (fmin (c3 +. ld_d) (c4 +. ld_d))
+            end
           in
-          let ca_hi =
-            arr_a -. a_min +. (eval1 co ~o:dro_a ~lo:tlo ~hi:thi ta_hi +. ld_d)
-          in
-          let dro_b = b + (j * 8) in
-          let cb_lo =
-            arr_b -. a_min +. (eval1 co ~o:dro_b ~lo:tlo ~hi:thi tb_lo +. ld_d)
-          in
-          let cb_hi =
-            arr_b -. a_min +. (eval1 co ~o:dro_b ~lo:tlo ~hi:thi tb_hi +. ld_d)
-          in
-          fmin
-            (fmin (fmin ca_lo cb_lo) (fmin ca_lo cb_hi))
-            (fmin (fmin ca_hi cb_lo) (fmin ca_hi cb_hi))
-        end
-        else begin
-          let direct = bget l.Corners.l_pair_direct ((i * n) + j) in
-          let pb = b + (24 * n) + 4 + (s * 50) in
-          let tb0 = s * 5 in
-          let dro_b = b + (j * 8) in
-          let dr_a_lo = eval1 co ~o:dro_a ~lo:tlo ~hi:thi ta_lo in
-          let dr_a_hi = eval1 co ~o:dro_a ~lo:tlo ~hi:thi ta_hi in
-          let dr_b_lo = eval1 co ~o:dro_b ~lo:tlo ~hi:thi tb_lo in
-          let dr_b_hi = eval1 co ~o:dro_b ~lo:tlo ~hi:thi tb_hi in
-          let c1 =
-            pair_v co l ~pb ~tb0 ~direct ~dr_right:dr_a_lo ~dr_left:dr_b_lo
-              ~skew ta_lo tb_lo
-          in
-          let c2 =
-            pair_v co l ~pb ~tb0 ~direct ~dr_right:dr_a_lo ~dr_left:dr_b_hi
-              ~skew ta_lo tb_hi
-          in
-          let c3 =
-            pair_v co l ~pb ~tb0 ~direct ~dr_right:dr_a_hi ~dr_left:dr_b_lo
-              ~skew ta_hi tb_lo
-          in
-          let c4 =
-            pair_v co l ~pb ~tb0 ~direct ~dr_right:dr_a_hi ~dr_left:dr_b_hi
-              ~skew ta_hi tb_hi
-          in
-          fmin (fmin (c1 +. ld_d) (c2 +. ld_d))
-            (fmin (c3 +. ld_d) (c4 +. ld_d))
-        end
-      in
-      set acc 0 (fmin (get acc 0) (fmin arr_a arr_b +. cmin))
-    done
+          set acc 0 (fmin (get acc 0) (fmin arr_a arr_b +. cmin))
+      done
   done;
   (* the hulled tt span and earliest arrival feed both tied-k floors *)
-  if m >= 3 then begin
+  if !mk >= 3 then begin
     set acc 4 infinity;
     set acc 5 infinity;
     set acc 6 neg_infinity;
     for i = 0 to m - 1 do
-      let oi = ib + (i * 8) + io in
-      set acc 4 (fmin (get acc 4) (get inp oi));
-      set acc 5 (fmin (get acc 5) (get inp (oi + 2)));
-      set acc 6 (fmax (get acc 6) (get inp (oi + 3)))
+      if kept mask i then
+        let oi = ib + (i * 8) + io in
+        set acc 4 (fmin (get acc 4) (get inp oi));
+        set acc 5 (fmin (get acc 5) (get inp (oi + 2)));
+        set acc 6 (fmax (get acc 6) (get inp (oi + 3)))
     done;
-    for k = 3 to m do
+    for k = 3 to !mk do
       let o = b + (((2 * n) + (k - 1)) * 8) in
       let v =
         min1 co ~o ~lo:tlo ~hi:thi ~ivlo:(get acc 5) ~ivhi:(get acc 6)
@@ -366,42 +379,46 @@ let ctl_c (co : float array) (l : Corners.layout) ~b ~fd ~m
   (* latest arrival: single switch, delay-maximizing transition time *)
   set acc 1 neg_infinity;
   for i = 0 to m - 1 do
-    let oi = ib + (i * 8) + io in
-    let v =
-      get inp (oi + 1)
-      +. (max1 co ~o:(b + (i * 8)) ~lo:tlo ~hi:thi ~ivlo:(get inp (oi + 2))
-            ~ivhi:(get inp (oi + 3))
-         +. ld_d)
-    in
-    set acc 1 (fmax (get acc 1) v)
+    if kept mask i then
+      let oi = ib + (i * 8) + io in
+      let v =
+        get inp (oi + 1)
+        +. (max1 co ~o:(b + (i * 8)) ~lo:tlo ~hi:thi ~ivlo:(get inp (oi + 2))
+              ~ivhi:(get inp (oi + 3))
+           +. ld_d)
+      in
+      set acc 1 (fmax (get acc 1) v)
   done;
   let a_l = fmax (get acc 1) (get acc 0) in
   (* output transition-time extremes *)
   set acc 2 infinity;
   for i = 0 to m - 1 do
-    let oi = ib + (i * 8) + io in
-    let v =
-      min1 co ~o:(b + (i * 8) + 4) ~lo:tlo ~hi:thi ~ivlo:(get inp (oi + 2))
-        ~ivhi:(get inp (oi + 3))
-      +. ld_t
-    in
-    set acc 2 (fmin (get acc 2) v)
-  done;
-  for i = 0 to m - 1 do
-    let oi = ib + (i * 8) + io in
-    for j = i + 1 to m - 1 do
-      let oj = ib + (j * 8) + io in
-      let f_lo = get inp oj -. get inp (oi + 1) in
-      let f_hi = get inp (oj + 1) -. get inp oi in
+    if kept mask i then
+      let oi = ib + (i * 8) + io in
       let v =
-        pair_tt_c co l ~b ~ld_t ~pos_a:i ~pos_b:j ~f_lo ~f_hi
-          ~t_a:(get inp (oi + 2)) ~t_b:(get inp (oj + 2))
+        min1 co ~o:(b + (i * 8) + 4) ~lo:tlo ~hi:thi ~ivlo:(get inp (oi + 2))
+          ~ivhi:(get inp (oi + 3))
+        +. ld_t
       in
       set acc 2 (fmin (get acc 2) v)
-    done
   done;
-  if m >= 3 then
-    for k = 3 to m do
+  for i = 0 to m - 1 do
+    if kept mask i then
+      let oi = ib + (i * 8) + io in
+      for j = i + 1 to m - 1 do
+        if kept mask j then
+          let oj = ib + (j * 8) + io in
+          let f_lo = get inp oj -. get inp (oi + 1) in
+          let f_hi = get inp (oj + 1) -. get inp oi in
+          let v =
+            pair_tt_c co l ~b ~ld_t ~pos_a:i ~pos_b:j ~f_lo ~f_hi
+              ~t_a:(get inp (oi + 2)) ~t_b:(get inp (oj + 2))
+          in
+          set acc 2 (fmin (get acc 2) v)
+      done
+  done;
+  if !mk >= 3 then
+    for k = 3 to !mk do
       let o = b + (((2 * n) + (k - 1)) * 8) + 4 in
       let v =
         min1 co ~o ~lo:tlo ~hi:thi ~ivlo:(get acc 5) ~ivhi:(get acc 6)
@@ -411,13 +428,14 @@ let ctl_c (co : float array) (l : Corners.layout) ~b ~fd ~m
     done;
   set acc 3 neg_infinity;
   for i = 0 to m - 1 do
-    let oi = ib + (i * 8) + io in
-    let v =
-      max1 co ~o:(b + (i * 8) + 4) ~lo:tlo ~hi:thi ~ivlo:(get inp (oi + 2))
-        ~ivhi:(get inp (oi + 3))
-      +. ld_t
-    in
-    set acc 3 (fmax (get acc 3) v)
+    if kept mask i then
+      let oi = ib + (i * 8) + io in
+      let v =
+        max1 co ~o:(b + (i * 8) + 4) ~lo:tlo ~hi:thi ~ivlo:(get inp (oi + 2))
+          ~ivhi:(get inp (oi + 3))
+        +. ld_t
+      in
+      set acc 3 (fmax (get acc 3) v)
   done;
   let t_l = fmax (get acc 3) (get acc 2) in
   set out ob (get acc 0);
@@ -425,38 +443,43 @@ let ctl_c (co : float array) (l : Corners.layout) ~b ~fd ~m
   set out (ob + 2) (get acc 2);
   set out (ob + 3) t_l
 
-(* [Vshape.non_window] for one corner: per-pin min/max folds only.
-   [acc] slots 0..3 are the a_s/a_l/t_s/t_l accumulators (same unboxing
-   rationale as {!ctl_c}). *)
-let non_c (co : float array) (l : Corners.layout) ~b ~fd ~m
+(* The per-pin min/max fold over the inputs [mask] keeps, from the edge
+   block of pin group [g] (0: to-controlling, [n]: to-non-controlling)
+   with the load slopes at [ls] (0 and 2 likewise): both
+   [Pin_to_pin] windows, the second one also the proposed model's
+   to-non-controlling window.  [acc] slots 0..3
+   are the a_s/a_l/t_s/t_l accumulators (same unboxing rationale as
+   {!ctl_c}). *)
+let fold_c (co : float array) (l : Corners.layout) ~b ~fd ~m ~mask ~g ~ls
     ~(inp : float array) ~ib ~io ~(acc : float array) ~(out : float array) ~ob
     =
   let n = l.Corners.l_n in
   let tlo = l.Corners.l_t_lo and thi = l.Corners.l_t_hi in
-  let lo = b + (24 * n) in
-  let ld_d = get co (lo + 2) *. fd in
-  let ld_t = get co (lo + 3) *. fd in
+  let lo = b + (24 * n) + ls in
+  let ld_d = get co lo *. fd in
+  let ld_t = get co (lo + 1) *. fd in
   set acc 0 infinity;
   set acc 1 neg_infinity;
   set acc 2 infinity;
   set acc 3 neg_infinity;
   for i = 0 to m - 1 do
-    let oi = ib + (i * 8) + io in
-    let ivlo = get inp (oi + 2) and ivhi = get inp (oi + 3) in
-    let od = b + ((n + i) * 8) in
-    set acc 0
-      (fmin (get acc 0)
-         (get inp oi +. (min1 co ~o:od ~lo:tlo ~hi:thi ~ivlo ~ivhi +. ld_d)));
-    set acc 1
-      (fmax (get acc 1)
-         (get inp (oi + 1)
-         +. (max1 co ~o:od ~lo:tlo ~hi:thi ~ivlo ~ivhi +. ld_d)));
-    set acc 2
-      (fmin (get acc 2)
-         (min1 co ~o:(od + 4) ~lo:tlo ~hi:thi ~ivlo ~ivhi +. ld_t));
-    set acc 3
-      (fmax (get acc 3)
-         (max1 co ~o:(od + 4) ~lo:tlo ~hi:thi ~ivlo ~ivhi +. ld_t))
+    if kept mask i then
+      let oi = ib + (i * 8) + io in
+      let ivlo = get inp (oi + 2) and ivhi = get inp (oi + 3) in
+      let od = b + ((g + i) * 8) in
+      set acc 0
+        (fmin (get acc 0)
+           (get inp oi +. (min1 co ~o:od ~lo:tlo ~hi:thi ~ivlo ~ivhi +. ld_d)));
+      set acc 1
+        (fmax (get acc 1)
+           (get inp (oi + 1)
+           +. (max1 co ~o:od ~lo:tlo ~hi:thi ~ivlo ~ivhi +. ld_d)));
+      set acc 2
+        (fmin (get acc 2)
+           (min1 co ~o:(od + 4) ~lo:tlo ~hi:thi ~ivlo ~ivhi +. ld_t));
+      set acc 3
+        (fmax (get acc 3)
+           (max1 co ~o:(od + 4) ~lo:tlo ~hi:thi ~ivlo ~ivhi +. ld_t))
   done;
   set out ob (get acc 0);
   set out (ob + 1) (fmax (get acc 0) (get acc 1));
@@ -508,8 +531,17 @@ let checked_layout what t ~slot ~m ~c0 ~c1 ~(inputs : float array)
     invalid_arg (Printf.sprintf "Corner_batch.%s: scratch arrays too small" what);
   l
 
-let eval_node t ~slot ~fanout ~m ~c0 ~c1 ~(inputs : float array)
-    ~(outputs : float array) ~(acc : float array) =
+type rule = V_shape | Per_pin
+
+(* The one place a model value picks its kernel rule: physical equality
+   with a registry model, so a cell-remapped copy gets none. *)
+let rule_of model =
+  if model == Delay_model.proposed then Some V_shape
+  else if model == Delay_model.pin_to_pin then Some Per_pin
+  else None
+
+let eval_node t ~rule ~slot ~fanout ~m ~ctl_mask ~non_mask ~c0 ~c1
+    ~(inputs : float array) ~(outputs : float array) ~(acc : float array) =
   let l =
     checked_layout "eval_node" t ~slot ~m ~c0 ~c1 ~inputs ~outputs ~out_len:8
   in
@@ -532,10 +564,15 @@ let eval_node t ~slot ~fanout ~m ~c0 ~c1 ~(inputs : float array)
     let b = l.Corners.l_base + (c * l.Corners.l_stride) in
     let ib = (c - c0) * m * 8 in
     let ob = (c - c0) * 8 in
-    ctl_c co l ~b ~fd ~m ~inp:inputs ~ib ~io:io_ctl ~acc ~out:outputs
-      ~ob:(ob + ob_ctl);
-    non_c co l ~b ~fd ~m ~inp:inputs ~ib ~io:io_non ~acc ~out:outputs
-      ~ob:(ob + ob_non)
+    (match rule with
+    | V_shape ->
+      ctl_c co l ~b ~fd ~m ~mask:ctl_mask ~inp:inputs ~ib ~io:io_ctl ~acc
+        ~out:outputs ~ob:(ob + ob_ctl)
+    | Per_pin ->
+      fold_c co l ~b ~fd ~m ~mask:ctl_mask ~g:0 ~ls:0 ~inp:inputs ~ib
+        ~io:io_ctl ~acc ~out:outputs ~ob:(ob + ob_ctl));
+    fold_c co l ~b ~fd ~m ~mask:non_mask ~g:l.Corners.l_n ~ls:2 ~inp:inputs
+      ~ib ~io:io_non ~acc ~out:outputs ~ob:(ob + ob_non)
   done
 
 (* The backward evaluator: [Cellfn.min_delay_over] / [max_delay_over]

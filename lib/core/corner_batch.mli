@@ -1,22 +1,23 @@
 (** Batched multi-corner window kernel.
 
-    Evaluates the proposed model's window transfer functions
-    ({!Vshape.ctl_window} / {!Vshape.non_window}) for a contiguous range
-    of corners of one gate in a single pass over the flat corner-major
-    coefficient table of {!Ssd_cell.Corners} — no cell lookup and no
-    allocation (callers supply every scratch buffer).
+    Evaluates the window transfer functions of both window-capable
+    models ({!Vshape} and {!Pin_to_pin}, by {!rule}) for a contiguous
+    range of corners of one gate in a single pass over the flat
+    corner-major coefficient table of {!Ssd_cell.Corners}, over the
+    fan-ins an input mask keeps — no cell lookup and no allocation
+    (callers supply every scratch buffer).
 
-    It is the production evaluator of {!Delay_model.proposed} wherever
-    a forward window pass runs: at K = 1 over a one-corner nominal table
-    for single-corner analyses and the incremental engine, over K
+    It is the production evaluator of both models wherever a forward
+    window pass runs: at K = 1 over a one-corner nominal table for
+    single-corner analyses, the incremental engine and ITR, over K
     corners for multi-corner and Monte-Carlo sweeps.  The scalar
-    {!Vshape} functions remain the closure walk of every remapped copy
-    of the model, and the independent oracle of the tests.
+    functions remain the closure walk of every remapped copy of a model,
+    and the independent oracle of the tests.
 
     {!eval_pin_delays} is the backward evaluator: the single-pin delay
-    bounds the required-time pass subtracts, from the same table blocks
-    and extremizers ({!Cellfn.min_delay_over} / {!Cellfn.max_delay_over}
-    bit for bit).
+    bounds the required-time pass subtracts and ITR's Table 1 clamps
+    take, from the same table blocks and extremizers
+    ({!Cellfn.min_delay_over} / {!Cellfn.max_delay_over} bit for bit).
 
     Bit-identity contract: every float operation reproduces the scalar
     path literally (clamp order, extremum candidate order, strict
@@ -38,11 +39,23 @@ val refresh : t -> unit
 val k : t -> int
 (** Corner count of the bound table. *)
 
+(** The to-controlling window: the proposed model's V-shape corner
+    search, or pin-to-pin's per-pin min/max fold.  Both models'
+    to-non-controlling window is that fold. *)
+type rule = V_shape | Per_pin
+
+val rule_of : Delay_model.t -> rule option
+(** {!V_shape} for {!Delay_model.proposed}, {!Per_pin} for
+    {!Delay_model.pin_to_pin}, [None] for any other model value. *)
+
 val eval_node :
   t ->
+  rule:rule ->
   slot:int ->
   fanout:int ->
   m:int ->
+  ctl_mask:int ->
+  non_mask:int ->
   c0:int ->
   c1:int ->
   inputs:float array ->
@@ -59,6 +72,13 @@ val eval_node :
     order.  [acc] (at least 8 floats) is the kernel's accumulator
     scratch; like [inputs] and [outputs] it belongs to the caller, so a
     call allocates nothing.
+
+    [ctl_mask] and [non_mask] keep pin [i] on their side when bit [i] is
+    set ([-1] keeps every input).  A masked-out input takes part in no
+    candidate (singles, pairs, tied-k count and hull, latest bounds), so
+    each side equals the scalar window function over the list of kept
+    inputs, positions unchanged, bit for bit; a side that keeps no input
+    gets unspecified bounds.
 
     @raise Invalid_argument when [m] differs from the cell's fan-in
     count or the corner range is empty or out of bounds. *)

@@ -35,7 +35,7 @@ let proposed =
     ctl_event = Vshape.ctl_event;
     non_event = Vshape.non_event;
     windowing =
-      Some { ctl_window = Vshape.ctl_window; non_window = Vshape.non_window };
+      Some { ctl_window = Vshape.ctl_window; non_window = Pin_to_pin.non_window };
   }
 
 let pin_to_pin =

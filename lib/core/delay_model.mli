@@ -50,11 +50,11 @@ val nabavi : t
 
 val remap_cells : ?name:string -> (Ssd_cell.Charlib.cell -> Ssd_cell.Charlib.cell) -> t -> t
 (** [remap_cells f m] evaluates [m] through [f]-substituted cells: every
-    entry point applies [f] to its cell argument first.  Engine corner
-    retargets use it to point a resident session at a derated twin
-    library ([f = Corners.remap_of_library lib']) without
-    rebuilding the session — the netlist keeps resolving cells against
-    the nominal library.  [name] defaults to [m]'s. *)
+    entry point applies [f] to its cell argument first.  The copy is a
+    new model value with no kernel rule, so it always takes the closure
+    walk: [ssd corners --check] and [ssd mc --check] compare against an
+    identity remap, and the tests remap derated twin libraries the same
+    way.  [name] defaults to [m]'s. *)
 
 val all : t list
 val find : string -> t option

@@ -24,3 +24,4 @@ val ctl_window : Ssd_cell.Charlib.cell -> fanout:int -> Types.win_in list
 
 val non_window : Ssd_cell.Charlib.cell -> fanout:int -> Types.win_in list
   -> Types.win
+(** The to-non-controlling window of both window-capable models. *)

@@ -372,51 +372,3 @@ let ctl_window cell ~fanout wins =
     in
     let t_l = Float.max t_l t_s in
     { w_arr = Interval.make a_s a_l; w_tt = Interval.make t_s t_l }
-
-let non_window cell ~fanout wins =
-  match wins with
-  | [] -> invalid_arg "Vshape.non_window: no inputs"
-  | _ ->
-    let resp = Cellfn.Non in
-    let a_s =
-      List.fold_left
-        (fun acc w ->
-          Float.min acc
-            (Interval.lo w.window.w_arr
-            +. snd
-                 (Cellfn.min_delay_over cell ~fanout resp
-                    ~pos:w.wpos w.window.w_tt)))
-        infinity wins
-    in
-    let a_l =
-      List.fold_left
-        (fun acc w ->
-          Float.max acc
-            (Interval.hi w.window.w_arr
-            +. snd
-                 (Cellfn.max_delay_over cell ~fanout resp
-                    ~pos:w.wpos w.window.w_tt)))
-        neg_infinity wins
-    in
-    let t_s =
-      List.fold_left
-        (fun acc w ->
-          Float.min acc
-            (snd
-               (Cellfn.min_tt_over cell ~fanout resp ~pos:w.wpos
-                  w.window.w_tt)))
-        infinity wins
-    in
-    let t_l =
-      List.fold_left
-        (fun acc w ->
-          Float.max acc
-            (snd
-               (Cellfn.max_tt_over cell ~fanout resp ~pos:w.wpos
-                  w.window.w_tt)))
-        neg_infinity wins
-    in
-    {
-      w_arr = Interval.make a_s (Float.max a_s a_l);
-      w_tt = Interval.make t_s (Float.max t_s t_l);
-    }

@@ -45,10 +45,9 @@ val non_event : Ssd_cell.Charlib.cell -> fanout:int
 (** {2 Window transfer functions (Section 4.2)}
 
     Each bound is a closed-form corner search over the fitted curves
-    ({!Cellfn.min_delay_over} and friends), evaluated afresh per gate. *)
+    ({!Cellfn.min_delay_over} and friends), evaluated afresh per gate.
+    The to-non-controlling window keeps pin-to-pin composition, as
+    {!non_event} does: it is {!Pin_to_pin.non_window}. *)
 
 val ctl_window : Ssd_cell.Charlib.cell -> fanout:int -> Types.win_in list
-  -> Types.win
-
-val non_window : Ssd_cell.Charlib.cell -> fanout:int -> Types.win_in list
   -> Types.win

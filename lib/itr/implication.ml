@@ -39,30 +39,29 @@ let assign t root v =
       Queue.add g queue
     end
   in
+  let nl = t.nl in
   let touch i =
-    Array.iter push (Netlist.fanout t.nl i);
-    match Netlist.node t.nl i with
-    | Netlist.Pi -> ()
-    | Netlist.Gate _ -> push i
+    Netlist.iter_fanout nl i ~f:push;
+    if not (Netlist.is_pi nl i) then push i
   in
   if narrow t changed root v then touch root;
   while not (Queue.is_empty queue) do
     let g = Queue.pop queue in
     Hashtbl.remove queued g;
-    match Netlist.node t.nl g with
-    | Netlist.Pi -> ()
-    | Netlist.Gate { kind; fanin } ->
-      let ins = Array.to_list (Array.map (fun j -> t.values.(j)) fanin) in
+    if not (Netlist.is_pi nl g) then begin
+      let kind = Netlist.gate_kind nl g and n_in = Netlist.fanin_count nl g in
+      let ins = List.init n_in (fun p -> t.values.(Netlist.fanin_nth nl g p)) in
       let out = Value2f.forward kind ins in
       if narrow t changed g out then touch g;
-      (match Value2f.backward kind ~out:t.values.(g) ins with
+      match Value2f.backward kind ~out:t.values.(g) ins with
       | None -> raise (Conflict g)
       | Some narrowed ->
         List.iteri
-          (fun idx nv ->
-            let j = fanin.(idx) in
+          (fun p nv ->
+            let j = Netlist.fanin_nth nl g p in
             if narrow t changed j nv then touch j)
-          narrowed)
+          narrowed
+    end
   done;
   !changed
 

@@ -20,11 +20,18 @@
     STA is the special case where every line has state 0 for every
     transition (value xx everywhere).
 
+    Every gate runs the production kernel
+    ({!Ssd_core.Corner_batch.eval_node}) over the inputs whose state for
+    the side's transition is not −1 and that have a window; the clamps
+    take their pin delays from {!Ssd_core.Corner_batch.eval_pin_delays}.
+    An output transition has no window when the line's own state for it
+    is −1 or no input is kept on its side.
+
     After an assignment, the lines whose values changed and their
     fan-outs are re-timed on the calling domain's
     {!Ssd_circuit.Frontier}; a line whose windows come back bit-identical
-    pushes nothing further.  The windows equal a full topological
-    rescan's bit for bit ([Test_support.itr_assign_reference]). *)
+    pushes nothing further.  The windows equal the closure walk's full
+    topological rescan bit for bit ([Test_support.Itr_reference]). *)
 
 type t
 
@@ -40,12 +47,13 @@ val create :
     transitive fan-in (the ATPG only consults the fault site's windows;
     skipping the rest makes refinement much cheaper).  Windows of
     out-of-focus lines are unspecified.
-    @raise Invalid_argument when the model cannot identify worst-case
-    corners (no window functions), or {!Ssd_sta.Sta.Unsupported_gate} on
-    a gate with no characterized cell (as {!Ssd_sta.Sta.analyze_with}). *)
+    @raise Invalid_argument when the model has no kernel rule
+    ({!Ssd_core.Corner_batch.rule_of}), or {!Ssd_sta.Sta.Unsupported_gate}
+    on a gate with no characterized cell (as {!Ssd_sta.Sta.analyze_with}). *)
 
 val copy : t -> t
-(** Snapshot for backtracking search. *)
+(** Snapshot for backtracking search: copies the values and the two
+    flat window arrays, shares the rest. *)
 
 val implication : t -> Implication.t
 
@@ -54,11 +62,6 @@ val assign : t -> int -> Value2f.t -> bool
     affected timing windows.  Returns false (state unspecified-safe: use
     {!copy} beforehand) on logic conflict.
     @raise Invalid_argument inside a frontier drain on the same domain. *)
-
-val refresh_line : t -> int -> bool
-(** Recompute and store one line's windows from its fan-ins' windows and
-    the current states; [true] when they changed bit for bit.  The step
-    {!assign} runs on every line its frontier visits. *)
 
 val rise_window : t -> int -> Ssd_core.Types.win option
 (** [None] when the line definitely has no rising transition (S = −1). *)

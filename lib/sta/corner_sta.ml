@@ -24,11 +24,13 @@ let checked_pi_win ctx opts =
   | Ok spec -> Sta.pi_window spec
   | Error m -> invalid_arg (ctx ^ ": " ^ m)
 
+let rule = Corner_batch.V_shape (* the sweeps time the proposed model *)
+
 (* one streaming topological pass over corners [0, planes) *)
 let sweep_planes sw nl ~pi_win planes =
   let sc = Plane_sweep.scratch sw in
   Array.iter
-    (fun i -> Plane_sweep.eval_range sw sc ~pi_win i 0 planes)
+    (fun i -> Plane_sweep.eval_range sw sc ~rule ~pi_win i 0 planes)
     (Netlist.topo_order nl)
 
 let analyze ?(opts = Run_opts.default) ~table nl =
@@ -66,7 +68,7 @@ let analyze ?(opts = Run_opts.default) ~table nl =
                   let c0 = tsk mod nchunks * corner_chunk in
                   let c1 = min k (c0 + corner_chunk) in
                   let sc = Plane_sweep.scratch sw in
-                  Plane_sweep.eval_range sw sc ~pi_win i c0 c1)
+                  Plane_sweep.eval_range sw sc ~rule ~pi_win i c0 c1)
             done))
   end;
   { ct_netlist = nl; ct_table = table; ct_timing = w }

@@ -1,6 +1,7 @@
 module Interval = Ssd_util.Interval
 module Types = Ssd_core.Types
 module Delay_model = Ssd_core.Delay_model
+module Corner_batch = Ssd_core.Corner_batch
 module Netlist = Ssd_circuit.Netlist
 module Frontier = Ssd_circuit.Frontier
 module Gate = Ssd_circuit.Gate
@@ -40,8 +41,8 @@ type t = {
   e_timing : Windows.t;
   e_sweep : Plane_sweep.t;
       (* the flat kernel at K = 1 over [e_timing]: the evaluator while
-         [e_model == Delay_model.proposed], as in [Sta.analyze_with]; a
-         kind swap re-resolves the node's table slot *)
+         [e_model] has a kernel rule, as in [Sta.analyze_with]; a kind
+         swap re-resolves the node's table slot *)
   e_pi_win : Types.win;  (* window of the session-default PI spec *)
   (* edit overlays over the immutable base netlist; [None] / [0.] means
      "as built" *)
@@ -82,20 +83,22 @@ type t = {
 let check_open t ctx =
   if t.e_closed then invalid_arg (ctx ^ ": engine is closed")
 
-(* The node as currently edited: a swapped gate keeps its fan-in. *)
-let node_view t i =
-  match t.e_kind_ov.(i) with
-  | None -> Netlist.node t.e_netlist i
-  | Some kind -> (
-    match Netlist.node t.e_netlist i with
-    | Netlist.Gate { fanin; _ } -> Netlist.Gate { kind; fanin }
-    | Netlist.Pi -> assert false)
-
 (* A gate's kind as currently edited. *)
 let kind_of t i =
   match t.e_kind_ov.(i) with
   | Some kind -> kind
   | None -> Netlist.gate_kind t.e_netlist i
+
+(* The node as currently edited: a swapped gate keeps its fan-in. *)
+let node_view t i =
+  let nl = t.e_netlist in
+  if Netlist.is_pi nl i then Netlist.Pi
+  else
+    Netlist.Gate
+      {
+        kind = kind_of t i;
+        fanin = Array.init (Netlist.fanin_count nl i) (Netlist.fanin_nth nl i);
+      }
 
 let pi_spec_of t i =
   match t.e_pi_ov.(i) with
@@ -110,10 +113,10 @@ let get t j =
 
 (* Node [i]'s windows as {!Sta.analyze_with} computes them, into
    [sc.out] at 0 (8 floats): the flat kernel through the node's table
-   slot for the proposed model, otherwise {!Sta.gate_windows} over the
-   cell of the node's current kind, as {!Sta.eval_node} resolves it —
-   same cell, same load, same fan-in list, so either way the windows
-   come back bit-identical to a fresh analysis's. *)
+   slot under the model's kernel rule, otherwise {!Sta.gate_windows}
+   timing the node's current kind, as {!Sta.eval_node} does — same
+   cell, same load, same fan-in list, so either way the windows come
+   back bit-identical to a fresh analysis's. *)
 let eval_into t (sc : Plane_sweep.scratch) i =
   let out = sc.Plane_sweep.out in
   let nl = t.e_netlist in
@@ -126,21 +129,16 @@ let eval_into t (sc : Plane_sweep.scratch) i =
     Plane_sweep.put_win out ~off:0 pi_win;
     Plane_sweep.put_win out ~off:4 pi_win
   end
-  else if t.e_model == Delay_model.proposed then
-    Plane_sweep.eval_gate t.e_sweep sc i 0 1
   else begin
-    let n_in = Netlist.fanin_count nl i in
-    let cell = Sta.cell_of_gate t.e_library (kind_of t i) n_in in
-    let fanin_timings = ref [] in
-    for p = n_in - 1 downto 0 do
-      fanin_timings := get t (Netlist.fanin_nth nl i p) :: !fanin_timings
-    done;
-    let lt =
-      Sta.gate_windows ~windowing:(Sta.windowing_of t.e_model) ~cell
-        ~load:(Netlist.load_of nl i) !fanin_timings
-    in
-    Plane_sweep.put_win out ~off:0 lt.Sta.rise;
-    Plane_sweep.put_win out ~off:4 lt.Sta.fall
+    match Corner_batch.rule_of t.e_model with
+    | Some rule -> Plane_sweep.eval_gate t.e_sweep sc ~rule i 0 1
+    | None ->
+      let lt =
+        Sta.gate_windows ~windowing:(Sta.windowing_of t.e_model)
+          ~library:t.e_library nl (get t) ~kind:(kind_of t i) i
+      in
+      Plane_sweep.put_win out ~off:0 lt.Sta.rise;
+      Plane_sweep.put_win out ~off:4 lt.Sta.fall
   end;
   (* tested here so the common [0.] is never boxed for the call *)
   let extra = t.e_extra.(i) in

@@ -20,11 +20,11 @@
     frontier never reached has no fan-in whose windows changed, so it
     already holds the value the full pass would recompute.
     The evaluator is {!Sta.analyze_with}'s: the flat
-    {!Ssd_core.Corner_batch} kernel at K = 1 for
-    {!Ssd_core.Delay_model.proposed} (through a per-node table slot,
-    refreshed on {!Swap_gate}), {!Sta.gate_windows} over the cell of the
-    node's current kind for every other model; {!Set_model} switches
-    between them.  Every propagation is one sequential walk in
+    {!Ssd_core.Corner_batch} kernel at K = 1 under the model's
+    {!Ssd_core.Corner_batch.rule_of} (through a per-node table slot,
+    refreshed on {!Swap_gate}), {!Sta.gate_windows} timing the node's
+    current kind for a model with no rule; {!Set_model} switches between
+    them.  Every propagation is one sequential walk in
     increasing level order, whatever [opts.jobs] says.
 
     {2 History}

@@ -26,8 +26,10 @@ let eps = 1e-13
    to-controlling response (input switches the opposite way for
    NAND/NOT, the same way for NOR... derived from the cell kind) or the
    to-non-controlling one. *)
-let arc_info library nl i kind fanin out_tr =
-  let cell = Sta.cell_of_gate library kind (Array.length fanin) in
+let arc_info library nl i out_tr =
+  let cell =
+    Sta.cell_of_gate library (Netlist.gate_kind nl i) (Netlist.fanin_count nl i)
+  in
   let ctl_in_is_fall =
     match cell.Charlib.kind with Sweep.Nand -> true | Sweep.Nor -> false
   in
@@ -45,39 +47,39 @@ let arc_info library nl i kind fanin out_tr =
 
 (* trace one step backward: pick the fan-in attaining the bound *)
 let step ~late sta library nl i out_tr =
-  match Netlist.node nl i with
-  | Netlist.Pi -> None
-  | Netlist.Gate { kind; fanin } ->
-    let cell, load, resp, in_tr = arc_info library nl i kind fanin out_tr in
+  if Netlist.is_pi nl i then None
+  else begin
+    let cell, load, resp, in_tr = arc_info library nl i out_tr in
     let lt_out = window_of (Sta.timing sta i) out_tr in
     let bound =
       if late then Interval.hi lt_out.Types.w_arr
       else Interval.lo lt_out.Types.w_arr
     in
     let best = ref None in
-    Array.iteri
-      (fun pin j ->
-        let w_in = window_of (Sta.timing sta j) in_tr in
-        let contrib =
-          if late then
-            Interval.hi w_in.Types.w_arr
-            +. snd (Cellfn.max_delay_over cell ~fanout:load resp ~pos:pin w_in.Types.w_tt)
-          else
-            Interval.lo w_in.Types.w_arr
-            +. snd (Cellfn.min_delay_over cell ~fanout:load resp ~pos:pin w_in.Types.w_tt)
-        in
-        match !best with
-        | Some (_, c) when (late && c >= contrib) || ((not late) && c <= contrib) ->
-          ()
-        | _ -> best := Some (j, contrib))
-      fanin;
-    (match !best with
+    for pin = 0 to Netlist.fanin_count nl i - 1 do
+      let j = Netlist.fanin_nth nl i pin in
+      let w_in = window_of (Sta.timing sta j) in_tr in
+      let contrib =
+        if late then
+          Interval.hi w_in.Types.w_arr
+          +. snd (Cellfn.max_delay_over cell ~fanout:load resp ~pos:pin w_in.Types.w_tt)
+        else
+          Interval.lo w_in.Types.w_arr
+          +. snd (Cellfn.min_delay_over cell ~fanout:load resp ~pos:pin w_in.Types.w_tt)
+      in
+      match !best with
+      | Some (_, c) when (late && c >= contrib) || ((not late) && c <= contrib) ->
+        ()
+      | _ -> best := Some (j, contrib)
+    done;
+    match !best with
     | None -> None
     | Some (j, contrib) ->
       (* when even the best single-pin composition cannot reach the bound
          on the early side, the simultaneous speed-up produced it *)
       let simultaneous = (not late) && contrib > bound +. eps in
-      Some (j, in_tr, simultaneous))
+      Some (j, in_tr, simultaneous)
+  end
 
 let trace ~late sta ~endpoint out_tr =
   let nl = Sta.netlist sta in

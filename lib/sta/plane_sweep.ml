@@ -91,9 +91,10 @@ let make ~cb w nl =
 (* a one-corner table at the nominal spec packs the library's own
    coefficients ([1. *. c] is exact), so plane 0 reproduces the closure
    walk bit for bit *)
-let nominal library w nl =
-  let table = Corners.build ~specs:(Corners.default_specs 1) library in
-  make ~cb:(Corner_batch.create table) w nl
+let nominal_kernel library =
+  Corner_batch.create (Corners.build ~specs:(Corners.default_specs 1) library)
+
+let nominal library w nl = make ~cb:(nominal_kernel library) w nl
 
 let windows sw = sw.sw_w
 
@@ -116,11 +117,10 @@ let scratch_key =
   Domain.DLS.new_key (fun () ->
       { inp = [||]; out = [||]; acc = Array.make 8 0.; dly = [||] })
 
-let scratch sw =
+let scratch_for ~planes ~max_fanin =
   let s = Domain.DLS.get scratch_key in
-  let planes = Windows.planes sw.sw_w in
-  let n_inp = planes * sw.sw_max_fanin * 8 and n_out = planes * 8 in
-  let n_dly = planes * sw.sw_max_fanin * 4 in
+  let n_inp = planes * max_fanin * 8 and n_out = planes * 8 in
+  let n_dly = planes * max_fanin * 4 in
   if Array.length s.inp >= n_inp && Array.length s.out >= n_out
      && Array.length s.dly >= n_dly
   then s
@@ -133,6 +133,9 @@ let scratch sw =
     Domain.DLS.set scratch_key s;
     s
   end
+
+let scratch sw =
+  scratch_for ~planes:(Windows.planes sw.sw_w) ~max_fanin:sw.sw_max_fanin
 
 (* pin-major gather of gate [i]'s fan-in windows into [sc.inp]: the
    fanin lookup runs once per pin, not once per (pin × corner), and the
@@ -155,11 +158,11 @@ let[@inline] gather sw sc i c0 c1 =
   done;
   m
 
-let eval_gate sw sc i c0 c1 =
+let eval_gate sw sc ~rule i c0 c1 =
   let m = gather sw sc i c0 c1 in
-  Corner_batch.eval_node sw.sw_cb ~slot:sw.sw_slots.(i)
-    ~fanout:(Netlist.load_of sw.sw_nl i) ~m ~c0 ~c1 ~inputs:sc.inp
-    ~outputs:sc.out ~acc:sc.acc
+  Corner_batch.eval_node sw.sw_cb ~rule ~slot:sw.sw_slots.(i)
+    ~fanout:(Netlist.load_of sw.sw_nl i) ~m ~ctl_mask:(-1) ~non_mask:(-1) ~c0
+    ~c1 ~inputs:sc.inp ~outputs:sc.out ~acc:sc.acc
 
 let store sw ~plane i (src : float array) ~off =
   let dst = ((plane * sw.sw_nw) + i) * 8 in
@@ -193,13 +196,13 @@ let stored_equal sw ~plane i (src : float array) ~off =
   done;
   !f = 8
 
-let eval_range sw sc ~pi_win i c0 c1 =
+let eval_range sw sc ~rule ~pi_win i c0 c1 =
   if Netlist.is_pi sw.sw_nl i then
     for c = c0 to c1 - 1 do
       Windows.set_plane sw.sw_w ~plane:c i ~rise:pi_win ~fall:pi_win
     done
   else begin
-    eval_gate sw sc i c0 c1;
+    eval_gate sw sc ~rule i c0 c1;
     scatter sw sc i c0 c1
   end
 

@@ -1,13 +1,14 @@
 (** The flat-kernel steps over a {!Windows} store.
 
     Forward: gather a gate's fan-in windows out of the store, evaluate
-    {!Ssd_core.Corner_batch.eval_node} over a corner range, scatter the
-    outputs back.  This is the production evaluator of
-    {!Ssd_core.Delay_model.proposed} wherever a forward window pass
-    runs: {!Sta.analyze_with} and {!Engine} at K = 1 over a nominal
-    corner table (plane 0), and {!Corner_sta} over K planes.  Every
-    caller runs the same gather, kernel and scatter code, so the same
-    fan-in floats give the same window floats whatever the schedule.
+    {!Ssd_core.Corner_batch.eval_node} over a corner range with every
+    input kept, scatter the outputs back.  This is the production
+    evaluator of both window-capable models wherever a forward pass over
+    a store runs: {!Sta.analyze_with} and {!Engine} at K = 1 over a
+    nominal corner table (plane 0), and {!Corner_sta} over K planes.
+    Every caller runs the same gather, kernel and scatter code, so the
+    same fan-in floats give the same window floats whatever the
+    schedule.
 
     Backward ({!required}): required times in reverse topological order
     into a packed {!required} store, from the same gather and the
@@ -33,10 +34,18 @@ val make : cb:Ssd_core.Corner_batch.t -> Windows.t -> Ssd_circuit.Netlist.t -> t
     [Invalid_argument] when the store's node count differs from the
     netlist's or it has more planes than the table has corners. *)
 
+val nominal_kernel : Ssd_cell.Charlib.t -> Ssd_core.Corner_batch.t
+(** The kernel over a one-corner table of the library at the nominal
+    spec ([Corners.default_specs 1]), whose corner 0 is bit-identical to
+    the closure walk over the library itself. *)
+
 val nominal : Ssd_cell.Charlib.t -> Windows.t -> Ssd_circuit.Netlist.t -> t
-(** {!make} over a one-corner table of the library at the nominal spec
-    ([Corners.default_specs 1]), whose plane 0 is bit-identical to the
-    closure walk over the library itself.  @raise as {!make}. *)
+(** {!make} over {!nominal_kernel}.  @raise as {!make}. *)
+
+val resolve_slots :
+  Ssd_cell.Corners.table -> Ssd_circuit.Netlist.t -> int array * int
+(** Every gate's table slot ([-1] for a PI) and the largest fan-in, as
+    {!make} resolves them.  @raise Unsupported_gate *)
 
 val rebind : t -> cb:Ssd_core.Corner_batch.t -> Windows.t -> t
 (** The same netlist and slots (shared, not copied) over another table
@@ -57,15 +66,19 @@ type scratch = private {
   dly : float array;  (** backward pin-delay bounds, 4 floats per pin per plane *)
 }
 
-val scratch : t -> scratch
-(** The calling domain's scratch, grown to fit every plane of the
-    sweep's store.  One record per domain: use it for one evaluation at
-    a time, on the domain that fetched it. *)
+val scratch_for : planes:int -> max_fanin:int -> scratch
+(** The calling domain's scratch, grown to fit [planes] planes of a gate
+    with [max_fanin] fan-ins.  One record per domain: use it for one
+    evaluation at a time, on the domain that fetched it. *)
 
-val eval_gate : t -> scratch -> int -> int -> int -> unit
-(** [eval_gate sw sc i c0 c1] gathers gate [i]'s fan-in windows from
-    planes [c0 .. c1-1] and evaluates the kernel into [sc.out]
-    (plane [c] at [(c - c0) * 8]); the store is not written. *)
+val scratch : t -> scratch
+(** {!scratch_for} the sweep's planes and fan-ins. *)
+
+val eval_gate :
+  t -> scratch -> rule:Ssd_core.Corner_batch.rule -> int -> int -> int -> unit
+(** [eval_gate sw sc ~rule i c0 c1] gathers gate [i]'s fan-in windows
+    from planes [c0 .. c1-1] and evaluates the kernel under [rule] into
+    [sc.out] (plane [c] at [(c - c0) * 8]); the store is not written. *)
 
 val store : t -> plane:int -> int -> float array -> off:int -> unit
 (** Write 8 floats starting at [off] as node [i]'s windows in [plane]. *)
@@ -80,7 +93,8 @@ val stored_equal : t -> plane:int -> int -> float array -> off:int -> bool
 (** Bitwise comparison of node [i]'s stored windows in [plane] against
     8 floats starting at [off] — the {!Engine}'s cutoff test. *)
 
-val eval_range : t -> scratch -> pi_win:Ssd_core.Types.win -> int -> int -> int -> unit
+val eval_range : t -> scratch -> rule:Ssd_core.Corner_batch.rule ->
+  pi_win:Ssd_core.Types.win -> int -> int -> int -> unit
 (** One node over planes [c0 .. c1-1]: [pi_win] on both transitions of
     a PI, {!eval_gate} then {!scatter} for a gate. *)
 

@@ -3,6 +3,7 @@ module Charlib = Ssd_cell.Charlib
 module Sweep = Ssd_cell.Sweep
 module Types = Ssd_core.Types
 module Delay_model = Ssd_core.Delay_model
+module Corner_batch = Ssd_core.Corner_batch
 module Netlist = Ssd_circuit.Netlist
 module Obs = Ssd_obs.Obs
 
@@ -31,21 +32,24 @@ exception Unsupported_gate = Plane_sweep.Unsupported_gate
 
 let cell_of_gate = Plane_sweep.cell_of_gate
 
-(* Output windows of one gate given its fan-in windows.  The fan-in array
-   order defines input positions (index 0 = closest to the output).
-   For NAND/NOT the controlling input transition is the fall, and the
-   to-controlling response is the output rise; for NOR it is the dual. *)
-let gate_windows ~windowing ~cell ~load fanin_timings =
+(* Output windows of gate [i] timed as [kind], from its fan-in windows
+   read through [timing].  The fan-in order defines input positions
+   (index 0 = closest to the output).  For NAND/NOT the controlling
+   input transition is the fall, and the to-controlling response is the
+   output rise; for NOR it is the dual. *)
+let gate_windows ~windowing ~library nl timing ~kind i =
+  let n_in = Netlist.fanin_count nl i in
+  let cell = cell_of_gate library kind n_in in
+  let fanin = List.init n_in (fun p -> timing (Netlist.fanin_nth nl i p)) in
   let wins_of sel =
-    List.mapi
-      (fun idx lt -> { Types.wpos = idx; window = sel lt })
-      fanin_timings
+    List.mapi (fun idx lt -> { Types.wpos = idx; window = sel lt }) fanin
   in
   let ctl_in_is_fall =
     match cell.Charlib.kind with Sweep.Nand -> true | Sweep.Nor -> false
   in
   let ctl_wins = wins_of (fun lt -> if ctl_in_is_fall then lt.fall else lt.rise) in
   let non_wins = wins_of (fun lt -> if ctl_in_is_fall then lt.rise else lt.fall) in
+  let load = Netlist.load_of nl i in
   let ctl_out = windowing.Delay_model.ctl_window cell ~fanout:load ctl_wins in
   let non_out = windowing.Delay_model.non_window cell ~fanout:load non_wins in
   if ctl_in_is_fall then { rise = ctl_out; fall = non_out }
@@ -74,8 +78,8 @@ let shift_timing lt extra =
     in
     { rise = sh lt.rise; fall = sh lt.fall }
 
-(* The closure walk's per-node step — the forward pass of every model
-   but [Delay_model.proposed], and the tests' oracle for that one: a
+(* The closure walk's per-node step — the forward pass of a model with
+   no kernel rule, and the tests' oracle for the kernel: a
    pure function of the fan-in entries read through [timing] (for a PI,
    of [pi_win]), so recomputing any node whose inputs are bit-identical
    reproduces its windows bit-identically.  [timing] abstracts the
@@ -84,17 +88,8 @@ let shift_timing lt extra =
 let eval_node ~windowing ~library nl timing ~pi_win ~extra i =
   let lt =
     if Netlist.is_pi nl i then { rise = pi_win; fall = pi_win }
-    else begin
-      let kind = Netlist.gate_kind nl i in
-      let n_in = Netlist.fanin_count nl i in
-      let cell = cell_of_gate library kind n_in in
-      let fanin_timings = ref [] in
-      for p = n_in - 1 downto 0 do
-        fanin_timings := timing (Netlist.fanin_nth nl i p) :: !fanin_timings
-      done;
-      let load = Netlist.load_of nl i in
-      gate_windows ~windowing ~cell ~load !fanin_timings
-    end
+    else
+      gate_windows ~windowing ~library nl timing ~kind:(Netlist.gate_kind nl i) i
   in
   shift_timing lt extra
 
@@ -142,25 +137,22 @@ let analyze_with ?(extra_delay = fun _ -> 0.) ?(pi_override = fun _ -> None)
     in
     Windows.set timing i ~rise:lt.rise ~fall:lt.fall
   in
-  (* the flat kernel at K = 1 is the production evaluator of the
-     proposed model; every other model takes the closure walk *)
-  let sweep =
-    if model == Delay_model.proposed then
-      Some (Plane_sweep.nominal library timing nl)
-    else None
-  in
+  (* the flat kernel at K = 1 is the production evaluator of a model
+     with a kernel rule; any other model takes the closure walk *)
+  let rule = Corner_batch.rule_of model in
+  let sweep = Option.map (fun _ -> Plane_sweep.nominal library timing nl) rule in
   let step =
-    match sweep with
-    | Some sw ->
+    match (rule, sweep) with
+    | Some rule, Some sw ->
       fun i ->
         if Netlist.is_pi nl i then closure_step i
         else begin
           let sc = Plane_sweep.scratch sw in
-          Plane_sweep.eval_gate sw sc i 0 1;
+          Plane_sweep.eval_gate sw sc ~rule i 0 1;
           Plane_sweep.shift_arrivals sc.Plane_sweep.out ~off:0 (extra_of i);
           Plane_sweep.scatter sw sc i 0 1
         end
-    | None -> closure_step
+    | _ -> closure_step
   in
   let eval i =
     if not (Netlist.is_pi nl i) then Obs.incr c_gates;

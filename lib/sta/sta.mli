@@ -7,11 +7,13 @@
     proposed V-shape model or the pin-to-pin baseline).
 
     The forward pass has two evaluators that compute the same windows
-    bit for bit.  {!Ssd_core.Delay_model.proposed} (that exact registry
-    value) runs the flat {!Ssd_core.Corner_batch} kernel at K = 1
-    ({!Plane_sweep}); every other model, including cell-remapped copies
-    of the proposed one, runs the closure walk ({!eval_node} over the
-    model's {!Ssd_core.Delay_model.windowing}).
+    bit for bit.  A model with a kernel rule
+    ({!Ssd_core.Corner_batch.rule_of}: the registry values
+    {!Ssd_core.Delay_model.proposed} and
+    {!Ssd_core.Delay_model.pin_to_pin}) runs the flat
+    {!Ssd_core.Corner_batch} kernel at K = 1 ({!Plane_sweep}); any other
+    model, cell-remapped copies included, runs the closure walk
+    ({!eval_node} over the model's {!Ssd_core.Delay_model.windowing}).
 
     The backward pass has one evaluator: {!compute_required} runs the
     flat {!Plane_sweep.required} step at K = 1 for every model, over the
@@ -60,15 +62,15 @@ val pi_window : pi_spec -> Ssd_core.Types.win
 
 val gate_windows :
   windowing:Ssd_core.Delay_model.windowing ->
-  cell:Ssd_cell.Charlib.cell ->
-  load:int ->
-  line_timing list ->
+  library:Ssd_cell.Charlib.t ->
+  Ssd_circuit.Netlist.t ->
+  (int -> line_timing) ->
+  kind:Ssd_circuit.Gate.kind ->
+  int ->
   line_timing
-(** Output windows of one gate given its fan-in windows (list order =
-    input positions, index 0 closest to the output).  The gate branch of
-    {!eval_node}, exposed so the {!Engine}'s closure walk can evaluate
-    through per-node cached cell/load slots without repeating the
-    library lookup. *)
+(** The gate branch of {!eval_node}, with the cell of [kind] instead of
+    the gate's own: the {!Engine}'s closure walk times a swapped gate
+    through it.  @raise Unsupported_gate *)
 
 val shift_timing : line_timing -> float -> line_timing
 (** Translate both transitions' arrival windows by a line's extra delay;
@@ -91,9 +93,9 @@ val eval_node :
     the sequential, levelized-parallel and incremental ({!Engine})
     schedules bit-identical.  The getter abstracts the storage: any
     store that feeds the identical float values gets the identical
-    windows.  {!analyze_with} runs it for every model but
-    {!Ssd_core.Delay_model.proposed}; for that one it is the independent
-    reference the flat kernel is tested against.  Reads only fan-in
+    windows.  {!analyze_with} runs it for a model with no kernel rule;
+    for the others it is the independent reference the flat kernel is
+    tested against.  Reads only fan-in
     entries, so concurrent calls for distinct nodes of one logic level
     are safe.  @raise Unsupported_gate *)
 

@@ -47,18 +47,23 @@ let analyze_ref ~library ~model nl =
   timing
 
 (* [remap_cells Fun.id] keeps every transfer function but yields a new
-   model value, and only the registry value selects the flat kernel *)
+   model value, and only a registry value has a kernel rule *)
 let reference_model = Delay_model.remap_cells Fun.id Delay_model.proposed
 
-let analyze_reference ?extra_delay ?pi_override opts ~library nl =
+let pin_to_pin_reference = Delay_model.remap_cells Fun.id Delay_model.pin_to_pin
+
+let closure_twin model =
+  if model == Delay_model.proposed then reference_model
+  else if model == Delay_model.pin_to_pin then pin_to_pin_reference
+  else model
+
+let analyze_reference ?extra_delay ?pi_override ?(model = Delay_model.proposed)
+    opts ~library nl =
   Sta.analyze_with ?extra_delay ?pi_override opts ~library
-    ~model:reference_model nl
+    ~model:(closure_twin model) nl
 
 let engine_reference ~library eng =
-  let model =
-    if Engine.model eng == Delay_model.proposed then reference_model
-    else Engine.model eng
-  in
+  let model = closure_twin (Engine.model eng) in
   let nl = Engine.edited_netlist eng in
   Sta.analyze_with
     ~extra_delay:(Engine.extra_delay_of eng)
@@ -272,12 +277,16 @@ module Decompose_ref = struct
     Array.iter
       (fun i ->
         let name = Netlist.signal_name nl i in
-        match Netlist.node nl i with
-        | Netlist.Pi ->
+        if Netlist.is_pi nl i then begin
           mapping.(i) <- b.count;
           add b name Netlist.Pi
-        | Netlist.Gate { kind; fanin } ->
-          let ins = Array.to_list (Array.map (fun j -> mapping.(j)) fanin) in
+        end
+        else begin
+          let kind = Netlist.gate_kind nl i in
+          let ins =
+            List.init (Netlist.fanin_count nl i) (fun p ->
+                mapping.(Netlist.fanin_nth nl i p))
+          in
           if ins = [] then invalid_arg "Decompose: gate with no inputs";
           let final : spec =
             match (kind, ins) with
@@ -329,7 +338,8 @@ module Decompose_ref = struct
           in
           let kind, fanin = final in
           mapping.(i) <- b.count;
-          add b name (Netlist.Gate { kind; fanin = Array.of_list fanin }))
+          add b name (Netlist.Gate { kind; fanin = Array.of_list fanin })
+        end)
       (Netlist.topo_order nl);
     let signals = List.rev b.acc in
     let outputs = List.map (Netlist.signal_name nl) (Netlist.outputs nl) in
@@ -410,44 +420,187 @@ let fault_sim_reference ~library ~model ~clock_period nl sites vectors =
     undetected;
   }
 
-(* ---- the full-rescan ITR refresh ------------------------------------ *)
+(* ---- the closure-walk ITR -------------------------------------------- *)
 
-(* [Itr.assign] as first written: after the implication step, a walk
-   over the whole topological order re-times every in-focus line that
-   changed or reads a re-timed or changed line, with no early cutoff. *)
-let itr_assign_reference ?focus itr i v =
-  let impl = Itr.implication itr in
-  let nl = Implication.netlist impl in
-  let n = Netlist.size nl in
-  let in_focus =
-    match focus with
-    | None -> Array.make n true
-    | Some lines ->
-      let mask = Array.make n false in
-      List.iter
-        (fun i ->
-          mask.(i) <- true;
-          List.iter (fun j -> mask.(j) <- true) (Netlist.transitive_fanin nl i))
-        lines;
-      mask
-  in
-  match Implication.assign_opt impl i v with
-  | None -> false
-  | Some changed ->
-    let dirty = Array.make n false in
-    let mark = Array.make n false in
-    List.iter (fun i -> mark.(i) <- true) changed;
+(* [Itr] as it was written before it ran the kernel: per line an option
+   record of two windows, and per gate the model's window closures over
+   the list of inputs that may switch, clamped by Table 1's definite
+   switchers; after every assignment a walk over the whole topological
+   order re-times each in-focus line that changed or reads a line
+   re-timed or changed before it, with no early cutoff. *)
+module Itr_reference = struct
+  type line_windows = {
+    rise : Types.win option;
+    fall : Types.win option;
+  }
+
+  type t = {
+    library : Charlib.t;
+    windowing : Delay_model.windowing;
+    pi_win : Types.win;
+    impl : Implication.t;
+    windows : line_windows array;
+    in_focus : bool array;
+  }
+
+  let state t i tr = Value2f.state (Implication.value t.impl i) tr
+
+  (* The inputs of [ins] (per input position, the state and optional
+     window of the causal input transition) that may switch and carry a
+     window, and the same as the window functions take them. *)
+  let switching ins =
+    let present =
+      List.filter_map
+        (fun (pos, st, w) ->
+          match (st, w) with
+          | -1, _ | _, None -> None
+          | _, Some window -> Some (pos, st, window))
+        ins
+    in
+    ( present,
+      List.map (fun (pos, _, w) -> { Types.wpos = pos; window = w }) present )
+
+  let ctl_window_refined ~windowing ~cell ~load ins =
+    match switching ins with
+    | [], _ -> None
+    | present, win_ins ->
+      let base = windowing.Delay_model.ctl_window cell ~fanout:load win_ins in
+      let a_l_refined =
+        List.fold_left
+          (fun acc (pos, st, w) ->
+            if st <> 1 then acc
+            else
+              let _, d_max =
+                Cellfn.max_delay_over cell ~fanout:load Cellfn.Ctl ~pos
+                  w.Types.w_tt
+              in
+              Float.min acc (Interval.hi w.Types.w_arr +. d_max))
+          infinity present
+      in
+      let a_s = Interval.lo base.Types.w_arr in
+      let a_l =
+        Float.max a_s (Float.min (Interval.hi base.Types.w_arr) a_l_refined)
+      in
+      Some { Types.w_arr = Interval.make a_s a_l; w_tt = base.Types.w_tt }
+
+  let non_window_refined ~windowing ~cell ~load ins =
+    match switching ins with
+    | [], _ -> None
+    | present, win_ins ->
+      let base = windowing.Delay_model.non_window cell ~fanout:load win_ins in
+      let a_s_refined =
+        List.fold_left
+          (fun acc (pos, st, w) ->
+            if st <> 1 then acc
+            else
+              let _, d_min =
+                Cellfn.min_delay_over cell ~fanout:load Cellfn.Non ~pos
+                  w.Types.w_tt
+              in
+              Float.max acc (Interval.lo w.Types.w_arr +. d_min))
+          neg_infinity present
+      in
+      let a_l = Interval.hi base.Types.w_arr in
+      let a_s =
+        Float.min a_l (Float.max (Interval.lo base.Types.w_arr) a_s_refined)
+      in
+      Some { Types.w_arr = Interval.make a_s a_l; w_tt = base.Types.w_tt }
+
+  let gate_windows t i =
+    let nl = Implication.netlist t.impl in
+    let n_in = Netlist.fanin_count nl i in
+    let cell = Sta.cell_of_gate t.library (Netlist.gate_kind nl i) n_in in
+    let load = Netlist.load_of nl i in
+    let ctl_in_is_fall =
+      match cell.Charlib.kind with Sweep.Nand -> true | Sweep.Nor -> false
+    in
+    let input_info tr =
+      List.init n_in (fun pos ->
+          let j = Netlist.fanin_nth nl i pos in
+          let w = t.windows.(j) in
+          (pos, state t j tr, if tr = Value2f.Rise then w.rise else w.fall))
+    in
+    let ctl_tr = if ctl_in_is_fall then Value2f.Fall else Value2f.Rise in
+    let non_tr = if ctl_in_is_fall then Value2f.Rise else Value2f.Fall in
+    let windowing = t.windowing in
+    let out_ctl =
+      if state t i non_tr = -1 then None
+      else ctl_window_refined ~windowing ~cell ~load (input_info ctl_tr)
+    in
+    let out_non =
+      if state t i ctl_tr = -1 then None
+      else non_window_refined ~windowing ~cell ~load (input_info non_tr)
+    in
+    if ctl_in_is_fall then { rise = out_ctl; fall = out_non }
+    else { rise = out_non; fall = out_ctl }
+
+  let refresh_line t i =
+    let nl = Implication.netlist t.impl in
+    t.windows.(i) <-
+      (if Netlist.is_pi nl i then
+         let w tr = if state t i tr = -1 then None else Some t.pi_win in
+         { rise = w Value2f.Rise; fall = w Value2f.Fall }
+       else gate_windows t i)
+
+  (* re-time every in-focus line [mark]ed or reading a re-timed or
+     marked line, in topological order *)
+  let rescan t mark =
+    let nl = Implication.netlist t.impl in
+    let dirty = Array.make (Netlist.size nl) false in
     Array.iter
       (fun i ->
-        let upstream_dirty =
-          match Netlist.node nl i with
-          | Netlist.Pi -> false
-          | Netlist.Gate { fanin; _ } ->
-            Array.exists (fun j -> dirty.(j) || mark.(j)) fanin
-        in
-        if (mark.(i) || upstream_dirty) && in_focus.(i) then begin
+        let upstream = ref false in
+        for p = 0 to Netlist.fanin_count nl i - 1 do
+          let j = Netlist.fanin_nth nl i p in
+          if dirty.(j) || mark.(j) then upstream := true
+        done;
+        if (mark.(i) || !upstream) && t.in_focus.(i) then begin
           dirty.(i) <- true;
-          ignore (Itr.refresh_line itr i : bool)
+          refresh_line t i
         end)
-      (Netlist.topo_order nl);
-    true
+      (Netlist.topo_order nl)
+
+  let create ?(pi_spec = Sta.default_pi_spec) ?focus ~library ~model nl =
+    let n = Netlist.size nl in
+    let in_focus =
+      match focus with
+      | None -> Array.make n true
+      | Some lines ->
+        let mask = Array.make n false in
+        List.iter
+          (fun i ->
+            mask.(i) <- true;
+            List.iter
+              (fun j -> mask.(j) <- true)
+              (Netlist.transitive_fanin nl i))
+          lines;
+        mask
+    in
+    let t =
+      {
+        library;
+        windowing = Sta.windowing_of model;
+        pi_win = Sta.pi_window pi_spec;
+        impl = Implication.create nl;
+        windows = Array.make n { rise = None; fall = None };
+        in_focus;
+      }
+    in
+    rescan t (Array.make n true);
+    t
+
+  let copy t =
+    { t with impl = Implication.copy t.impl; windows = Array.copy t.windows }
+
+  let assign t i v =
+    match Implication.assign_opt t.impl i v with
+    | None -> false
+    | Some changed ->
+      let mark = Array.make (Array.length t.windows) false in
+      List.iter (fun i -> mark.(i) <- true) changed;
+      rescan t mark;
+      true
+
+  let rise_window t i = t.windows.(i).rise
+  let fall_window t i = t.windows.(i).fall
+end

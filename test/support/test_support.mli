@@ -25,32 +25,38 @@ val analyze_ref :
 
 (** {1 The closure reference}
 
-    {!Ssd_sta.Sta.analyze_with} and {!Ssd_sta.Engine} evaluate
-    {!Ssd_core.Delay_model.proposed} through the flat
+    {!Ssd_sta.Sta.analyze_with}, {!Ssd_sta.Engine} and {!Ssd_itr.Itr}
+    evaluate {!Ssd_core.Delay_model.proposed} and
+    {!Ssd_core.Delay_model.pin_to_pin} through the flat
     {!Ssd_core.Corner_batch} kernel, as {!Ssd_sta.Corner_sta} does, so
     comparing those paths with one another checks the kernel against
-    itself.  The reference below runs the same analysis through the
-    scalar closure walk ({!Ssd_core.Vshape} reached through
-    {!Ssd_sta.Sta.eval_node}) instead. *)
+    itself.  The references below run the same analysis through the
+    scalar closure walk ({!Ssd_core.Vshape} or {!Ssd_core.Pin_to_pin}
+    reached through {!Ssd_sta.Sta.eval_node}) instead. *)
 
 val reference_model : Ssd_core.Delay_model.t
 (** A cell-remapped copy of {!Ssd_core.Delay_model.proposed} (identity
-    remap): the same window functions, a different model value, so
-    analyses under it take the closure walk. *)
+    remap): the same window functions, a different model value with no
+    kernel rule, so analyses under it take the closure walk. *)
 
 val analyze_reference :
   ?extra_delay:(int -> float) ->
   ?pi_override:(int -> Ssd_sta.Run_opts.pi_spec option) ->
+  ?model:Ssd_core.Delay_model.t ->
   Ssd_sta.Run_opts.t ->
   library:Ssd_cell.Charlib.t ->
   Ssd_circuit.Netlist.t ->
   Ssd_sta.Sta.t
-(** {!Ssd_sta.Sta.analyze_with} under {!reference_model}. *)
+(** {!Ssd_sta.Sta.analyze_with} under the closure twin of [model]
+    (default {!Ssd_core.Delay_model.proposed}): {!reference_model} for
+    the proposed model, the identity remap of
+    {!Ssd_core.Delay_model.pin_to_pin} for that one, any other model
+    itself. *)
 
 val engine_reference : library:Ssd_cell.Charlib.t -> Ssd_sta.Engine.t -> Ssd_sta.Sta.t
 (** {!Ssd_sta.Engine.reanalyze} of the session's current edited state
-    ([library] is the session's), with {!reference_model} standing in
-    for the proposed model. *)
+    ([library] is the session's), under the closure twin of the
+    session's model (see {!analyze_reference}). *)
 
 (** {1 The required-time oracle}
 
@@ -109,14 +115,33 @@ val fault_sim_reference :
     production simulator must give the same result at every lane count,
     with the screen on or off. *)
 
-(** {1 The ITR refresh oracle} *)
+(** {1 The ITR oracle} *)
 
-val itr_assign_reference :
-  ?focus:int list -> Ssd_itr.Itr.t -> int -> Ssd_itr.Value2f.t -> bool
-(** {!Ssd_itr.Itr.assign} with the full-rescan refresh it was first
-    written with: the implication step, then a walk over the whole
-    topological order that re-times ({!Ssd_itr.Itr.refresh_line}) every
-    in-focus line that changed or reads a line re-timed or changed
-    before it, with no early cutoff.  [focus] must be the list the state
-    was created with.  [false] on a logic conflict, with the state then
-    unspecified, as for [assign]. *)
+(** {!Ssd_itr.Itr} as a closure walk: per line an option record of two
+    windows; per gate the model's window closures over the list of
+    inputs that may switch (state not −1, window present), clamped by
+    Table 1's definite switchers through {!Ssd_core.Cellfn}; after every
+    assignment a walk over the whole topological order that re-times
+    each in-focus line that changed or reads a line re-timed or changed
+    before it, with no early cutoff.  The production state must hold the
+    same windows bit for bit after the same steps. *)
+module Itr_reference : sig
+  type t
+
+  val create :
+    ?pi_spec:Ssd_sta.Sta.pi_spec ->
+    ?focus:int list ->
+    library:Ssd_cell.Charlib.t ->
+    model:Ssd_core.Delay_model.t ->
+    Ssd_circuit.Netlist.t ->
+    t
+  (** As {!Ssd_itr.Itr.create}, for any model with window functions. *)
+
+  val copy : t -> t
+
+  val assign : t -> int -> Ssd_itr.Value2f.t -> bool
+  (** [false] on a logic conflict, with the state then unspecified. *)
+
+  val rise_window : t -> int -> Ssd_core.Types.win option
+  val fall_window : t -> int -> Ssd_core.Types.win option
+end

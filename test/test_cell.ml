@@ -182,6 +182,58 @@ let test_charlib_cache_roundtrip () =
   let d l = Fit.eval1 ((Charlib.find l Sweep.Nand 1).Charlib.to_ctl.(0)).Charlib.delay 0.5e-9 in
   Alcotest.(check (float 1e-18)) "cache reproduces fits" (d l1) (d l2)
 
+(* A one-cell cache in a fresh directory, so each miss characterizes in
+   well under a second: a truncated file, a file of random bytes and one
+   with a flipped payload byte each load as a miss, and the miss
+   rewrites the file whole. *)
+let test_charlib_cache_rejects_damage () =
+  let dir = Filename.temp_dir "ssd-cache-" "" in
+  let spec = [ (Sweep.Nand, 1) ] in
+  let load () = Charlib.load_or_characterize ~cache_dir:dir Charlib.coarse tech spec in
+  let files () = List.sort compare (Array.to_list (Sys.readdir dir)) in
+  let fresh = load () in
+  let path =
+    match files () with
+    | [ f ] -> Filename.concat dir f
+    | fs -> Alcotest.failf "expected one cache file, found [%s]" (String.concat "; " fs)
+  in
+  let read () = In_channel.with_open_bin path In_channel.input_all in
+  let good = read () in
+  let rng = Ssd_util.Rng.create 7L in
+  let flipped =
+    let b = Bytes.of_string good in
+    let k = String.length good - 1 - Ssd_util.Rng.int rng 64 in
+    Bytes.set b k (Char.chr (Char.code good.[k] lxor 0x10));
+    Bytes.to_string b
+  in
+  List.iter
+    (fun (what, bytes) ->
+      Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc bytes);
+      let lib = load () in
+      Alcotest.(check bool) (what ^ ": same library") true (lib = fresh);
+      Alcotest.(check bool) (what ^ ": file replaced") true (String.equal (read ()) good);
+      Alcotest.(check int) (what ^ ": no stray file") 1 (List.length (files ())))
+    [
+      ("truncated", String.sub good 0 (String.length good / 2));
+      ( "random bytes",
+        String.init (String.length good) (fun _ ->
+            Char.chr (Ssd_util.Rng.int rng 256)) );
+      ("flipped payload byte", flipped);
+    ];
+  (* a cache directory that cannot be made is logged, not raised *)
+  let under_file = Filename.concat path "sub" in
+  Alcotest.(check bool) "unwritable cache: same library" true
+    (Charlib.load_or_characterize ~cache_dir:under_file Charlib.coarse tech spec
+    = fresh);
+  Sys.remove path;
+  Sys.rmdir dir
+
+(* the memo is shared by every domain: two first callers get one library *)
+let test_charlib_default_across_domains () =
+  let other = Domain.spawn (fun () -> Charlib.default ~profile:Charlib.coarse ()) in
+  let here = Charlib.default ~profile:Charlib.coarse () in
+  Alcotest.(check bool) "same library" true (Domain.join other == here)
+
 let test_find_pair_orientation () =
   let l = Lazy.force lib in
   let cell = Charlib.find l Sweep.Nand 3 in
@@ -224,6 +276,10 @@ let suites =
         Alcotest.test_case "position ordering" `Slow
           test_charlib_position_ordering;
         Alcotest.test_case "cache roundtrip" `Slow test_charlib_cache_roundtrip;
+        Alcotest.test_case "cache rejects damaged files" `Slow
+          test_charlib_cache_rejects_damage;
+        Alcotest.test_case "default across domains" `Slow
+          test_charlib_default_across_domains;
         Alcotest.test_case "pair orientation" `Slow test_find_pair_orientation;
       ] );
   ]

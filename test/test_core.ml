@@ -208,7 +208,7 @@ let test_window_non_contains_point_events =
       let transitions = [ tr 0 a0 t0; tr 1 a1 t1 ] in
       let e = Vshape.non_event cell ~fanout:1 transitions in
       let w =
-        Vshape.non_window cell ~fanout:1
+        Ssd_core.Pin_to_pin.non_window cell ~fanout:1
           [ win_in 0 (win a0 a0 t0 t0); win_in 1 (win a1 a1 t1 t1) ]
       in
       Interval.contains w.Types.w_arr e.Types.e_arr
@@ -229,6 +229,86 @@ let test_window_monotone_in_inputs () =
   in
   Alcotest.(check bool) "arrival window nested" true
     (Interval.subset narrow.Types.w_arr wide.Types.w_arr)
+
+(* ---------- the masked kernel against the scalar windows ---------- *)
+
+let prop_kernel_masks_match_scalar =
+  (* random cells, fan-outs, point and interval windows, and non-empty
+     masks: each side of a masked [Corner_batch.eval_node] call equals the
+     scalar window function over the list of kept inputs (positions
+     kept), bit for bit, under both to-controlling rules; both models'
+     to-non-controlling window is [Pin_to_pin.non_window] *)
+  let module CB = Ssd_core.Corner_batch in
+  let module Corners = Ssd_cell.Corners in
+  let module Rng = Ssd_util.Rng in
+  let module P2p = Ssd_core.Pin_to_pin in
+  let kernel =
+    lazy
+      (CB.create
+         (Corners.build ~specs:(Corners.default_specs 1) (Lazy.force lib)))
+  in
+  QCheck.Test.make ~name:"masked eval_node == scalar windows of kept inputs"
+    ~count:400
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Rng.create (Int64.of_int seed) in
+      let cb = Lazy.force kernel in
+      let cells = Array.of_list (Lazy.force lib).Charlib.cells in
+      let cell = cells.(Rng.int rng (Array.length cells)) in
+      let m = cell.Charlib.n in
+      let slot =
+        Option.get (Corners.cell_slot (CB.table cb) cell.Charlib.kind m)
+      in
+      let fanout = 1 + Rng.int rng 6 in
+      let bound lo span =
+        let a = Rng.float_range rng lo (lo +. span) in
+        if Rng.int rng 3 = 0 then (a, a)
+        else (a, a +. Rng.float_range rng 0. 0.8e-9)
+      in
+      let inputs = Array.make (m * 8) 0. in
+      for k = 0 to (2 * m) - 1 do
+        let a_lo, a_hi = bound 0. 2e-9 and t_lo, t_hi = bound 0.05e-9 2.8e-9 in
+        Array.blit [| a_lo; a_hi; t_lo; t_hi |] 0 inputs (4 * k) 4
+      done;
+      let mask () =
+        let x = ref 0 in
+        while !x = 0 do
+          x := Rng.int rng (1 lsl m)
+        done;
+        !x
+      in
+      let ctl_mask = mask () and non_mask = mask () in
+      let ctl_is_fall = cell.Charlib.kind = Sweep.Nand in
+      (* input pin windows of one transition, as the scalar path takes them *)
+      let kept mask ~fall =
+        List.filter_map
+          (fun i ->
+            if mask land (1 lsl i) = 0 then None
+            else
+              let o = (i * 8) + if fall then 4 else 0 in
+              Some
+                (win_in i
+                   (win inputs.(o) inputs.(o + 1) inputs.(o + 2) inputs.(o + 3))))
+          (List.init m Fun.id)
+      in
+      let ctl_ins = kept ctl_mask ~fall:ctl_is_fall in
+      let non_ins = kept non_mask ~fall:(not ctl_is_fall) in
+      let outputs = Array.make 8 0. and acc = Array.make 8 0. in
+      let same off (w : Types.win) =
+        let b = Int64.bits_of_float in
+        b outputs.(off) = b (Interval.lo w.Types.w_arr)
+        && b outputs.(off + 1) = b (Interval.hi w.Types.w_arr)
+        && b outputs.(off + 2) = b (Interval.lo w.Types.w_tt)
+        && b outputs.(off + 3) = b (Interval.hi w.Types.w_tt)
+      in
+      let ob_ctl = if ctl_is_fall then 0 else 4 in
+      List.for_all
+        (fun (rule, ctl_window) ->
+          CB.eval_node cb ~rule ~slot ~fanout ~m ~ctl_mask ~non_mask ~c0:0 ~c1:1
+            ~inputs ~outputs ~acc;
+          same ob_ctl (ctl_window cell ~fanout ctl_ins)
+          && same (4 - ob_ctl) (P2p.non_window cell ~fanout non_ins))
+        [ (CB.V_shape, Vshape.ctl_window); (CB.Per_pin, P2p.ctl_window) ])
 
 (* ---------- model relationships ---------- *)
 
@@ -309,6 +389,7 @@ let suites =
     qsuite "core.vshape.props" [ prop_pair_swap_symmetric ];
     qsuite "core.windows.props"
       [ test_window_contains_point_events; test_window_non_contains_point_events ];
+    qsuite "core.kernel.props" [ prop_kernel_masks_match_scalar ];
     ( "core.windows",
       [
         Alcotest.test_case "monotone in inputs" `Slow

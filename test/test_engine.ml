@@ -33,10 +33,7 @@ let engine_matches eng =
 
 let two_input_gates nl =
   List.filter
-    (fun i ->
-      match Ck.Netlist.node nl i with
-      | Ck.Netlist.Gate { fanin; _ } -> Array.length fanin = 2
-      | Ck.Netlist.Pi -> false)
+    (fun i -> (not (Ck.Netlist.is_pi nl i)) && Ck.Netlist.fanin_count nl i = 2)
     (List.init (Ck.Netlist.size nl) Fun.id)
 
 let random_edit rng nl =

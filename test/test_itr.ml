@@ -146,26 +146,32 @@ let test_implication_agrees_with_simulation () =
 
 let make_itr nl = Itr.create ~library:(Lazy.force lib) ~model:DM.proposed nl
 
+let win_opt_beq a b =
+  match (a, b) with
+  | None, None -> true
+  | Some a, Some b -> Test_support.win_beq a b
+  | Some _, None | None, Some _ -> false
+
+(* with every value xx, every line's windows are the STA windows, bit
+   for bit, under either window-capable model *)
 let test_itr_initial_equals_sta () =
   let nl = c17_prim () in
-  let itr = make_itr nl in
-  let sta =
-    Ssd_sta.Sta.analyze_with RO.default ~library:(Lazy.force lib)
-      ~model:DM.proposed nl
-  in
-  for i = 0 to Ck.Netlist.size nl - 1 do
-    let st = Ssd_sta.Sta.timing sta i in
-    (match Itr.rise_window itr i with
-    | Some w ->
-      Alcotest.(check bool) "rise equal to STA" true
-        (Interval.equal ~eps:1e-15 w.Types.w_arr st.Ssd_sta.Sta.rise.Types.w_arr)
-    | None -> Alcotest.fail "initial window missing");
-    match Itr.fall_window itr i with
-    | Some w ->
-      Alcotest.(check bool) "fall equal to STA" true
-        (Interval.equal ~eps:1e-15 w.Types.w_arr st.Ssd_sta.Sta.fall.Types.w_arr)
-    | None -> Alcotest.fail "initial fall window missing"
-  done
+  List.iter
+    (fun model ->
+      let itr = Itr.create ~library:(Lazy.force lib) ~model nl in
+      let sta =
+        Ssd_sta.Sta.analyze_with RO.default ~library:(Lazy.force lib) ~model nl
+      in
+      for i = 0 to Ck.Netlist.size nl - 1 do
+        let st = Ssd_sta.Sta.timing sta i in
+        let same w sw = win_opt_beq w (Some sw) in
+        if
+          not
+            (same (Itr.rise_window itr i) st.Ssd_sta.Sta.rise
+            && same (Itr.fall_window itr i) st.Ssd_sta.Sta.fall)
+        then Alcotest.failf "%s: line %d differs from STA" model.DM.name i
+      done)
+    [ DM.proposed; DM.pin_to_pin ]
 
 let test_itr_shrinks_monotonically () =
   let nl = c17_prim () in
@@ -265,18 +271,14 @@ let prop_itr_windows_sound =
 let c880s_prim =
   lazy (Ck.Decompose.to_primitive (Option.get (Ck.Benchmarks.by_name "c880s")))
 
-let win_opt_beq a b =
-  match (a, b) with
-  | None, None -> true
-  | Some a, Some b -> Test_support.win_beq a b
-  | Some _, None | None, Some _ -> false
-
 let prop_itr_assign_matches_rescan =
   (* random assignment sequences on random lines (about 3 in 10 steps
-     conflict), with or without a random focus: after every step the
-     frontier's windows equal the full-rescan oracle's bit for bit, and
-     both agree on which steps conflict *)
-  QCheck.Test.make ~name:"assign equals the full-rescan oracle" ~count:24
+     conflict), with or without a random focus, under either model:
+     after every step the kernel's windows equal the closure walk's
+     full-rescan oracle's bit for bit, and both agree on which steps
+     conflict *)
+  QCheck.Test.make ~name:"assign equals the full-rescan closure oracle"
+    ~count:24
     QCheck.(int_range 0 1_000_000)
     (fun seed ->
       let rng = Rng.create (Int64.of_int seed) in
@@ -291,6 +293,7 @@ let prop_itr_assign_matches_rescan =
                  Ck.Generator.g_name = "itr"; n_inputs = 7; n_outputs = 3;
                  n_gates = 40; max_fanin = 3; seed = Int64.of_int seed })
       in
+      let model = if Rng.bool rng then DM.proposed else DM.pin_to_pin in
       let n = Ck.Netlist.size nl in
       let focus =
         if Rng.bool rng then None
@@ -299,27 +302,32 @@ let prop_itr_assign_matches_rescan =
       let values =
         Array.map v [| "00"; "01"; "10"; "11"; "0x"; "1x"; "x0"; "x1" |]
       in
-      let t =
-        ref (Itr.create ?focus ~library:(Lazy.force lib) ~model:DM.proposed nl)
-      in
-      let r = ref (Itr.copy !t) in
-      let ok = ref true in
-      for _ = 1 to 12 do
-        let line = Rng.int rng n in
-        let value = values.(Rng.int rng (Array.length values)) in
-        let t' = Itr.copy !t and r' = Itr.copy !r in
-        let a = Itr.assign t' line value in
-        let b = Test_support.itr_assign_reference ?focus r' line value in
-        if a <> b then ok := false;
-        if a then t := t';
-        if b then r := r';
+      let library = Lazy.force lib in
+      let module R = Test_support.Itr_reference in
+      let t = ref (Itr.create ?focus ~library ~model nl) in
+      let r = ref (R.create ?focus ~library ~model nl) in
+      let same () =
+        let ok = ref true in
         for i = 0 to n - 1 do
           if
             not
-              (win_opt_beq (Itr.rise_window !t i) (Itr.rise_window !r i)
-              && win_opt_beq (Itr.fall_window !t i) (Itr.fall_window !r i))
+              (win_opt_beq (Itr.rise_window !t i) (R.rise_window !r i)
+              && win_opt_beq (Itr.fall_window !t i) (R.fall_window !r i))
           then ok := false
-        done
+        done;
+        !ok
+      in
+      let ok = ref (same ()) in
+      for _ = 1 to 12 do
+        let line = Rng.int rng n in
+        let value = values.(Rng.int rng (Array.length values)) in
+        let t' = Itr.copy !t and r' = R.copy !r in
+        let a = Itr.assign t' line value in
+        let b = R.assign r' line value in
+        if a <> b then ok := false;
+        if a then t := t';
+        if b then r := r';
+        if not (same ()) then ok := false
       done;
       !ok)
 

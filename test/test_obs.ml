@@ -256,10 +256,7 @@ let test_sta_instrumented_identical () =
         (Array.fold_left
            (fun acc level ->
              Array.fold_left
-               (fun acc i ->
-                 match Ck.Netlist.node nl i with
-                 | Ck.Netlist.Gate _ -> acc + 1
-                 | Ck.Netlist.Pi -> acc)
+               (fun acc i -> if Ck.Netlist.is_pi nl i then acc else acc + 1)
                acc level)
            0 (Ck.Netlist.levels nl))
         (Obs.counter_value (Obs.counter obs "sta.gates")))

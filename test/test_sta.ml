@@ -679,14 +679,15 @@ let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
 (* ---------- the production kernel vs the closure reference ---------- *)
 
-(* [analyze_with] evaluates the proposed model through the flat batched
-   kernel at K = 1; every hook it offers must leave that pass bit-identical
-   to the closure walk, whatever the lane count and with telemetry on *)
+(* [analyze_with] evaluates both registry models through the flat
+   batched kernel at K = 1; every hook it offers must leave that pass
+   bit-identical to the closure walk, whatever the lane count and with
+   telemetry on *)
 let prop_production_matches_reference =
   QCheck.Test.make
     ~name:
       "production pass == closure reference (pi_spec, extra_delay, \
-       pi_override; jobs 1, 4; traced)"
+       pi_override; jobs 1, 4; traced; both models)"
     ~count:4
     QCheck.(int_range 0 1_000_000)
     (fun seed ->
@@ -728,18 +729,21 @@ let prop_production_matches_reference =
             else None)
       in
       let extra_delay i = extras.(i) and pi_override i = overrides.(i) in
-      let reference =
-        analyze_reference ~extra_delay ~pi_override (RO.make ~pi_spec ())
-          ~library:lib nl
-      in
       List.for_all
-        (fun (jobs, traced) ->
-          let obs = if traced then Obs.create () else Obs.disabled in
-          sta_beq reference
-            (Sta.analyze_with ~extra_delay ~pi_override
-               (RO.make ~jobs ~obs ~pi_spec ())
-               ~library:lib ~model:DM.proposed nl))
-        [ (1, false); (1, true); (4, false); (4, true) ])
+        (fun model ->
+          let reference =
+            analyze_reference ~extra_delay ~pi_override ~model
+              (RO.make ~pi_spec ()) ~library:lib nl
+          in
+          List.for_all
+            (fun (jobs, traced) ->
+              let obs = if traced then Obs.create () else Obs.disabled in
+              sta_beq reference
+                (Sta.analyze_with ~extra_delay ~pi_override
+                   (RO.make ~jobs ~obs ~pi_spec ())
+                   ~library:lib ~model nl))
+            [ (1, false); (1, true); (4, false); (4, true) ])
+        [ DM.proposed; DM.pin_to_pin ])
 
 (* Minor words per node of one call, after a warm-up call.  The flat
    kernel allocates nothing per gate and the closure walk allocates
@@ -750,6 +754,22 @@ let words_per_node nl f =
   let w0 = Gc.minor_words () in
   ignore (Sys.opaque_identity (f ()));
   (Gc.minor_words () -. w0) /. float_of_int (Ck.Netlist.size nl)
+
+(* Minor plus direct-major words per node of one call, after a warm-up
+   call: blocks over 256 words skip the minor heap, so
+   [major_words - promoted_words] counts them.  OCaml 5 aggregates the
+   major-heap counters lazily, so each reading follows a
+   [Gc.full_major]. *)
+let all_words_per_node nl f =
+  ignore (Sys.opaque_identity (f ()));
+  let words () =
+    Gc.full_major ();
+    let s = Gc.quick_stat () in
+    Gc.minor_words () +. s.Gc.major_words -. s.Gc.promoted_words
+  in
+  let w0 = words () in
+  ignore (Sys.opaque_identity (f ()));
+  (words () -. w0) /. float_of_int (Ck.Netlist.size nl)
 
 let test_allocation_guard () =
   let lib = Lazy.force lib in
@@ -775,6 +795,21 @@ let test_allocation_guard () =
         words_per_node nl (fun () -> analyze_reference RO.default ~library:lib nl)
       in
       check "closure reference (want >= 500)" (reference >= 500.) reference;
+      (* the pin-to-pin pass and ITR's opening pass run the same kernel;
+         these rows count direct-major words too *)
+      let check_all what f =
+        let v = all_words_per_node nl f in
+        if v > 64. then
+          Alcotest.failf "%s %s: %.1f minor + direct-major words per node \
+                          (want <= 64)" name what v
+      in
+      check_all "pin-to-pin pass" (fun () ->
+          Sta.analyze_with RO.default ~library:lib ~model:DM.pin_to_pin nl);
+      List.iter
+        (fun model ->
+          check_all (model.DM.name ^ " Itr.create") (fun () ->
+              Ssd_itr.Itr.create ~library:lib ~model nl))
+        [ DM.proposed; DM.pin_to_pin ];
       (* the sign-off read at a clock with no violations *)
       let t = Sta.analyze_with RO.default ~library:lib ~model:DM.proposed nl in
       let clock_period = 2. *. Sta.max_delay t in
