@@ -3,31 +3,49 @@ exception Parse_error of { line : int; message : string }
 let fail line fmt =
   Printf.ksprintf (fun message -> raise (Parse_error { line; message })) fmt
 
-let strip s = String.trim s
+(* ---- byte ranges ----
 
-let strip_comment s =
-  match String.index_opt s '#' with
-  | Some i -> String.sub s 0 i
-  | None -> s
+   A line is the range [a, e) of a byte buffer, with the '\n' excluded.
+   Every helper below reads only inside the range it is given, so their
+   unchecked reads stay within the buffer. *)
 
-(* "NAME ( a , b )" -> (NAME, [a; b]) *)
-let parse_call lineno s =
-  match String.index_opt s '(' with
-  | None -> fail lineno "expected '(' in %S" s
-  | Some lp ->
-    let rp =
-      match String.rindex_opt s ')' with
-      | None -> fail lineno "missing ')' in %S" s
-      | Some i -> i
-    in
-    if rp < lp then fail lineno "mismatched parentheses in %S" s;
-    let fn = strip (String.sub s 0 lp) in
-    let args = String.sub s (lp + 1) (rp - lp - 1) in
-    let args =
-      String.split_on_char ',' args |> List.map strip
-      |> List.filter (fun a -> a <> "")
-    in
-    (fn, args)
+(* String.trim's blank set *)
+let is_blank c = c = ' ' || c = '\012' || c = '\n' || c = '\r' || c = '\t'
+
+(* the first [c] in [a, e), or [e] *)
+let rec index b c a e =
+  if a = e || Bytes.unsafe_get b a = c then a else index b c (a + 1) e
+
+(* the last [c] in [a, e), or -1 *)
+let rec rindex b c a e =
+  if e = a then -1
+  else if Bytes.unsafe_get b (e - 1) = c then e - 1
+  else rindex b c a (e - 1)
+
+let rec skip_blanks b a e =
+  if a < e && is_blank (Bytes.unsafe_get b a) then skip_blanks b (a + 1) e
+  else a
+
+let rec drop_blanks b a e =
+  if a < e && is_blank (Bytes.unsafe_get b (e - 1)) then drop_blanks b a (e - 1)
+  else e
+
+(* the start of the first non-empty comma-separated field of [a, e):
+   its first byte that is neither blank nor a comma, or [e] *)
+let rec field_start b a e =
+  if a < e && (Bytes.unsafe_get b a = ',' || is_blank (Bytes.unsafe_get b a))
+  then field_start b (a + 1) e
+  else a
+
+(* [b] from [a] spells [lit], an upper-case word, in any case *)
+let rec spelled b a lit i =
+  i = String.length lit
+  || Char.uppercase_ascii (Bytes.unsafe_get b (a + i)) = lit.[i]
+     && spelled b a lit (i + 1)
+
+let spells b a e lit = e - a = String.length lit && spelled b a lit 0
+
+let text b a e = Bytes.sub_string b a (e - a)
 
 (* A growable array: what the parser keeps per line is a few int slots,
    not a list cell, a tuple and a list of strings. *)
@@ -46,9 +64,13 @@ let push v x =
 
 (* What the per-line parser has read so far.  Every name is interned
    once, in order of first appearance; definitions and fan-ins refer to
-   names by that index until [finish] assigns node ids. *)
+   names by that index until [finish] assigns node ids.  [slots] is an
+   open-addressing table over the interned names, probed linearly from
+   each name's hash: a power-of-two number of slots, at least two per
+   name, each a pair of entries, the name's hash and its intern index,
+   or -1 in both when free. *)
 type acc = {
-  ids : (string, int) Hashtbl.t;
+  mutable slots : int array;
   names : string vec;
   pi_line : int vec;
   pi_name : int vec;
@@ -57,61 +79,155 @@ type acc = {
   gate_kind : int vec;
   gate_end : int vec;  (* one past each gate's last entry in [fanins] *)
   fanins : int vec;
-  mutable outputs : string list;  (* newest first *)
+  outputs : string vec;
+  mutable line : int;  (* the number of the next line *)
 }
 
 let new_acc () =
-  { ids = Hashtbl.create 1024; names = vec ""; pi_line = vec 0;
+  { slots = Array.make 4096 (-1); names = vec ""; pi_line = vec 0;
     pi_name = vec 0; gate_line = vec 0; gate_name = vec 0; gate_kind = vec 0;
-    gate_end = vec 0; fanins = vec 0; outputs = [] }
+    gate_end = vec 0; fanins = vec 0; outputs = vec ""; line = 1 }
 
-let intern acc s =
-  match Hashtbl.find_opt acc.ids s with
-  | Some k -> k
-  | None ->
-    let k = acc.names.len in
-    Hashtbl.add acc.ids s k;
-    push acc.names s;
-    k
+(* FNV-1a over the bytes, then a xor-shift-multiply finish: the table
+   masks the low bits, and on names like [g12345] a plain [h * 31 + c]
+   leaves them clustered *)
+let hash b a e =
+  let h = ref 0x4bf29ce484222325 in
+  for i = a to e - 1 do
+    h := (!h lxor Char.code (Bytes.unsafe_get b i)) * 0x100000001b3
+  done;
+  let h = (!h lxor (!h lsr 32)) * 0x2545f4914f6cdd1d in
+  h lxor (h lsr 29)
 
-let parse_line acc lineno raw =
-  let line = strip (strip_comment raw) in
-  if line <> "" then begin
-    match String.index_opt line '=' with
-    | Some eq ->
-      let lhs = strip (String.sub line 0 eq) in
-      let rhs =
-        strip (String.sub line (eq + 1) (String.length line - eq - 1))
-      in
-      if lhs = "" then fail lineno "empty signal name";
-      let fn, args = parse_call lineno rhs in
-      (match Gate.of_string fn with
-      | None -> fail lineno "unknown gate type %S" fn
-      | Some kind ->
-        if args = [] then fail lineno "gate %S has no inputs" lhs;
-        push acc.gate_line lineno;
-        push acc.gate_name (intern acc lhs);
-        push acc.gate_kind (Gate.to_int kind);
-        List.iter (fun a -> push acc.fanins (intern acc a)) args;
-        push acc.gate_end acc.fanins.len)
-    | None ->
-      let fn, args = parse_call lineno line in
-      (match (String.uppercase_ascii fn, args) with
-      | "INPUT", [ a ] ->
-        push acc.pi_line lineno;
-        push acc.pi_name (intern acc a)
-      | "OUTPUT", [ a ] -> acc.outputs <- a :: acc.outputs
-      | "INPUT", _ | "OUTPUT", _ ->
-        fail lineno "%s takes exactly one signal" fn
-      | _ -> fail lineno "unknown directive %S" fn)
+let rec same_bytes s b a i =
+  i = String.length s
+  || String.unsafe_get s i = Bytes.unsafe_get b (a + i)
+     && same_bytes s b a (i + 1)
+
+(* the first entry of the slot holding the name [a, e) of hash [h], or
+   of the free slot that ends its probe *)
+let rec probe acc b a e h k =
+  let id = acc.slots.(k + 1) in
+  if id < 0
+     || acc.slots.(k) = h
+        && String.length acc.names.data.(id) = e - a
+        && same_bytes acc.names.data.(id) b a 0
+  then k
+  else probe acc b a e h ((k + 2) land (Array.length acc.slots - 1))
+
+let grow_slots acc =
+  let old = acc.slots in
+  let slots = Array.make (2 * Array.length old) (-1) in
+  let mask = Array.length slots - 1 in
+  for k = 0 to (Array.length old / 2) - 1 do
+    let h = old.(2 * k) in
+    if old.((2 * k) + 1) >= 0 then begin
+      let j = ref ((2 * h) land mask) in
+      while slots.(!j + 1) >= 0 do
+        j := (!j + 2) land mask
+      done;
+      slots.(!j) <- h;
+      slots.(!j + 1) <- old.((2 * k) + 1)
+    end
+  done;
+  acc.slots <- slots
+
+(* The intern index of the name [a, e); a string is made only for a
+   name seen for the first time. *)
+let intern acc b a e =
+  let h = hash b a e in
+  let k = probe acc b a e h ((2 * h) land (Array.length acc.slots - 1)) in
+  let id = acc.slots.(k + 1) in
+  if id >= 0 then id
+  else begin
+    let id = acc.names.len in
+    push acc.names (text b a e);
+    acc.slots.(k) <- h;
+    acc.slots.(k + 1) <- id;
+    if 4 * acc.names.len > Array.length acc.slots then grow_slots acc;
+    id
+  end
+
+(* Intern every non-empty field of the argument list [a, e) in order, as
+   fan-ins; returns how many there were. *)
+let rec push_fanins acc b a e n =
+  let fa = field_start b a e in
+  if fa = e then n
+  else begin
+    let c = index b ',' fa e in
+    push acc.fanins (intern acc b fa (drop_blanks b fa c));
+    push_fanins acc b c e (n + 1)
+  end
+
+(* "NAME ( a , b )" over [a, e), blank-trimmed: the argument list runs
+   from the first '(', [lp], to the last ')', [rp] *)
+let check_call lineno b a e lp rp =
+  if lp = e then fail lineno "expected '(' in %S" (text b a e);
+  if rp < 0 then fail lineno "missing ')' in %S" (text b a e);
+  if rp < lp then fail lineno "mismatched parentheses in %S" (text b a e)
+
+let parse_gate acc lineno b a eq e =
+  let lhs_end = drop_blanks b a eq in
+  if lhs_end = a then fail lineno "empty signal name";
+  let fn = skip_blanks b (eq + 1) e in
+  let lp = index b '(' fn e and rp = rindex b ')' fn e in
+  check_call lineno b fn e lp rp;
+  let fn_end = drop_blanks b fn lp in
+  match Gate.of_bytes b fn (fn_end - fn) with
+  | None -> fail lineno "unknown gate type %S" (text b fn fn_end)
+  | Some kind ->
+    push acc.gate_line lineno;
+    push acc.gate_name (intern acc b a lhs_end);
+    push acc.gate_kind (Gate.to_int kind);
+    if push_fanins acc b (lp + 1) rp 0 = 0 then
+      fail lineno "gate %S has no inputs" (text b a lhs_end);
+    push acc.gate_end acc.fanins.len
+
+let parse_directive acc lineno b a e =
+  let lp = index b '(' a e and rp = rindex b ')' a e in
+  check_call lineno b a e lp rp;
+  let fn_end = drop_blanks b a lp in
+  let input = spells b a fn_end "INPUT" in
+  if not (input || spells b a fn_end "OUTPUT") then
+    fail lineno "unknown directive %S" (text b a fn_end);
+  let fa = field_start b (lp + 1) rp in
+  let fe = drop_blanks b fa (index b ',' fa rp) in
+  if fa = rp || field_start b fe rp < rp then
+    fail lineno "%s takes exactly one signal" (text b a fn_end);
+  if input then begin
+    push acc.pi_line lineno;
+    push acc.pi_name (intern acc b fa fe)
+  end
+  else push acc.outputs (text b fa fe)
+
+(* One line, [a, e) of [b]: cut at '#', trimmed; a gate when it holds
+   an '=', else an INPUT or OUTPUT directive. *)
+let parse_line acc b a e =
+  let lineno = acc.line in
+  acc.line <- lineno + 1;
+  let e = index b '#' a e in
+  let a = skip_blanks b a e in
+  let e = drop_blanks b a e in
+  if a < e then begin
+    let eq = index b '=' a e in
+    if eq < e then parse_gate acc lineno b a eq e
+    else parse_directive acc lineno b a e
+  end
+
+(* Parse every '\n'-terminated line of [b] from [a] before [e]; returns
+   where the unterminated rest starts. *)
+let rec parse_lines acc b a e =
+  let nl = index b '\n' a e in
+  if nl = e then a
+  else begin
+    parse_line acc b a nl;
+    parse_lines acc b (nl + 1) e
   end
 
 (* Ids: PIs in order, then gates in order.  A name defined twice is
    reported at its second definition in id order, before any fan-in is
    resolved; an undefined fan-in at its gate, in gate then pin order.
-   The fan-ins are then node ids, rewritten in place, and the intern
-   table, re-keyed to node ids, becomes the netlist's name table: once
-   every fan-in is defined, every interned name is a signal. *)
+   The fan-ins are then node ids, rewritten in place. *)
 let finish ~name acc =
   let npi = acc.pi_line.len and ngates = acc.gate_line.len in
   let n = npi + ngates in
@@ -143,62 +259,76 @@ let finish ~name acc =
     kinds.(npi + g) <- acc.gate_kind.data.(g);
     fanin_off.(npi + g + 1) <- acc.gate_end.data.(g)
   done;
-  Hashtbl.filter_map_inplace (fun _ k -> Some id_of.(k)) acc.ids;
-  Netlist.of_flat ~by_name:acc.ids ~name
+  Netlist.of_flat ~name
     { Netlist.f_names = names; f_kinds = kinds; f_fanin_off = fanin_off;
       f_fanin_dat = Array.sub fanins 0 acc.fanins.len;
-      f_outputs = List.rev acc.outputs }
+      f_outputs = List.init acc.outputs.len (Array.get acc.outputs.data) }
 
+(* The scanner only reads the text, so it may see it as bytes. *)
 let parse_string ~name text =
   let acc = new_acc () in
-  List.iteri
-    (fun idx raw -> parse_line acc (idx + 1) raw)
-    (String.split_on_char '\n' text);
+  let b = Bytes.unsafe_of_string text in
+  let e = Bytes.length b in
+  parse_line acc b (parse_lines acc b 0 e) e;
   finish ~name acc
 
-(* One line at a time: neither the file's text nor a list of its lines
-   is ever held.  [input_line] drops the '\n' and keeps a '\r', which
-   [strip] removes as [parse_string]'s split does; a last line without
-   a newline is still returned. *)
+let chunk = 65536
+
+(* Fixed-size chunks into one buffer: the complete lines of each chunk
+   are parsed in place, and the start of a line that runs past the
+   chunk moves to the front of the buffer for the next read.  The
+   buffer doubles only when that line fills it. *)
 let parse_file path =
-  let ic = open_in path in
+  let ic = open_in_bin path in
   let acc = new_acc () in
+  let read b held =
+    try input ic b held (Bytes.length b - held)
+    with Sys_error m -> raise (Sys_error (path ^ ": " ^ m))
+  in
+  (* [b] starts with the [held] bytes of a line not yet ended *)
+  let rec fill b held =
+    let b = if held < Bytes.length b then b else Bytes.extend b 0 held in
+    match read b held with
+    | 0 -> parse_line acc b 0 held
+    | got ->
+      let e = held + got in
+      let rest = if index b '\n' held e = e then 0 else parse_lines acc b 0 e in
+      if rest > 0 then Bytes.blit b rest b 0 (e - rest);
+      fill b (e - rest)
+  in
   Fun.protect
     ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      let rec loop lineno =
-        match input_line ic with
-        | raw ->
-          parse_line acc lineno raw;
-          loop (lineno + 1)
-        | exception End_of_file -> ()
-      in
-      loop 1);
+    (fun () -> fill (Bytes.create chunk) 0);
   finish ~name:(Filename.remove_extension (Filename.basename path)) acc
 
 let to_string nl =
   let buf = Buffer.create 4096 in
-  Buffer.add_string buf (Printf.sprintf "# %s\n" (Netlist.stats nl));
-  List.iter
+  let add = Buffer.add_string buf in
+  let name i = add (Netlist.signal_name nl i) in
+  let directive kw i =
+    add kw;
+    name i;
+    add ")\n"
+  in
+  add "# ";
+  add (Netlist.stats nl);
+  add "\n";
+  List.iter (directive "INPUT(") (Netlist.inputs nl);
+  List.iter (directive "OUTPUT(") (Netlist.outputs nl);
+  Array.iter
     (fun i ->
-      Buffer.add_string buf
-        (Printf.sprintf "INPUT(%s)\n" (Netlist.signal_name nl i)))
-    (Netlist.inputs nl);
-  List.iter
-    (fun i ->
-      Buffer.add_string buf
-        (Printf.sprintf "OUTPUT(%s)\n" (Netlist.signal_name nl i)))
-    (Netlist.outputs nl);
-  Netlist.iter_gates_topo nl ~f:(fun i kind fanin ->
-      let args =
-        Array.to_list fanin
-        |> List.map (Netlist.signal_name nl)
-        |> String.concat ", "
-      in
-      Buffer.add_string buf
-        (Printf.sprintf "%s = %s(%s)\n"
-           (Netlist.signal_name nl i)
-           (Gate.to_string kind) args));
+      if not (Netlist.is_pi nl i) then begin
+        name i;
+        add " = ";
+        add (Gate.to_string (Netlist.gate_kind nl i));
+        add "(";
+        for p = 0 to Netlist.fanin_count nl i - 1 do
+          if p > 0 then add ", ";
+          name (Netlist.fanin_nth nl i p)
+        done;
+        add ")\n"
+      end)
+    (Netlist.topo_order nl);
   Buffer.contents buf
 
 let write_file nl path =

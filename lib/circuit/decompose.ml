@@ -165,10 +165,13 @@ let to_primitive ?(max_fanin = default_max_fanin) nl =
       f_outputs = List.map (Netlist.signal_name nl) (Netlist.outputs nl) }
 
 let is_primitive ?(max_fanin = default_max_fanin) nl =
-  Netlist.fold_gates_topo nl ~init:true ~f:(fun acc _ kind fanin ->
-      acc
-      &&
-      match kind with
-      | Gate.Not -> true
-      | Gate.Nand | Gate.Nor -> Array.length fanin <= max_fanin
-      | Gate.And | Gate.Or | Gate.Xor | Gate.Xnor | Gate.Buf -> false)
+  let ok i =
+    Netlist.is_pi nl i
+    ||
+    match Netlist.gate_kind nl i with
+    | Gate.Not -> true
+    | Gate.Nand | Gate.Nor -> Netlist.fanin_count nl i <= max_fanin
+    | Gate.And | Gate.Or | Gate.Xor | Gate.Xnor | Gate.Buf -> false
+  in
+  let rec from i = i = Netlist.size nl || (ok i && from (i + 1)) in
+  from 0

@@ -1,16 +1,28 @@
 type kind = And | Nand | Or | Nor | Xor | Xnor | Not | Buf
 
-let of_string s =
-  match String.uppercase_ascii s with
-  | "AND" -> Some And
-  | "NAND" -> Some Nand
-  | "OR" -> Some Or
-  | "NOR" -> Some Nor
-  | "XOR" -> Some Xor
-  | "XNOR" -> Some Xnor
-  | "NOT" | "INV" -> Some Not
-  | "BUF" | "BUFF" -> Some Buf
-  | _ -> None
+(* [b] from [pos] spells [lit], an upper-case word, in any case *)
+let rec spelled b pos lit i =
+  i = String.length lit
+  || Char.uppercase_ascii (Bytes.unsafe_get b (pos + i)) = lit.[i]
+     && spelled b pos lit (i + 1)
+
+(* every accepted spelling, with the option [of_bytes] returns, so a
+   match allocates nothing *)
+let spellings =
+  [ ("AND", Some And); ("NAND", Some Nand); ("OR", Some Or);
+    ("NOR", Some Nor); ("XOR", Some Xor); ("XNOR", Some Xnor);
+    ("NOT", Some Not); ("INV", Some Not); ("BUF", Some Buf);
+    ("BUFF", Some Buf) ]
+
+let rec first_spelled b pos len = function
+  | [] -> None
+  | (lit, kind) :: rest ->
+    if len = String.length lit && spelled b pos lit 0 then kind
+    else first_spelled b pos len rest
+
+let of_bytes b pos len = first_spelled b pos len spellings
+
+let of_string s = of_bytes (Bytes.unsafe_of_string s) 0 (String.length s)
 
 let to_string = function
   | And -> "AND"

@@ -5,6 +5,10 @@ type kind = And | Nand | Or | Nor | Xor | Xnor | Not | Buf
 val of_string : string -> kind option
 (** Case-insensitive; accepts the ISCAS85 spellings (including "BUFF"). *)
 
+val of_bytes : Bytes.t -> int -> int -> kind option
+(** [of_bytes b pos len] is {!of_string} of the [len] bytes of [b] from
+    [pos], matched in place: it allocates nothing. *)
+
 val to_string : kind -> string
 
 val to_int : kind -> int

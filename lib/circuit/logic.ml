@@ -4,11 +4,14 @@ let simulate nl pi_values =
     invalid_arg "Logic.simulate: PI vector arity mismatch";
   let values = Array.make (Netlist.size nl) false in
   List.iteri (fun rank i -> values.(i) <- pi_values.(rank)) pis;
-  Netlist.iter_gates_topo nl ~f:(fun i kind fanin ->
-      values.(i) <-
-        Gate.eval_fanin kind
-          (fun p -> values.(fanin.(p)))
-          (Array.length fanin));
+  Array.iter
+    (fun i ->
+      if not (Netlist.is_pi nl i) then
+        values.(i) <-
+          Gate.eval_fanin (Netlist.gate_kind nl i)
+            (fun p -> values.(Netlist.fanin_nth nl i p))
+            (Netlist.fanin_count nl i))
+    (Netlist.topo_order nl);
   values
 
 let outputs_of nl pi_values =

@@ -4,13 +4,13 @@ type node = Pi | Gate of { kind : Gate.kind; fanin : int array }
    a PI, else the dense {!Gate.to_int} tag) and the fan-in / fan-out /
    level adjacency in CSR offset+data pairs.  Hot paths (STA forward
    pass, ECO propagation, timing simulation) walk these contiguous
-   arrays; the [node]/[fanout]/[levels] accessors materialize the seed
-   representation on demand for cold callers.  Nothing here is mutated
-   after [of_flat] returns, so domains share a netlist without a lock. *)
+   arrays; [levels] copies the level CSR for cold callers.  Nothing
+   here is mutated after [of_flat] returns, so domains share a netlist
+   without a lock. *)
 type t = {
   nl_name : string;
   names : string array;
-  by_name : (string, int) Hashtbl.t;
+  index : int array;  (* open addressing over [names]: node id or -1 *)
   kinds : int array;
   fanin_off : int array;   (* length n+1 *)
   fanin_dat : int array;
@@ -36,9 +36,37 @@ type flat = {
   f_outputs : string list;
 }
 
+(* The name index: a power-of-two number of slots, at least two per
+   name, each holding a node id or -1; a name sits at the first free
+   slot from [Hashtbl.hash name], probing linearly.  [slot_of] gives the
+   slot holding [s], or the free slot that ends its probe. *)
+let rec probe names index s k =
+  let id = Array.unsafe_get index k in
+  if id < 0 || String.equal (Array.unsafe_get names id) s then k
+  else probe names index s ((k + 1) land (Array.length index - 1))
+
+let slot_of names index s =
+  probe names index s (Hashtbl.hash s land (Array.length index - 1))
+
+let build_index names =
+  let n = Array.length names in
+  let size = ref 1 in
+  while !size < 2 * n do
+    size := 2 * !size
+  done;
+  let index = Array.make !size (-1) in
+  Array.iteri
+    (fun i s ->
+      let k = slot_of names index s in
+      if index.(k) >= 0 then invalid "duplicate signal %S" s;
+      index.(k) <- i)
+    names;
+  index
+
 (* The one construction path: validate the flat arrays, then derive the
-   fan-out CSR, Kahn's topological order and the level CSR from them. *)
-let of_flat ?by_name ~name f =
+   name index, the fan-out CSR, Kahn's topological order and the level
+   CSR from them. *)
+let of_flat ~name f =
   let names = f.f_names and kinds = f.f_kinds in
   let fanin_off = f.f_fanin_off and fanin_dat = f.f_fanin_dat in
   let n = Array.length names in
@@ -48,31 +76,7 @@ let of_flat ?by_name ~name f =
       (Array.length kinds) (Array.length fanin_off);
   if fanin_off.(0) <> 0 || fanin_off.(n) <> Array.length fanin_dat then
     invalid "netlist %S: fan-in offsets do not span the fan-in data" name;
-  (* a given table must map each name to its own id and hold nothing
-     else; otherwise the table is built here *)
-  let by_name =
-    match by_name with
-    | Some tbl ->
-      Array.iteri
-        (fun i s ->
-          match Hashtbl.find tbl s with
-          | j when j = i -> ()
-          | _ -> invalid "duplicate signal %S" s
-          | exception Not_found -> invalid "signal %S is not in the name table" s)
-        names;
-      if Hashtbl.length tbl <> n then
-        invalid "netlist %S: the name table holds %d names for %d signals"
-          name (Hashtbl.length tbl) n;
-      tbl
-    | None ->
-      let tbl = Hashtbl.create (2 * n) in
-      Array.iteri
-        (fun i s ->
-          if Hashtbl.mem tbl s then invalid "duplicate signal %S" s;
-          Hashtbl.replace tbl s i)
-        names;
-      tbl
-  in
+  let index = build_index names in
   (* validate kinds and fan-ins *)
   for i = 0 to n - 1 do
     let arity = fanin_off.(i + 1) - fanin_off.(i) in
@@ -112,9 +116,9 @@ let of_flat ?by_name ~name f =
   let pos =
     List.map
       (fun s ->
-        match Hashtbl.find_opt by_name s with
-        | Some i -> i
-        | None -> invalid "output %S is not a declared signal" s)
+        let id = index.(slot_of names index s) in
+        if id < 0 then invalid "output %S is not a declared signal" s;
+        id)
       f.f_outputs
   in
   (* fan-out CSR: consumers of each node in increasing consumer order *)
@@ -191,7 +195,7 @@ let of_flat ?by_name ~name f =
       level_dat.(level_off.(l) + fill.(l)) <- i;
       fill.(l) <- fill.(l) + 1)
     topo;
-  { nl_name = name; names; by_name; kinds; fanin_off; fanin_dat;
+  { nl_name = name; names; index; kinds; fanin_off; fanin_dat;
     fanout_off; fanout_dat; pis; pos; topo; node_level; level_off;
     level_dat }
 
@@ -257,19 +261,12 @@ let level_start t l = t.level_off.(l)
 let level_width t l = t.level_off.(l + 1) - t.level_off.(l)
 let level_node t l k = t.level_dat.(t.level_off.(l) + k)
 
-(* ---- seed-representation views (cold callers) ---- *)
-
-let node t i =
-  if t.kinds.(i) < 0 then Pi
-  else
-    Gate
-      {
-        kind = Gate.of_int t.kinds.(i);
-        fanin = Array.sub t.fanin_dat t.fanin_off.(i) (fanin_count t i);
-      }
-
 let signal_name t i = t.names.(i)
-let find t s = Hashtbl.find_opt t.by_name s
+
+let find t s =
+  let id = t.index.(slot_of t.names t.index s) in
+  if id < 0 then None else Some id
+
 let inputs t = t.pis
 let outputs t = t.pos
 let load_of t i = max 1 (fanout_count t i)
@@ -281,22 +278,6 @@ let levels t =
       Array.sub t.level_dat t.level_off.(l) (level_width t l))
 
 let depth t = Array.length t.level_off - 2
-
-let fold_gates_topo t ~init ~f =
-  Array.fold_left
-    (fun acc i ->
-      match node t i with
-      | Pi -> acc
-      | Gate { kind; fanin } -> f acc i kind fanin)
-    init t.topo
-
-let iter_gates_topo t ~f =
-  Array.iter
-    (fun i ->
-      match node t i with
-      | Pi -> ()
-      | Gate { kind; fanin } -> f i kind fanin)
-    t.topo
 
 let transitive_closure iter_next t i =
   let n = size t in

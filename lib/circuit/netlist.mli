@@ -41,18 +41,19 @@ type flat = {
   f_outputs : string list;
 }
 
-val of_flat : ?by_name:(string, int) Hashtbl.t -> name:string -> flat -> t
+val of_flat : name:string -> flat -> t
 (** The single construction path.  It validates the arrays (shapes,
     kind tags, arities, fan-in ids, unique names, declared outputs,
-    acyclicity) and derives the fan-out CSR, the topological order
-    (Kahn's, PIs first, in id order) and the level CSR.  The arrays are
-    kept, not copied: the caller must not mutate them afterwards.
+    acyclicity) and derives the name index, the fan-out CSR, the
+    topological order (Kahn's, PIs first, in id order) and the level
+    CSR.  The arrays are kept, not copied: the caller must not mutate
+    them afterwards.
 
-    [by_name], when given, becomes the netlist's name table, so a
-    reader that has already interned every name does not build a
-    second table; each name must map to its own node id and the table
-    must hold nothing else (checked, with one lookup per node).
-    Without it the table is built here.
+    The name index is one int array over [f_names]: a power-of-two
+    number of slots, at least two per name, each holding a node id or
+    -1, probed linearly from [Hashtbl.hash] of the name.  It is built
+    here, in one pass, in id order, so a name given twice is reported
+    at its second occurrence.
     @raise Invalid *)
 
 val build :
@@ -72,7 +73,10 @@ val gate_count : t -> int
 val pi_count : t -> int
 
 val signal_name : t -> int -> string
+
 val find : t -> string -> int option
+(** The node named so, through the name index.  A hit allocates only
+    its [Some] (2 words); a miss allocates nothing. *)
 
 val inputs : t -> int list
 (** PI ids in declaration order. *)
@@ -138,10 +142,6 @@ val levels : t -> int array array
 val depth : t -> int
 (** Maximum level over all nodes. *)
 
-val fold_gates_topo : t -> init:'a -> f:('a -> int -> Gate.kind -> int array -> 'a) -> 'a
-
-val iter_gates_topo : t -> f:(int -> Gate.kind -> int array -> unit) -> unit
-
 val transitive_fanin : t -> int -> int list
 (** All nodes (including PIs) feeding the given node, topologically
     sorted. *)
@@ -153,7 +153,7 @@ val transitive_fanout : t -> int -> int list
 val mem_bytes : t -> int
 (** Approximate heap footprint of the packed structural arrays (kinds,
     CSR offsets and data, topological and level orders) in bytes,
-    headers included; excludes signal names and the name table.  The
+    headers included; excludes signal names and the name index.  The
     scale bench divides this by {!size} to track bytes/gate. *)
 
 val stats : t -> string

@@ -167,6 +167,10 @@ let load_netlist path =
       | Ck.Netlist.Invalid message ->
         Printf.eprintf "ssd: %s: %s\n" path message;
         exit 2
+      | Sys_error message ->
+        (* the reader's message names the path *)
+        Printf.eprintf "ssd: %s\n" message;
+        exit 2
     else begin
       Printf.eprintf
         "ssd: %S is neither a suite name (%s) nor an existing file\n" path

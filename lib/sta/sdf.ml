@@ -24,21 +24,30 @@ let triple_of cell ~fanout resp ~pos tt_range =
 
 let of_netlist ~library ~tt_range nl =
   let cells =
-    Netlist.fold_gates_topo nl ~init:[] ~f:(fun acc i kind fanin ->
-        let cell = Sta.cell_of_gate library kind (Array.length fanin) in
-        let fanout = Netlist.load_of nl i in
-        let ctl_is_fall =
-          match cell.Charlib.kind with Sweep.Nand -> true | Sweep.Nor -> false
-        in
-        let paths =
-          List.init (Array.length fanin) (fun pin ->
-              let ctl = triple_of cell ~fanout Cellfn.Ctl ~pos:pin tt_range in
-              let non = triple_of cell ~fanout Cellfn.Non ~pos:pin tt_range in
-              (* for a NAND, the to-controlling response is the output rise *)
-              if ctl_is_fall then { from_pin = pin; rise = ctl; fall = non }
-              else { from_pin = pin; rise = non; fall = ctl })
-        in
-        { instance = Netlist.signal_name nl i; paths } :: acc)
+    Array.fold_left
+      (fun acc i ->
+        if Netlist.is_pi nl i then acc
+        else begin
+          let arity = Netlist.fanin_count nl i in
+          let cell = Sta.cell_of_gate library (Netlist.gate_kind nl i) arity in
+          let fanout = Netlist.load_of nl i in
+          let ctl_is_fall =
+            match cell.Charlib.kind with
+            | Sweep.Nand -> true
+            | Sweep.Nor -> false
+          in
+          let paths =
+            List.init arity (fun pin ->
+                let ctl = triple_of cell ~fanout Cellfn.Ctl ~pos:pin tt_range in
+                let non = triple_of cell ~fanout Cellfn.Non ~pos:pin tt_range in
+                (* for a NAND, the to-controlling response is the output
+                   rise *)
+                if ctl_is_fall then { from_pin = pin; rise = ctl; fall = non }
+                else { from_pin = pin; rise = non; fall = ctl })
+          in
+          { instance = Netlist.signal_name nl i; paths } :: acc
+        end)
+      [] (Netlist.topo_order nl)
   in
   { design = Netlist.name nl; timescale = "1ns"; cells = List.rev cells }
 
@@ -278,12 +287,13 @@ module Annotated = struct
     let n = Netlist.size t.nl in
     let early_r = Array.make n 0. and late_r = Array.make n 0. in
     let early_f = Array.make n 0. and late_f = Array.make n 0. in
-    Netlist.iter_gates_topo t.nl ~f:(fun i kind fanin ->
-        ignore kind;
-        let er = ref infinity and lr = ref neg_infinity in
-        let ef = ref infinity and lf = ref neg_infinity in
-        Array.iteri
-          (fun pin j ->
+    Array.iter
+      (fun i ->
+        if not (Netlist.is_pi t.nl i) then begin
+          let er = ref infinity and lr = ref neg_infinity in
+          let ef = ref infinity and lf = ref neg_infinity in
+          for pin = 0 to Netlist.fanin_count t.nl i - 1 do
+            let j = Netlist.fanin_nth t.nl i pin in
             (match iopath t ~gate:i ~pin ~rising_out:true with
             | Some tri ->
               er := Float.min !er (early_f.(j) +. tri.d_min);
@@ -293,12 +303,14 @@ module Annotated = struct
             | Some tri ->
               ef := Float.min !ef (early_r.(j) +. tri.d_min);
               lf := Float.max !lf (late_r.(j) +. tri.d_max)
-            | None -> ())
-          fanin;
-        if Float.is_finite !er then early_r.(i) <- !er;
-        if Float.is_finite !lr then late_r.(i) <- !lr;
-        if Float.is_finite !ef then early_f.(i) <- !ef;
-        if Float.is_finite !lf then late_f.(i) <- !lf);
+            | None -> ()
+          done;
+          if Float.is_finite !er then early_r.(i) <- !er;
+          if Float.is_finite !lr then late_r.(i) <- !lr;
+          if Float.is_finite !ef then early_f.(i) <- !ef;
+          if Float.is_finite !lf then late_f.(i) <- !lf
+        end)
+      (Netlist.topo_order t.nl);
     (early_r, late_r, early_f, late_f)
 
   let max_delay t =

@@ -84,6 +84,26 @@ val required_beq : ?plane:int -> Ssd_sta.Sta.required -> required array -> bool
 (** Every slot of [plane] (default 0) of a packed store equals the
     oracle's bounds bit for bit. *)
 
+(** {1 The [.bench] oracles} *)
+
+val bench_reference : name:string -> string -> Ssd_circuit.Netlist.t
+(** {!Ssd_circuit.Bench_io.parse_string} as a line-based reader: the
+    text split on ['\n'], each line cut at ['#'] and trimmed with
+    [String.trim], sliced with [String.sub] and [String.split_on_char],
+    gate kinds matched on an [uppercase_ascii] copy, names interned in a
+    [Hashtbl], then {!Ssd_circuit.Netlist.of_flat}.  Node ids are PIs in
+    declaration order, then gates in definition order.  It raises
+    {!Ssd_circuit.Bench_io.Parse_error} and {!Ssd_circuit.Netlist.Invalid}
+    on the same texts as the scanner, with the same line and message: a
+    line's own errors in text order, then signals defined twice in id
+    order, then undefined fan-ins in gate then pin order. *)
+
+val bench_writer_reference : Ssd_circuit.Netlist.t -> string
+(** {!Ssd_circuit.Bench_io.to_string} as a [Printf] writer: the
+    [# stats] line, the [INPUT]s, the [OUTPUT]s, then one
+    [name = KIND(a, b)] line per gate in topological order.  The
+    buffer writer must match it byte for byte. *)
+
 (** {1 The technology-mapping oracle} *)
 
 val decompose_reference :

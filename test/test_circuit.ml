@@ -113,6 +113,67 @@ let test_netlist_build_and_accessors () =
     (Netlist.transitive_fanout nl 0);
   Alcotest.(check (list int)) "tfo of the PO" [] (Netlist.transitive_fanout nl 3)
 
+(* Words [f] allocates: minor words plus words allocated straight in
+   the major heap (blocks over 256 words skip the minor heap), net of
+   what reading the counters costs.  OCaml 5 aggregates the major-heap
+   counters lazily, so each reading follows a [Gc.full_major]. *)
+let words_of f =
+  let counters () =
+    Gc.full_major ();
+    let s = Gc.quick_stat () in
+    (s.Gc.minor_words, s.Gc.major_words -. s.Gc.promoted_words)
+  in
+  let measure f =
+    let m0, d0 = counters () in
+    f ();
+    let m1, d1 = counters () in
+    (m1 -. m0, d1 -. d0)
+  in
+  let m_idle, d_idle = measure ignore in
+  let m, d = measure f in
+  (m -. m_idle, d -. d_idle)
+
+(* [find] allocates its [Some] and nothing else: 2 words per hit, none
+   per miss (a probe written as a local closure allocated 10 and 8) *)
+let test_netlist_find_allocation () =
+  let nl =
+    Ck.Decompose.to_primitive
+      (Ck.Generator.generate
+         { Ck.Generator.default_params with
+           Ck.Generator.g_name = "find";
+           n_inputs = 64;
+           n_outputs = 32;
+           n_gates = 10_000;
+           seed = 31L })
+  in
+  Alcotest.(check bool) "10k primitives" true (Netlist.size nl >= 10_000);
+  let rng = Rng.create 3L in
+  let hits =
+    Array.init 1_000 (fun _ ->
+        Netlist.signal_name nl (Rng.int rng (Netlist.size nl)))
+  in
+  let misses = Array.map (fun s -> s ^ "'") hits in
+  let per_call names =
+    let minor, direct =
+      words_of (fun () ->
+          Array.iter
+            (fun s -> ignore (Sys.opaque_identity (Netlist.find nl s)))
+            names)
+    in
+    (minor +. direct) /. float_of_int (Array.length names)
+  in
+  Array.iter
+    (fun s ->
+      Alcotest.(check bool) "hit" true (Netlist.find nl s <> None))
+    hits;
+  Array.iter
+    (fun s ->
+      Alcotest.(check bool) "miss" true (Netlist.find nl s = None))
+    misses;
+  let hit = per_call hits and miss = per_call misses in
+  if hit > 2.05 then Alcotest.failf "find: %.2f words per hit (want 2)" hit;
+  if miss > 0.05 then Alcotest.failf "find: %.2f words per miss (want 0)" miss
+
 let test_netlist_levels () =
   let check_partition nl =
     let lv = Netlist.levels nl in
@@ -193,7 +254,35 @@ let test_bench_roundtrip () =
   let text = Ck.Bench_io.to_string nl in
   let nl2 = Ck.Bench_io.parse_string ~name:"c17rt" text in
   Alcotest.(check bool) "equivalent after roundtrip" true
-    (Ck.Logic.equivalent (Rng.create 5L) nl nl2)
+    (Ck.Logic.equivalent (Rng.create 5L) nl nl2);
+  (* the buffer writer renders the suite circuits, generated designs and
+     their primitive mappings byte for byte as the Printf writer did *)
+  let generated =
+    List.map
+      (fun (seed, shape) ->
+        Ck.Generator.generate
+          { Ck.Generator.default_params with
+            Ck.Generator.g_name = "gen";
+            n_gates = 400;
+            max_fanin = 9;
+            seed;
+            shape })
+      [ (3L, Ck.Generator.Organic);
+        (4L, Ck.Generator.Layered { layers = 9 }) ]
+  in
+  List.iter
+    (fun nl ->
+      List.iter
+        (fun nl ->
+          Alcotest.(check string)
+            (Netlist.name nl ^ ": Printf writer's text")
+            (Test_support.bench_writer_reference nl)
+            (Ck.Bench_io.to_string nl))
+        [ nl; Ck.Decompose.to_primitive nl ])
+    (List.map
+       (fun name -> Option.get (Ck.Benchmarks.by_name name))
+       Ck.Benchmarks.names
+    @ generated)
 
 let test_bench_parse_errors () =
   let bad s =
@@ -274,16 +363,46 @@ let same_structure a b =
   end;
   !ok
 
-(* [parse_file] reads line by line; the result must be [parse_string]'s
-   on the same text, errors included *)
+(* What a reader made of a text: the netlist, or the error it raised *)
+type outcome =
+  | Parsed of Netlist.t
+  | Bad_line of int * string  (* Parse_error *)
+  | Bad_netlist of string  (* Netlist.Invalid *)
+
 let parse_outcome parse =
   match parse () with
-  | nl -> Ok nl
-  | exception Ck.Bench_io.Parse_error { line; message } -> Error (line, message)
+  | nl -> Parsed nl
+  | exception Ck.Bench_io.Parse_error { line; message } -> Bad_line (line, message)
+  | exception Netlist.Invalid message -> Bad_netlist message
+
+let same_outcome a b =
+  match (a, b) with
+  | Parsed a, Parsed b -> same_structure a b
+  | Bad_line (l, m), Bad_line (l', m') -> l = l' && m = m'
+  | Bad_netlist m, Bad_netlist m' -> m = m'
+  | (Parsed _ | Bad_line _ | Bad_netlist _), _ -> false
+
+let show_outcome = function
+  | Parsed nl -> Netlist.stats nl
+  | Bad_line (l, m) -> Printf.sprintf "line %d: %s" l m
+  | Bad_netlist m -> "invalid: " ^ m
+
+(* [parse_file] through a file at [path], [parse_string] and the
+   line-based oracle on [text]: three outcomes that must agree *)
+let three_readers path text =
+  Out_channel.with_open_bin path (fun oc -> output_string oc text);
+  let name = Filename.remove_extension (Filename.basename path) in
+  ( parse_outcome (fun () -> Ck.Bench_io.parse_file path),
+    parse_outcome (fun () -> Ck.Bench_io.parse_string ~name text),
+    parse_outcome (fun () -> Test_support.bench_reference ~name text) )
+
+let crlf text = String.concat "\r\n" (String.split_on_char '\n' text)
+
+let no_final_newline text =
+  let n = String.length text in
+  if n > 0 && text.[n - 1] = '\n' then String.sub text 0 (n - 1) else text
 
 let test_bench_parse_file_streams () =
-  let crlf text = String.concat "\r\n" (String.split_on_char '\n' text) in
-  let no_final_newline text = String.sub text 0 (String.length text - 1) in
   let c17 = Ck.Bench_io.to_string (Ck.Benchmarks.c17 ()) in
   let layered =
     Ck.Bench_io.to_string
@@ -312,10 +431,23 @@ let test_bench_parse_file_streams () =
   let dup_after_ghost =
     "INPUT(a)\nOUTPUT(z)\ny = NAND(a, ghost)\nz = NOT(a)\nz = NOT(y)\n"
   in
+  (* lines longer than the file reader's buffer: a 200 KB comment line
+     first, and a gate followed by a 70 KB comment *)
+  let long_comment = "#" ^ String.make 200_000 'c' ^ "\n" ^ c17 in
+  let long_tail =
+    let cut = String.index c17 '=' in
+    let eol = String.index_from c17 cut '\n' in
+    String.sub c17 0 eol ^ " # " ^ String.make 70_000 't'
+    ^ String.sub c17 eol (String.length c17 - eol)
+  in
   let cases =
     [ ("c17", c17, None); ("c17 CRLF", crlf c17, None);
       ("c17 without final newline", no_final_newline c17, None);
       ("layered", layered, None); ("layered CRLF", crlf layered, None);
+      ("200 KB comment line, CRLF, no final newline",
+       no_final_newline (crlf long_comment), None);
+      ("gate with a 70 KB comment, CRLF, no final newline",
+       no_final_newline (crlf long_tail), None);
       ("duplicate definition", dup, Some 5);
       ("duplicate definition CRLF", crlf dup, Some 5);
       ("unknown gate on an unterminated last line", bad_gate, Some 4);
@@ -330,22 +462,51 @@ let test_bench_parse_file_streams () =
       Fun.protect
         ~finally:(fun () -> Sys.remove path)
         (fun () ->
-          Out_channel.with_open_bin path (fun oc -> output_string oc text);
-          let name = Filename.remove_extension (Filename.basename path) in
-          let from_file = parse_outcome (fun () -> Ck.Bench_io.parse_file path)
-          and from_text =
-            parse_outcome (fun () -> Ck.Bench_io.parse_string ~name text)
-          in
-          match (from_file, from_text, error_line) with
-          | Ok a, Ok b, None ->
-            Alcotest.(check bool) (label ^ ": same netlist") true
-              (same_structure a b)
-          | Error (l1, m1), Error (l2, m2), Some line ->
-            Alcotest.(check (pair int string)) (label ^ ": same error")
-              (l2, m2) (l1, m1);
-            Alcotest.(check int) (label ^ ": error line") line l1
-          | _ -> Alcotest.failf "%s: outcomes differ" label))
+          let from_file, from_text, oracle = three_readers path text in
+          Alcotest.(check bool) (label ^ ": parse_file = parse_string") true
+            (same_outcome from_file from_text);
+          Alcotest.(check bool) (label ^ ": parse_string = oracle") true
+            (same_outcome from_text oracle);
+          match (from_text, error_line) with
+          | Parsed _, None -> ()
+          | Bad_line (line, _), Some l -> Alcotest.(check int) label l line
+          | o, _ -> Alcotest.failf "%s: %s" label (show_outcome o)))
     cases
+
+(* Set-up allocation of the scanner on a layered 10k-gate text: a
+   string per name seen for the first time and a few int slots per
+   line, far below a reader that slices each line into strings and
+   lists (the oracle's kind read about 77 minor and 117 words in all
+   per gate on a design of this shape). *)
+let test_bench_parse_allocation () =
+  let text =
+    Ck.Bench_io.to_string
+      (Ck.Generator.generate
+         {
+           Ck.Generator.g_name = "alloc";
+           n_inputs = 64;
+           n_outputs = 32;
+           n_gates = 10_000;
+           max_fanin = 9;
+           locality = 128;
+           seed = 29L;
+           shape = Ck.Generator.Layered { layers = 40 };
+         })
+  in
+  let nl = ref None in
+  let minor, direct =
+    words_of (fun () ->
+        nl := Some (Ck.Bench_io.parse_string ~name:"alloc" text))
+  in
+  let gates = float_of_int (Netlist.gate_count (Option.get !nl)) in
+  let minor_per_gate = minor /. gates
+  and all_per_gate = (minor +. direct) /. gates in
+  if minor_per_gate > 16. then
+    Alcotest.failf "parse_string: %.1f minor words per gate (bound 16)"
+      minor_per_gate;
+  if all_per_gate > 72. then
+    Alcotest.failf "parse_string: %.1f words per gate in all (bound 72)"
+      all_per_gate
 
 (* ---------- Logic ---------- *)
 
@@ -495,6 +656,69 @@ let random_circuit seed =
   match Netlist.build ~name:"rand" ~signals ~outputs with
   | nl -> Some nl
   | exception Netlist.Invalid _ -> None (* a random name drawn twice *)
+
+(* ---------- the scanner against the line-based oracle ---------- *)
+
+(* One random edit of a .bench text *)
+let mutate rng text =
+  let n = String.length text in
+  let at = Rng.int rng (n + 1) in
+  let insert pick =
+    let k = 1 + Rng.int rng 3 in
+    String.sub text 0 at ^ String.init k (fun _ -> pick ())
+    ^ String.sub text at (n - at)
+  in
+  let syntax = "()=,# \t\012\r\nabcxyzNOTANDINPUToutput0123456789$" in
+  match Rng.int rng 6 with
+  | 0 ->
+    let k = min (n - at) (1 + Rng.int rng 4) in
+    String.sub text 0 at ^ String.sub text (at + k) (n - at - k)
+  | 1 -> insert (fun () -> syntax.[Rng.int rng (String.length syntax)])
+  | 2 -> insert (fun () -> Char.chr (Rng.int rng 256))
+  | 3 ->
+    let last = min n (at + 1 + Rng.int rng 40) in
+    String.mapi
+      (fun i c ->
+        if i < at || i >= last then c
+        else if Char.lowercase_ascii c <> c then Char.lowercase_ascii c
+        else Char.uppercase_ascii c)
+      text
+  | 4 -> crlf text
+  | _ -> no_final_newline text
+
+(* c17 or a small random circuit over every gate kind, rendered by the
+   writer, then up to four random edits: the scanner's [parse_string],
+   its [parse_file] and the oracle give the same netlist (names, kinds,
+   fan-ins, outputs, [find] of every name), the same [Parse_error] line
+   and message, or the same [Netlist.Invalid] message, and nothing else
+   escapes *)
+let prop_bench_scanner_matches_oracle =
+  let path = lazy (Filename.temp_file "bench_fuzz" ".bench") in
+  at_exit (fun () ->
+      if Lazy.is_val path then
+        try Sys.remove (Lazy.force path) with Sys_error _ -> ());
+  QCheck.Test.make ~name:"scanner = line-based oracle on mutated texts"
+    ~count:1000
+    QCheck.(int_range 1 1_000_000_000)
+    (fun seed ->
+      let rng = Rng.create (Int64.of_int seed) in
+      let base =
+        match Rng.int rng 3 with
+        | 0 -> Ck.Benchmarks.c17 ()
+        | _ ->
+          Option.value (random_circuit seed) ~default:(Ck.Benchmarks.c17 ())
+      in
+      let text = ref (Ck.Bench_io.to_string base) in
+      for _ = 1 to Rng.int rng 5 do
+        text := mutate rng !text
+      done;
+      let from_file, from_text, oracle =
+        three_readers (Lazy.force path) !text
+      in
+      same_outcome from_text oracle && same_outcome from_file from_text
+      || QCheck.Test.fail_reportf "%S:@ file %s,@ string %s,@ oracle %s"
+           !text (show_outcome from_file) (show_outcome from_text)
+           (show_outcome oracle))
 
 (* The flat mapping gives the list-based oracle's netlist wherever the
    oracle succeeds; where it fails on a fresh-name collision, the flat
@@ -789,6 +1013,8 @@ let suites =
           test_netlist_build_and_accessors;
         Alcotest.test_case "validation" `Quick test_netlist_validation;
         Alcotest.test_case "levels" `Quick test_netlist_levels;
+        Alcotest.test_case "find allocates only its Some" `Quick
+          test_netlist_find_allocation;
       ] );
     ( "circuit.frontier",
       [
@@ -813,7 +1039,10 @@ let suites =
         Alcotest.test_case "comments/case" `Quick test_bench_comments_and_case;
         Alcotest.test_case "parse_file streams like parse_string" `Quick
           test_bench_parse_file_streams;
+        Alcotest.test_case "allocation guard" `Quick
+          test_bench_parse_allocation;
       ] );
+    qsuite "circuit.bench_io.props" [ prop_bench_scanner_matches_oracle ];
     ( "circuit.logic",
       [
         Alcotest.test_case "c17 vectors" `Quick test_logic_c17_vectors;

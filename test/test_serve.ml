@@ -264,7 +264,7 @@ let test_session_lifecycle () =
    fresh session computes *)
 (* `open` of a bad .bench file: a typed bad-params reply naming the
    file (and the line, for a malformed one), then the next request is
-   answered *)
+   answered; likewise for a directory, which opens but cannot be read *)
 let test_open_bad_bench () =
   let message resp =
     match Json.parse resp with
@@ -276,6 +276,24 @@ let test_open_bad_bench () =
   in
   with_server (fun sv ->
       let d = Server.dispatch sv in
+      let check_open label path expect =
+        let r =
+          d
+            (Printf.sprintf
+               "{\"v\":1,\"id\":1,\"op\":\"open\",\"session\":\"b\",\"circuit\":%S}"
+               path)
+        in
+        Alcotest.(check (option string)) (label ^ ": code")
+          (Some "bad-params") (code_of r);
+        Alcotest.(check (option string)) (label ^ ": message")
+          (Some expect) (message r);
+        Alcotest.(check bool) (label ^ ": next request answered") true
+          (is_ok (d "{\"v\":1,\"id\":2,\"op\":\"ping\"}"))
+      in
+      let dir = Filename.temp_dir "serve_open" "" in
+      Fun.protect
+        ~finally:(fun () -> Sys.rmdir dir)
+        (fun () -> check_open "directory" dir (dir ^ ": Is a directory"));
       List.iter
         (fun (label, text, expect) ->
           let path = Filename.temp_file "serve_open" ".bench" in
@@ -283,18 +301,7 @@ let test_open_bad_bench () =
             ~finally:(fun () -> Sys.remove path)
             (fun () ->
               Out_channel.with_open_bin path (fun oc -> output_string oc text);
-              let r =
-                d
-                  (Printf.sprintf
-                     "{\"v\":1,\"id\":1,\"op\":\"open\",\"session\":\"b\",\"circuit\":%S}"
-                     path)
-              in
-              Alcotest.(check (option string)) (label ^ ": code")
-                (Some "bad-params") (code_of r);
-              Alcotest.(check (option string)) (label ^ ": message")
-                (Some (expect path)) (message r);
-              Alcotest.(check bool) (label ^ ": next request answered") true
-                (is_ok (d "{\"v\":1,\"id\":2,\"op\":\"ping\"}"))))
+              check_open label path (expect path)))
         [ ( "unknown gate", "INPUT(a)\nOUTPUT(z)\nz = FOO(a)\n",
             fun path -> path ^ ":3: unknown gate type \"FOO\"" );
           ( "cycle", "INPUT(a)\nOUTPUT(z)\nx = NAND(a, z)\nz = NOT(x)\n",

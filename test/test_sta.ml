@@ -369,8 +369,9 @@ let test_cli_clock_boundary () =
 
 (* `ssd sta FILE`: a circuit whose lines parse but which is invalid
    (a cycle, an OUTPUT never defined) is one `ssd: FILE: message` line
-   and exit 2, like a malformed line; a valid file whose own signal is
-   named like a fresh decomposition node is analyzed *)
+   and exit 2, like a malformed line, and so is a directory, which
+   opens but cannot be read; a valid file whose own signal is named
+   like a fresh decomposition node is analyzed *)
 let test_cli_bench_boundary () =
   let with_bench text f =
     let path = Filename.temp_file "ssd_sta" ".bench" in
@@ -395,6 +396,17 @@ let test_cli_bench_boundary () =
         Printf.sprintf "netlist %S contains a cycle" );
       ( "undefined output", "INPUT(a)\nOUTPUT(q)\nz = NOT(a)\n",
         fun _ -> "output \"q\" is not a declared signal" ) ];
+  (let dir = Filename.temp_dir "ssd_sta" "" in
+   Fun.protect
+     ~finally:(fun () -> Sys.rmdir dir)
+     (fun () ->
+       match run_ssd_sta [ dir ] with
+       | Unix.WEXITED 2, err
+         when err = Printf.sprintf "ssd: %s: Is a directory\n" dir ->
+         ()
+       | Unix.WEXITED c, err ->
+         Alcotest.failf "directory: exit %d, stderr %S" c err
+       | _ -> Alcotest.fail "directory: killed"));
   with_bench
     "INPUT(a)\nINPUT(b)\nOUTPUT(z)\nOUTPUT(y)\nz = AND(a, b)\n\
      z$0 = NOT(z)\ny = NOT(z$0)\n"

@@ -61,17 +61,33 @@ test "$clock_status" -eq 2
 
 # .bench boundary through the real binary: a circuit whose own signal
 # z$0 is named like the fresh node that decomposing z adds must be
-# analyzed, and a cyclic circuit, whose lines all parse, must be
-# rejected before any analysis with one `ssd: FILE: message` line and
-# exit status 2.
+# analyzed, and so must a copy of it under the same base name with CRLF
+# line ends, a 200 KB comment line first (longer than the reader's
+# buffer) and no final newline, to the same report.  A cyclic circuit,
+# whose lines all parse, must be rejected before any analysis with one
+# `ssd: FILE: message` line and exit status 2, and so must a directory,
+# which opens but cannot be read.
 SSD_FAST=1 dune exec bin/ssd.exe -- sta tools/fresh_name_clash.bench \
-  >/dev/null
+  > "$TRACE_TMP/fresh_name_clash.out"
+mkdir "$TRACE_TMP/crlf"
+{ printf '#%0200000d\n' 0; cat tools/fresh_name_clash.bench; } \
+  | awk 'NR > 1 { printf "\r\n" } { printf "%s", $0 }' \
+  > "$TRACE_TMP/crlf/fresh_name_clash.bench"
+SSD_FAST=1 dune exec bin/ssd.exe -- sta "$TRACE_TMP/crlf/fresh_name_clash.bench" \
+  > "$TRACE_TMP/fresh_name_clash_crlf.out"
+diff "$TRACE_TMP/fresh_name_clash.out" "$TRACE_TMP/fresh_name_clash_crlf.out"
 cycle_status=0
 SSD_FAST=1 dune exec bin/ssd.exe -- sta tools/cycle.bench >/dev/null \
   2>"$TRACE_TMP/cycle.err" || cycle_status=$?
 test "$cycle_status" -eq 2
 test "$(wc -l < "$TRACE_TMP/cycle.err")" -eq 1
 grep -q '^ssd: tools/cycle.bench: ' "$TRACE_TMP/cycle.err"
+dir_status=0
+SSD_FAST=1 dune exec bin/ssd.exe -- sta "$TRACE_TMP/crlf" >/dev/null \
+  2>"$TRACE_TMP/dir.err" || dir_status=$?
+test "$dir_status" -eq 2
+test "$(wc -l < "$TRACE_TMP/dir.err")" -eq 1
+grep -q '^ssd: ' "$TRACE_TMP/dir.err"
 
 # Serve smoke: a live `ssd serve --stdio` session fed the canned request
 # script must reproduce the checked-in transcript byte for byte — this
